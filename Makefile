@@ -82,13 +82,15 @@ devstore-race:
 	$(GO) test -race -run 'Seal|Fork|Aged|Device' ./internal/storage ./internal/experiments ./internal/server
 
 # The pooling layer under the race detector: the event engine's slot
-# recycling and the allocation-sensitive replay paths. Pools turn
-# would-be-fresh objects into shared mutable state, so this is where a
-# forgotten reset or an aliased scratch buffer shows up first.
+# recycling, the allocation-sensitive replay paths, and the FTL's dense
+# mapping tables (the sparse-LPN randomized test, the out-of-range guards,
+# and the pinned seal digests). Pools turn would-be-fresh objects into
+# shared mutable state, so this is where a forgotten reset or an aliased
+# scratch buffer shows up first.
 .PHONY: perf-race
 perf-race:
 	$(GO) test -race ./internal/sim
-	$(GO) test -race -run 'Alloc|Equivalence|Pool|Recycle|Scratch' ./internal/core ./internal/emmc ./internal/ufs ./internal/ftl
+	$(GO) test -race -run 'Alloc|Equivalence|Pool|Recycle|Scratch|Sparse|OutOfRange|Pinned' ./internal/core ./internal/emmc ./internal/ufs ./internal/ftl ./internal/storage
 
 .PHONY: overhead
 overhead:

@@ -642,11 +642,8 @@ func (d *Device) Submit(req trace.Request) (Result, error) {
 // arrival): Submit with an explicit dispatch time, the single-request fast
 // path of the replay loops. It allocates nothing in steady state.
 func (d *Device) SubmitAt(dispatchAt int64, req trace.Request) (Result, error) {
-	if req.Size == 0 || req.Size%trace.PageSize != 0 {
-		return Result{}, fmt.Errorf("emmc: request size %d not page aligned", req.Size)
-	}
-	if req.Arrival > dispatchAt {
-		return Result{}, fmt.Errorf("emmc: packed member arrives after dispatch")
+	if err := checkRequest(dispatchAt, req); err != nil {
+		return Result{}, err
 	}
 	serviceStart, opsStart, waited, err := d.beginCommand(dispatchAt)
 	if err != nil {
@@ -671,11 +668,8 @@ func (d *Device) SubmitPacked(dispatchAt int64, reqs []trace.Request) ([]Result,
 		return nil, fmt.Errorf("emmc: empty packed command")
 	}
 	for _, req := range reqs {
-		if req.Size == 0 || req.Size%trace.PageSize != 0 {
-			return nil, fmt.Errorf("emmc: request size %d not page aligned", req.Size)
-		}
-		if req.Arrival > dispatchAt {
-			return nil, fmt.Errorf("emmc: packed member arrives after dispatch")
+		if err := checkRequest(dispatchAt, req); err != nil {
+			return nil, err
 		}
 	}
 	serviceStart, opsStart, waited, err := d.beginCommand(dispatchAt)
@@ -696,6 +690,22 @@ func (d *Device) SubmitPacked(dispatchAt int64, reqs []trace.Request) ([]Result,
 	}
 	d.finishCommand(cmdFinish)
 	return out, nil
+}
+
+// checkRequest rejects a malformed request before the device touches any
+// state: a size that is not whole pages, an arrival after its dispatch, or
+// an LPN range leaving the FTL's address space.
+func checkRequest(dispatchAt int64, req trace.Request) error {
+	if req.Size == 0 || req.Size%trace.PageSize != 0 {
+		return fmt.Errorf("emmc: request size %d not page aligned", req.Size)
+	}
+	if req.Arrival > dispatchAt {
+		return fmt.Errorf("emmc: packed member arrives after dispatch")
+	}
+	if err := ftl.CheckRange(int64(req.LBA/trace.SectorsPerPage), int(req.Size/trace.PageSize)); err != nil {
+		return fmt.Errorf("emmc: request at LBA %d: %w", req.LBA, err)
+	}
+	return nil
 }
 
 // beginCommand runs the per-command preamble shared by every submit path:

@@ -251,12 +251,21 @@ type Block struct {
 }
 
 // NewBlock returns an erased block with the given page count.
-func NewBlock(pagesPerBlock int) *Block {
-	b := &Block{live: make([]int8, pagesPerBlock)}
-	for i := range b.live {
-		b.live[i] = pageFree
+func NewBlock(pagesPerBlock int) *Block { return &NewBlocks(1, pagesPerBlock)[0] }
+
+// NewBlocks returns n erased blocks of pagesPerBlock pages each. The
+// blocks and their page-state arrays come from two backing slices, so a
+// whole pool costs two allocations instead of two per block.
+func NewBlocks(n, pagesPerBlock int) []Block {
+	live := make([]int8, n*pagesPerBlock)
+	for i := range live {
+		live[i] = pageFree
 	}
-	return b
+	blocks := make([]Block, n)
+	for i := range blocks {
+		blocks[i].live = live[i*pagesPerBlock : (i+1)*pagesPerBlock : (i+1)*pagesPerBlock]
+	}
+	return blocks
 }
 
 // Full reports whether every page has been programmed.

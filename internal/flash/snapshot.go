@@ -19,9 +19,20 @@ func (b *Block) Dump() BlockState {
 	return BlockState{Live: live, WritePtr: b.writePtr, LiveSecs: b.liveSectors, Erases: b.erases, Retired: b.retired}
 }
 
-// RestoreBlock builds a block from a dumped state.
-func RestoreBlock(s BlockState) *Block {
-	live := make([]int8, len(s.Live))
-	copy(live, s.Live)
-	return &Block{live: live, writePtr: s.WritePtr, liveSectors: s.LiveSecs, erases: s.Erases, retired: s.Retired}
+// RestoreBlocks builds blocks from dumped states; like NewBlocks, the
+// blocks and their page-state arrays come from two backing slices.
+func RestoreBlocks(states []BlockState) []Block {
+	n := 0
+	for _, s := range states {
+		n += len(s.Live)
+	}
+	live := make([]int8, 0, n)
+	blocks := make([]Block, len(states))
+	for i, s := range states {
+		start := len(live)
+		live = append(live, s.Live...)
+		blocks[i] = Block{live: live[start:len(live):len(live)], writePtr: s.WritePtr,
+			liveSectors: s.LiveSecs, erases: s.Erases, retired: s.Retired}
+	}
+	return blocks
 }

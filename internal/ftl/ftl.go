@@ -14,6 +14,7 @@ package ftl
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"emmcio/internal/faults"
 	"emmcio/internal/flash"
@@ -33,8 +34,21 @@ type Loc struct {
 	Page  int32
 }
 
+// pack folds a location into one word: plane in bits 48-62, pool 40-47,
+// block 16-39, page 0-15 (Config.Validate keeps every index in range).
+// Packed order is (plane, pool, block, page) order.
 func (l Loc) pack() uint64 {
 	return uint64(l.Plane)<<48 | uint64(l.Pool)<<40 | uint64(l.Block)<<16 | uint64(l.Page)
+}
+
+// unpack inverts pack, ignoring bit 63 (the forward table's mapped bit).
+func unpack(k uint64) Loc {
+	return Loc{
+		Plane: int32(k >> 48 & 0x7fff),
+		Pool:  int32(k >> 40 & 0xff),
+		Block: int32(k >> 16 & 0xffffff),
+		Page:  int32(k & 0xffff),
+	}
 }
 
 // GCWork summarizes the garbage collection a write triggered, including
@@ -96,7 +110,8 @@ func (s Stats) SpaceUtilization() float64 {
 
 type poolState struct {
 	spec   flash.PoolSpec
-	blocks []*flash.Block
+	spp    int // sectors per page
+	blocks []flash.Block
 	// free holds erased block indices in FIFO order; allocating from the
 	// head and returning erased blocks to the tail round-robins erase load
 	// across blocks (the "simple wear-leveling" of Implication 4).
@@ -105,6 +120,47 @@ type poolState struct {
 	// retired counts grown bad blocks withdrawn from this plane-pool; the
 	// usable pool is BlocksPerPlane - retired.
 	retired int32
+
+	// The reverse map: rev[b] is block b's slab of PagesPerBlock×spp LPNs
+	// (nil: none). Page p's live LPNs are its entries p*spp ..
+	// p*spp+PageLive(p)-1, in programming order with invalidations
+	// swap-removed. A block gets a slab when it becomes the active block
+	// and returns it to freeRev when erased or retired, so only blocks that
+	// can hold live data carry one.
+	rev     [][]int64
+	freeRev [][]int64
+}
+
+func newPoolState(spec flash.PoolSpec, blocks []flash.Block, free []int32, active int32) poolState {
+	return poolState{spec: spec, spp: spec.SectorsPerPage(), blocks: blocks,
+		free: free, active: active, rev: make([][]int64, len(blocks))}
+}
+
+// attach gives block b a reverse slab, recycling a free one when it can.
+func (ps *poolState) attach(b int32) {
+	if ps.rev[b] != nil {
+		return
+	}
+	if n := len(ps.freeRev); n > 0 {
+		ps.rev[b] = ps.freeRev[n-1]
+		ps.freeRev = ps.freeRev[:n-1]
+		return
+	}
+	ps.rev[b] = make([]int64, ps.spec.PagesPerBlock*ps.spp)
+}
+
+// release returns block b's reverse slab to the free list.
+func (ps *poolState) release(b int32) {
+	if ps.rev[b] != nil {
+		ps.freeRev = append(ps.freeRev, ps.rev[b])
+		ps.rev[b] = nil
+	}
+}
+
+// pageRev returns the spp reverse-slab entries of page p of block b, which
+// must carry a slab; the first PageLive(p) are the page's live LPNs.
+func (ps *poolState) pageRev(b int32, p int) []int64 {
+	return ps.rev[b][p*ps.spp : (p+1)*ps.spp : (p+1)*ps.spp]
 }
 
 type planeState struct {
@@ -163,10 +219,16 @@ func (c Config) Validate() error {
 	if len(c.Pools) == 0 {
 		return fmt.Errorf("ftl: no pools configured")
 	}
+	if c.Geometry.Planes() > 1<<15 || len(c.Pools) > 1<<8 {
+		return fmt.Errorf("ftl: %d planes x %d pools exceed the mapping's 32768 x 256", c.Geometry.Planes(), len(c.Pools))
+	}
 	seen := map[int]bool{}
 	for _, p := range c.Pools {
 		if err := p.Validate(); err != nil {
 			return err
+		}
+		if p.BlocksPerPlane > 1<<24 || p.PagesPerBlock > 1<<16 {
+			return fmt.Errorf("ftl: pool %+v exceeds the mapping's 2^24 blocks x 2^16 pages", p)
 		}
 		if seen[p.PageBytes] {
 			return fmt.Errorf("ftl: duplicate pool page size %d", p.PageBytes)
@@ -183,8 +245,7 @@ func (c Config) Validate() error {
 type FTL struct {
 	cfg    Config
 	planes []planeState
-	fwd    map[int64]Loc      // LPN -> physical page holding it
-	rev    map[uint64][]int64 // packed Loc -> LPNs programmed on that page
+	fwd    fwdTable // LPN -> physical page holding it
 	stats  Stats
 	// poolErases counts erases per pool across all planes (O(1) wear query
 	// for the reliability model).
@@ -195,31 +256,9 @@ type FTL struct {
 	inj *faults.Injector
 	tel *ftlTel
 
-	// freeRev recycles the backing arrays of reverse-map values: a page's
-	// LPN list returns here when the page dies and is reused by the next
-	// program, so the steady-state write path allocates nothing. freeSurv
-	// does the same for GC survivor buffers — a stack, because moveLive can
-	// re-enter itself through a failed relocation program.
-	freeRev  [][]int64
+	// freeSurv recycles GC survivor buffers — a stack, because moveLive
+	// can re-enter itself through a failed relocation program.
 	freeSurv [][]int64
-}
-
-// copyForRev returns a copy of lpns in recycled storage, for a reverse-map
-// value the FTL will own until the page dies.
-func (f *FTL) copyForRev(lpns []int64) []int64 {
-	var cp []int64
-	if n := len(f.freeRev); n > 0 {
-		cp = f.freeRev[n-1][:0]
-		f.freeRev = f.freeRev[:n-1]
-	}
-	return append(cp, lpns...)
-}
-
-// recycleRev returns a dead page's LPN-list storage to the free list.
-func (f *FTL) recycleRev(s []int64) {
-	if cap(s) > 0 {
-		f.freeRev = append(f.freeRev, s[:0])
-	}
 }
 
 // ftlTel holds the translation layer's metric handles. GC is rare relative
@@ -289,21 +328,16 @@ func New(cfg Config) (*FTL, error) {
 	f := &FTL{
 		cfg:        cfg,
 		planes:     make([]planeState, cfg.Geometry.Planes()),
-		fwd:        make(map[int64]Loc),
-		rev:        make(map[uint64][]int64),
 		poolErases: make([]int64, len(cfg.Pools)),
 	}
 	for pi := range f.planes {
 		pools := make([]poolState, len(cfg.Pools))
 		for qi, spec := range cfg.Pools {
-			ps := poolState{spec: spec, active: -1}
-			ps.blocks = make([]*flash.Block, spec.BlocksPerPlane)
-			ps.free = make([]int32, spec.BlocksPerPlane)
-			for bi := range ps.blocks {
-				ps.blocks[bi] = flash.NewBlock(spec.PagesPerBlock)
-				ps.free[bi] = int32(bi)
+			free := make([]int32, spec.BlocksPerPlane)
+			for bi := range free {
+				free[bi] = int32(bi)
 			}
-			pools[qi] = ps
+			pools[qi] = newPoolState(spec, flash.NewBlocks(spec.BlocksPerPlane, spec.PagesPerBlock), free, -1)
 		}
 		f.planes[pi].pools = pools
 	}
@@ -322,10 +356,11 @@ func (f *FTL) Pools() []flash.PoolSpec { return f.cfg.Pools }
 // Stats returns a copy of the accumulated statistics.
 func (f *FTL) Stats() Stats { return f.stats }
 
-// Lookup returns the physical location currently holding the LPN.
+// Lookup returns the physical location currently holding the LPN. LPNs
+// outside [0, MaxLPN) are never mapped.
 func (f *FTL) Lookup(lpn int64) (Loc, bool) {
-	loc, ok := f.fwd[lpn]
-	return loc, ok
+	e := f.fwd.get(lpn)
+	return unpack(e), e&mappedBit != 0
 }
 
 // PageBytes returns the page size of the pool the location belongs to.
@@ -350,8 +385,18 @@ func (f *FTL) NeedsGC(plane, pool int) bool {
 // that was required to free space.
 func (f *FTL) Write(plane, pool int, lpns []int64) (Loc, GCWork, error) {
 	ps := &f.planes[plane].pools[pool]
-	if len(lpns) == 0 || len(lpns) > ps.spec.SectorsPerPage() {
+	if len(lpns) == 0 || len(lpns) > ps.spp {
 		return Loc{}, GCWork{}, fmt.Errorf("ftl: %d LPNs for a %d-byte page", len(lpns), ps.spec.PageBytes)
+	}
+	for i, lpn := range lpns {
+		if err := CheckRange(lpn, 1); err != nil {
+			return Loc{}, GCWork{}, err
+		}
+		for _, prev := range lpns[:i] {
+			if prev == lpn {
+				return Loc{}, GCWork{}, fmt.Errorf("ftl: LPN %d twice in one page", lpn)
+			}
+		}
 	}
 	// Invalidate prior copies first so GC never relocates stale data.
 	for _, lpn := range lpns {
@@ -398,34 +443,30 @@ func (f *FTL) RetireBlockAt(loc Loc) (GCWork, error) {
 	return gc, err
 }
 
-// invalidate removes the LPN's current mapping, if any.
+// invalidate removes the LPN's current mapping, if any: the LPN is
+// swap-removed from its page's live prefix, which keeps the survivor order
+// moveLive repacks in.
 func (f *FTL) invalidate(lpn int64) {
-	loc, ok := f.fwd[lpn]
+	loc, ok := f.fwd.clear(lpn)
 	if !ok {
 		return
 	}
-	delete(f.fwd, lpn)
-	blk := f.blockAt(loc)
-	blk.InvalidateSector(int(loc.Page))
-	key := loc.pack()
-	lpns := f.rev[key]
-	for i, v := range lpns {
-		if v == lpn {
-			lpns[i] = lpns[len(lpns)-1]
-			lpns = lpns[:len(lpns)-1]
+	ps := &f.planes[loc.Plane].pools[loc.Pool]
+	blk := &ps.blocks[loc.Block]
+	page := int(loc.Page)
+	rev := ps.pageRev(loc.Block, page)
+	last := blk.PageLive(page) - 1
+	for i := 0; i < last; i++ {
+		if rev[i] == lpn {
+			rev[i] = rev[last]
 			break
 		}
 	}
-	if len(lpns) == 0 {
-		delete(f.rev, key)
-		f.recycleRev(lpns)
-	} else {
-		f.rev[key] = lpns
-	}
+	blk.InvalidateSector(page)
 }
 
 func (f *FTL) blockAt(loc Loc) *flash.Block {
-	return f.planes[loc.Plane].pools[loc.Pool].blocks[loc.Block]
+	return &f.planes[loc.Plane].pools[loc.Pool].blocks[loc.Block]
 }
 
 // program writes lpns to the next page of the plane-pool's active block,
@@ -459,9 +500,10 @@ func (f *FTL) program(plane, pool int32, lpns []int64, gc *GCWork, inGC bool) (L
 					ps.active = ps.free[0]
 					ps.free = ps.free[1:]
 				}
+				ps.attach(ps.active)
 			}
 		}
-		blk := ps.blocks[ps.active]
+		blk := &ps.blocks[ps.active]
 		if f.inj.ProgramFails(f.PoolAvgPE(int(pool))) {
 			blk.Burn()
 			gc.ProgramFaults++
@@ -475,11 +517,10 @@ func (f *FTL) program(plane, pool int32, lpns []int64, gc *GCWork, inGC bool) (L
 		}
 		page := blk.Program(len(lpns))
 		loc := Loc{Plane: plane, Pool: pool, Block: ps.active, Page: int32(page)}
-		key := loc.pack()
+		copy(ps.pageRev(ps.active, page), lpns)
 		for _, lpn := range lpns {
-			f.fwd[lpn] = loc
+			f.fwd.set(lpn, loc)
 		}
-		f.rev[key] = f.copyForRev(lpns)
 		return loc, nil
 	}
 }
@@ -499,7 +540,7 @@ func (f *FTL) retireBlock(plane, pool, victim int32, gc *GCWork) error {
 			break
 		}
 	}
-	blk := ps.blocks[victim]
+	blk := &ps.blocks[victim]
 	if blk.LiveSectors() > 0 {
 		if err := f.moveLive(plane, pool, victim, gc); err != nil {
 			// No destination space for the survivors: the block cannot be
@@ -509,6 +550,7 @@ func (f *FTL) retireBlock(plane, pool, victim int32, gc *GCWork) error {
 		}
 	}
 	blk.Retire()
+	ps.release(victim)
 	ps.retired++
 	gc.Retired++
 	f.stats.RetiredBlocks++
@@ -539,7 +581,7 @@ func (f *FTL) ensureFree(plane, pool int32, gc *GCWork) error {
 		if ps.active >= 0 {
 			avail += ps.spec.PagesPerBlock - ps.blocks[ps.active].NextFreeCount()
 		}
-		spp := ps.spec.SectorsPerPage()
+		spp := ps.spp
 		needed := (ps.blocks[victim].LiveSectors() + spp - 1) / spp
 		if avail < needed {
 			return nil
@@ -558,12 +600,19 @@ func (f *FTL) ensureFree(plane, pool int32, gc *GCWork) error {
 			}
 			continue
 		}
-		ps.blocks[victim].Erase()
-		ps.free = append(ps.free, victim)
-		gc.Erases++
-		f.poolErases[pool]++
+		f.erase(ps, pool, victim, gc)
 	}
 	return nil
+}
+
+// erase erases a block whose live data has been moved, returns it to the
+// free list, and recycles its reverse slab.
+func (f *FTL) erase(ps *poolState, pool, b int32, gc *GCWork) {
+	ps.blocks[b].Erase()
+	ps.release(b)
+	ps.free = append(ps.free, b)
+	gc.Erases++
+	f.poolErases[pool]++
 }
 
 // pickVictim greedily selects the full block with the fewest live sectors
@@ -575,8 +624,9 @@ func (f *FTL) pickVictim(ps *poolState) int32 {
 	best := int32(-1)
 	bestLive := int(^uint(0) >> 1)
 	bestErases := int(^uint(0) >> 1)
-	spp := ps.spec.SectorsPerPage()
-	for i, blk := range ps.blocks {
+	spp := ps.spp
+	for i := range ps.blocks {
+		blk := &ps.blocks[i]
 		if int32(i) == ps.active || blk.Retired() || !blk.Full() {
 			continue
 		}
@@ -608,7 +658,8 @@ func (f *FTL) staticLevel(plane, pool int32, gc *GCWork) error {
 	}
 	minE, maxE := int(^uint(0)>>1), 0
 	coldest := int32(-1)
-	for i, blk := range ps.blocks {
+	for i := range ps.blocks {
+		blk := &ps.blocks[i]
 		if blk.Retired() {
 			continue
 		}
@@ -628,7 +679,7 @@ func (f *FTL) staticLevel(plane, pool int32, gc *GCWork) error {
 	if coldest < 0 || maxE-minE < delta {
 		return nil
 	}
-	spp := ps.spec.SectorsPerPage()
+	spp := ps.spp
 	needed := (ps.blocks[coldest].LiveSectors() + spp - 1) / spp
 	avail := len(ps.free) * ps.spec.PagesPerBlock
 	if ps.active >= 0 {
@@ -650,10 +701,7 @@ func (f *FTL) staticLevel(plane, pool int32, gc *GCWork) error {
 		f.stats.StaticLevelMoves += int64(gc.PageMoves - before)
 		return nil
 	}
-	ps.blocks[coldest].Erase()
-	ps.free = append(ps.free, coldest)
-	gc.Erases++
-	f.poolErases[pool]++
+	f.erase(ps, pool, coldest, gc)
 	f.stats.StaticLevelMoves += int64(gc.PageMoves - before)
 	return nil
 }
@@ -669,28 +717,25 @@ func (f *FTL) staticLevel(plane, pool int32, gc *GCWork) error {
 // unmoved remainder is what the error reports lost.
 func (f *FTL) moveLive(plane, pool, victim int32, gc *GCWork) error {
 	ps := &f.planes[plane].pools[pool]
-	blk := ps.blocks[victim]
+	blk := &ps.blocks[victim]
 	// Gather every live sector first, then detach the source pages. The
 	// buffer comes off a stack of recycled ones: moveLive can re-enter
 	// itself when a relocation program fails and retires its destination,
 	// so a single shared scratch would be clobbered mid-move.
 	survivors := f.grabSurvivors()
 	for page := 0; page < blk.Pages(); page++ {
-		if blk.PageLive(page) == 0 {
+		n := blk.PageLive(page)
+		if n == 0 {
 			continue
 		}
-		src := Loc{Plane: plane, Pool: pool, Block: victim, Page: int32(page)}
-		key := src.pack()
-		lpns := f.rev[key]
+		lpns := ps.pageRev(victim, page)[:n]
 		for _, lpn := range lpns {
-			delete(f.fwd, lpn)
+			f.fwd.clear(lpn)
 			blk.InvalidateSector(page)
 		}
-		delete(f.rev, key)
 		survivors = append(survivors, lpns...)
-		f.recycleRev(lpns)
 	}
-	spp := ps.spec.SectorsPerPage()
+	spp := ps.spp
 	for off := 0; off < len(survivors); off += spp {
 		end := off + spp
 		if end > len(survivors) {
@@ -756,7 +801,9 @@ func (f *FTL) Wear(pool int) WearSummary {
 	w := WearSummary{MinErases: int(^uint(0) >> 1)}
 	inService := 0
 	for pi := range f.planes {
-		for _, blk := range f.planes[pi].pools[pool].blocks {
+		blocks := f.planes[pi].pools[pool].blocks
+		for bi := range blocks {
+			blk := &blocks[bi]
 			e := blk.EraseCount()
 			w.TotalErases += e
 			w.Blocks++
@@ -782,39 +829,75 @@ func (f *FTL) Wear(pool int) WearSummary {
 // RetiredBlocks returns the total grown-bad-block count across the device.
 func (f *FTL) RetiredBlocks() int64 { return f.stats.RetiredBlocks }
 
-// CheckConsistency verifies internal invariants: every forward mapping's
-// page is live and listed in the reverse map, and live-sector counts agree.
-// It is used by property tests and returns the first violation found.
+// CheckConsistency verifies internal invariants: every mapped LPN appears
+// in its page's live prefix, every live-prefix entry maps back to its page,
+// and live-sector counts agree. Blocks without live data are skipped, so a
+// check costs O(live data). It is used by property tests and snapshot
+// restore and returns the first violation found.
 func (f *FTL) CheckConsistency() error {
-	// Forward entries must appear in reverse lists.
-	for lpn, loc := range f.fwd {
-		found := false
-		for _, v := range f.rev[loc.pack()] {
-			if v == lpn {
-				found = true
-				break
+	mapped := 0
+	for li, d := range f.fwd.owner {
+		for i, e := range f.fwd.leaves[li<<leafShift:][:leafSize] {
+			if e&mappedBit == 0 {
+				continue
+			}
+			mapped++
+			lpn := int64(d)<<leafShift | int64(i)
+			loc := unpack(e)
+			if !f.validLoc(loc) {
+				return fmt.Errorf("ftl: lpn %d maps outside the geometry at %+v", lpn, loc)
+			}
+			ps := &f.planes[loc.Plane].pools[loc.Pool]
+			page := int(loc.Page)
+			n := ps.blocks[loc.Block].PageLive(page)
+			if ps.rev[loc.Block] == nil || n < 0 || n > ps.spp || !slices.Contains(ps.pageRev(loc.Block, page)[:n], lpn) {
+				return fmt.Errorf("ftl: lpn %d missing from reverse map at %+v", lpn, loc)
 			}
 		}
-		if !found {
-			return fmt.Errorf("ftl: lpn %d missing from reverse map at %+v", lpn, loc)
+	}
+	if mapped != f.fwd.n {
+		return fmt.Errorf("ftl: forward map holds %d LPNs but counts %d", mapped, f.fwd.n)
+	}
+	live := 0
+	for pi := range f.planes {
+		for qi := range f.planes[pi].pools {
+			ps := &f.planes[pi].pools[qi]
+			for bi := range ps.blocks {
+				blk := &ps.blocks[bi]
+				if blk.LiveSectors() == 0 {
+					continue
+				}
+				if blk.Retired() {
+					return fmt.Errorf("ftl: retired block %d/%d/%d maps live data", pi, qi, bi)
+				}
+				if ps.rev[bi] == nil {
+					return fmt.Errorf("ftl: block %d/%d/%d holds %d live sectors but no reverse slab", pi, qi, bi, blk.LiveSectors())
+				}
+				sum := 0
+				for page := 0; page < blk.Pages(); page++ {
+					n := blk.PageLive(page)
+					if n < 0 || n > ps.spp {
+						return fmt.Errorf("ftl: page %d/%d/%d/%d has %d live sectors on a %d-sector page", pi, qi, bi, page, n, ps.spp)
+					}
+					sum += n
+					loc := Loc{Plane: int32(pi), Pool: int32(qi), Block: int32(bi), Page: int32(page)}
+					for _, lpn := range ps.pageRev(int32(bi), page)[:n] {
+						if got := f.fwd.get(lpn); got != loc.pack()|mappedBit {
+							return fmt.Errorf("ftl: page %+v lists lpn %d, which maps elsewhere", loc, lpn)
+						}
+					}
+				}
+				if sum != blk.LiveSectors() {
+					return fmt.Errorf("ftl: block %d/%d/%d counts %d live sectors, its pages %d", pi, qi, bi, blk.LiveSectors(), sum)
+				}
+				live += sum
+			}
 		}
 	}
-	// Reverse lists must agree with block live counts.
-	for key, lpns := range f.rev {
-		loc := Loc{
-			Plane: int32(key >> 48),
-			Pool:  int32(key >> 40 & 0xff),
-			Block: int32(key >> 16 & 0xffffff),
-			Page:  int32(key & 0xffff),
-		}
-		blk := f.blockAt(loc)
-		if blk.PageLive(int(loc.Page)) != len(lpns) {
-			return fmt.Errorf("ftl: page %+v live=%d but reverse map lists %d LPNs",
-				loc, blk.PageLive(int(loc.Page)), len(lpns))
-		}
-		if blk.Retired() {
-			return fmt.Errorf("ftl: page %+v maps live data on a retired block", loc)
-		}
+	// With every prefix entry mapping back to its page, equal totals leave
+	// no room for a duplicate or an unlisted LPN.
+	if live != mapped {
+		return fmt.Errorf("ftl: %d mapped LPNs but %d live sectors", mapped, live)
 	}
 	// Retired blocks must be empty, inactive, off the free list, and agree
 	// with the pool's retired counter.
@@ -822,7 +905,8 @@ func (f *FTL) CheckConsistency() error {
 		for qi := range f.planes[pi].pools {
 			ps := &f.planes[pi].pools[qi]
 			n := int32(0)
-			for bi, blk := range ps.blocks {
+			for bi := range ps.blocks {
+				blk := &ps.blocks[bi]
 				if !blk.Retired() {
 					continue
 				}
@@ -845,4 +929,13 @@ func (f *FTL) CheckConsistency() error {
 		}
 	}
 	return nil
+}
+
+// validLoc reports whether loc names a page of this FTL's geometry.
+func (f *FTL) validLoc(loc Loc) bool {
+	if loc.Plane < 0 || int(loc.Plane) >= len(f.planes) || loc.Pool < 0 || int(loc.Pool) >= len(f.cfg.Pools) {
+		return false
+	}
+	spec := f.cfg.Pools[loc.Pool]
+	return loc.Block >= 0 && int(loc.Block) < spec.BlocksPerPlane && loc.Page >= 0 && int(loc.Page) < spec.PagesPerBlock
 }

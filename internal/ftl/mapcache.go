@@ -18,10 +18,14 @@ import "emmcio/internal/telemetry"
 type MapCache struct {
 	// entries per translation page: 4096 B / 8 B per mapping entry.
 	groupSize int64
-	capacity  int // cached translation pages
-	table     map[int64]*mapNode
-	head      *mapNode
-	tail      *mapNode
+	// nodes is the LRU list, a fixed arena of one entry per cached
+	// translation page (its capacity is the cache size), linked by
+	// index (nilNode ends the list); slot[g] is 1 + the node caching group
+	// g (0: not cached), grown to the highest group touched. A miss reuses
+	// the tail node, so a warm cache allocates nothing.
+	nodes      []mapNode
+	slot       []int32
+	head, tail int32
 
 	hits       int64
 	misses     int64
@@ -51,8 +55,10 @@ func (c *MapCache) SetTelemetry(reg *telemetry.Registry) {
 type mapNode struct {
 	group      int64
 	dirty      bool
-	prev, next *mapNode
+	prev, next int32
 }
+
+const nilNode = -1
 
 // TranslationEntriesPerPage is DFTL's fan-out: a 4 KB translation page
 // holds 512 eight-byte mapping entries.
@@ -62,14 +68,15 @@ const TranslationEntriesPerPage = 512
 // Returns nil (no caching — mapping always hits, as if RAM were unlimited)
 // when capBytes <= 0.
 func NewMapCache(capBytes int64) *MapCache {
-	pages := int(capBytes / 4096)
+	pages := int(min(capBytes/4096, MaxLPN/TranslationEntriesPerPage)) // no more pages than the address space has
 	if pages < 1 {
 		return nil
 	}
 	return &MapCache{
 		groupSize: TranslationEntriesPerPage,
-		capacity:  pages,
-		table:     make(map[int64]*mapNode, pages),
+		nodes:     make([]mapNode, 0, pages),
+		head:      nilNode,
+		tail:      nilNode,
 	}
 }
 
@@ -93,59 +100,71 @@ func (c *MapCache) Stats() MapCacheStats {
 	return MapCacheStats{Hits: c.hits, Misses: c.misses, DirtyFlushes: c.dirtyFlush}
 }
 
-func (c *MapCache) detach(n *mapNode) {
-	if n.prev != nil {
-		n.prev.next = n.next
+func (c *MapCache) detach(i int32) {
+	n := &c.nodes[i]
+	if n.prev != nilNode {
+		c.nodes[n.prev].next = n.next
 	} else {
 		c.head = n.next
 	}
-	if n.next != nil {
-		n.next.prev = n.prev
+	if n.next != nilNode {
+		c.nodes[n.next].prev = n.prev
 	} else {
 		c.tail = n.prev
 	}
-	n.prev, n.next = nil, nil
+	n.prev, n.next = nilNode, nilNode
 }
 
-func (c *MapCache) pushFront(n *mapNode) {
+func (c *MapCache) pushFront(i int32) {
+	n := &c.nodes[i]
 	n.next = c.head
-	if c.head != nil {
-		c.head.prev = n
+	if c.head != nilNode {
+		c.nodes[c.head].prev = i
 	}
-	c.head = n
-	if c.tail == nil {
-		c.tail = n
+	c.head = i
+	if c.tail == nilNode {
+		c.tail = i
 	}
 }
 
-// Access touches the mapping entry for the LPN. dirty marks an update (a
-// write changing the mapping). It returns the flash operations the access
-// cost: reads (translation-page fetch on miss) and writes (dirty eviction).
+// Access touches the mapping entry for the LPN, which must lie in
+// [0, MaxLPN). dirty marks an update (a write changing the mapping). It
+// returns the flash operations the access cost: reads (translation-page
+// fetch on miss) and writes (dirty eviction).
 func (c *MapCache) Access(lpn int64, dirty bool) (tReads, tWrites int) {
 	group := lpn / c.groupSize
-	if n, ok := c.table[group]; ok {
+	if group < int64(len(c.slot)) && c.slot[group] != 0 {
+		i := c.slot[group] - 1
 		c.hits++
 		c.telHits.Inc()
-		n.dirty = n.dirty || dirty
-		c.detach(n)
-		c.pushFront(n)
+		c.nodes[i].dirty = c.nodes[i].dirty || dirty
+		c.detach(i)
+		c.pushFront(i)
 		return 0, 0
 	}
 	c.misses++
 	c.telMisses.Inc()
 	tReads = 1 // fetch the translation page
-	if len(c.table) >= c.capacity {
-		evict := c.tail
-		c.detach(evict)
-		delete(c.table, evict.group)
+	var i int32
+	if len(c.nodes) < cap(c.nodes) {
+		i = int32(len(c.nodes))
+		c.nodes = append(c.nodes, mapNode{prev: nilNode, next: nilNode})
+	} else {
+		i = c.tail
+		c.detach(i)
+		evict := &c.nodes[i]
+		c.slot[evict.group] = 0
 		if evict.dirty {
 			c.dirtyFlush++
 			c.telFlush.Inc()
 			tWrites = 1 // write back the dirty translation page
 		}
 	}
-	n := &mapNode{group: group, dirty: dirty}
-	c.table[group] = n
-	c.pushFront(n)
+	if group >= int64(len(c.slot)) {
+		c.slot = append(c.slot, make([]int32, int(group)+1-len(c.slot))...)
+	}
+	c.nodes[i].group, c.nodes[i].dirty = group, dirty
+	c.slot[group] = i + 1
+	c.pushFront(i)
 	return tReads, tWrites
 }

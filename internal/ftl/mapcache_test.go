@@ -1,6 +1,10 @@
 package ftl
 
-import "testing"
+import (
+	"testing"
+
+	"emmcio/internal/rng"
+)
 
 func TestMapCacheDisabled(t *testing.T) {
 	if NewMapCache(0) != nil {
@@ -73,5 +77,60 @@ func TestMapCacheHitRate(t *testing.T) {
 	hr := c.Stats().HitRate()
 	if hr < 0.66 || hr > 0.67 {
 		t.Fatalf("hit rate %.3f, want 2/3", hr)
+	}
+}
+
+// TestMapCacheAllocFree: once every group has been seen, hits, misses and
+// dirty evictions all reuse the node arena.
+func TestMapCacheAllocFree(t *testing.T) {
+	c := NewMapCache(4 * 4096)
+	for g := int64(0); g < 16; g++ {
+		c.Access(g*TranslationEntriesPerPage, true)
+	}
+	i := int64(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		c.Access((i%16)*TranslationEntriesPerPage+i%7, i%3 == 0)
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("warm Access allocates %.2f times per call", allocs)
+	}
+}
+
+// TestMapCacheMatchesReferenceLRU replays random accesses against a plain
+// slice-based LRU: costs and counters must agree step for step.
+func TestMapCacheMatchesReferenceLRU(t *testing.T) {
+	type entry struct {
+		group int64
+		dirty bool
+	}
+	c := NewMapCache(5 * 4096)
+	var ref []entry // most recent first
+	r := rng.New(3)
+	for step := 0; step < 5000; step++ {
+		lpn := r.Int63N(12 * TranslationEntriesPerPage)
+		dirty := r.Bool(0.4)
+		g := lpn / TranslationEntriesPerPage
+		wantR, wantW := 1, 0
+		for i, e := range ref {
+			if e.group == g {
+				wantR = 0
+				e.dirty = e.dirty || dirty
+				ref = append(append([]entry{e}, ref[:i]...), ref[i+1:]...)
+				break
+			}
+		}
+		if wantR == 1 {
+			if len(ref) == 5 {
+				if ref[4].dirty {
+					wantW = 1
+				}
+				ref = ref[:4]
+			}
+			ref = append([]entry{{g, dirty}}, ref...)
+		}
+		if gotR, gotW := c.Access(lpn, dirty); gotR != wantR || gotW != wantW {
+			t.Fatalf("step %d: Access(%d) = %d/%d, reference LRU %d/%d", step, lpn, gotR, gotW, wantR, wantW)
+		}
 	}
 }

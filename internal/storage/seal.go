@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // A sealed snapshot wraps a Device.Snapshot gob payload in a self-describing
@@ -38,6 +39,10 @@ const sealVersion = 1
 
 // sealDigestLen is the trailing SHA-256 length.
 const sealDigestLen = sha256.Size
+
+// sealPrealloc caps the payload buffer ReadSeal sizes up front from the
+// claimed length; past it the buffer grows with the bytes read.
+const sealPrealloc = 1 << 20
 
 // SealInfo describes a sealed snapshot without decoding its payload.
 type SealInfo struct {
@@ -137,10 +142,24 @@ func ReadSeal(r io.Reader, id string) (SealInfo, []byte, error) {
 		return SealInfo{}, nil, fmt.Errorf("storage: %s: sealed snapshot claims %d payload bytes (corrupt length at byte %d)", id, payloadLen, off-8)
 	}
 
+	// A corrupt or hostile length costs what the stream actually delivers,
+	// not what it claims: the buffer starts at what the reader reports it
+	// holds (a *bytes.Reader knows), or at sealPrealloc, and grows only as
+	// payload bytes arrive.
 	payloadStart := off
-	payload := make([]byte, payloadLen)
-	if err := need(payload, "payload"); err != nil {
-		return SealInfo{}, nil, err
+	hint := uint64(sealPrealloc)
+	if l, ok := r.(interface{ Len() int }); ok {
+		hint = uint64(l.Len())
+	}
+	payload := make([]byte, 0, min(payloadLen, hint))
+	for uint64(len(payload)) < payloadLen {
+		if len(payload) == cap(payload) {
+			payload = slices.Grow(payload, int(min(payloadLen-uint64(len(payload)), uint64(max(cap(payload), 4096)))))
+		}
+		if err := need(payload[len(payload):min(uint64(cap(payload)), payloadLen)], "payload"); err != nil {
+			return SealInfo{}, nil, err
+		}
+		payload = payload[:min(uint64(cap(payload)), payloadLen)]
 	}
 	var stored [sealDigestLen]byte
 	if err := need(stored[:], "digest"); err != nil {

@@ -354,13 +354,26 @@ func (d *Device) Submit(req trace.Request) (storage.Result, error) {
 // arrival): Submit with an explicit dispatch time, the single-request fast
 // path of the replay loops. It allocates nothing in steady state.
 func (d *Device) SubmitAt(dispatchAt int64, req trace.Request) (storage.Result, error) {
-	if req.Size == 0 || req.Size%trace.PageSize != 0 {
-		return storage.Result{}, fmt.Errorf("ufs: request size %d not page aligned", req.Size)
-	}
-	if req.Arrival > dispatchAt {
-		return storage.Result{}, fmt.Errorf("ufs: batch member arrives after dispatch")
+	if err := checkRequest(dispatchAt, req); err != nil {
+		return storage.Result{}, err
 	}
 	return d.submitOne(dispatchAt, req)
+}
+
+// checkRequest rejects a malformed request before the device touches any
+// state (booster included): a size that is not whole pages, an arrival
+// after its dispatch, or an LPN range leaving the FTL's address space.
+func checkRequest(dispatchAt int64, req trace.Request) error {
+	if req.Size == 0 || req.Size%trace.PageSize != 0 {
+		return fmt.Errorf("ufs: request size %d not page aligned", req.Size)
+	}
+	if req.Arrival > dispatchAt {
+		return fmt.Errorf("ufs: batch member arrives after dispatch")
+	}
+	if err := ftl.CheckRange(int64(req.LBA/trace.SectorsPerPage), int(req.Size/trace.PageSize)); err != nil {
+		return fmt.Errorf("ufs: request at LBA %d: %w", req.LBA, err)
+	}
+	return nil
 }
 
 // SubmitPacked services a batch dispatched together at dispatchAt. UFS has
@@ -371,14 +384,13 @@ func (d *Device) SubmitPacked(dispatchAt int64, reqs []trace.Request) ([]storage
 	if len(reqs) == 0 {
 		return nil, fmt.Errorf("ufs: empty command batch")
 	}
+	for _, req := range reqs {
+		if err := checkRequest(dispatchAt, req); err != nil {
+			return nil, err
+		}
+	}
 	out := make([]storage.Result, 0, len(reqs))
 	for _, req := range reqs {
-		if req.Size == 0 || req.Size%trace.PageSize != 0 {
-			return nil, fmt.Errorf("ufs: request size %d not page aligned", req.Size)
-		}
-		if req.Arrival > dispatchAt {
-			return nil, fmt.Errorf("ufs: batch member arrives after dispatch")
-		}
 		res, err := d.submitOne(dispatchAt, req)
 		if err != nil {
 			return nil, err
