@@ -1,15 +1,15 @@
 GO ?= go
 
 # `make check` is the repository's pre-merge gate: static checks, a full
-# build, the sweep-runner suite under the race detector, the test suite under
-# the race detector, the telemetry overhead budget
+# build, the concurrent layers' suites twice under the race detector, the
+# whole test suite under the race detector, the telemetry overhead budget
 # (TestTelemetryOverheadBudget fails if disabled telemetry shifts the
 # mean response time by 5% or more — it must be exactly 0), and the recorded
 # benchmark trajectory (bench-gate fails on a >15% ns/op or allocs/op
 # regression between the two newest BENCH_*.json snapshots; it is a no-op
 # until a second snapshot exists).
 .PHONY: check
-check: vet build runner-race faults-race stream-race server-race coord-race device-race devstore-race perf-race race overhead bench-gate
+check: vet build runner-race server-race coord-race devstore-race race overhead bench-gate
 
 .PHONY: vet
 vet:
@@ -24,6 +24,9 @@ build:
 test: vet build
 	$(GO) test ./...
 
+# Every test under the race detector once. The targets below re-run the
+# deliberately concurrent layers a second time, since their scheduling
+# varies between runs.
 .PHONY: race
 race:
 	$(GO) test -race ./...
@@ -33,28 +36,6 @@ race:
 .PHONY: runner-race
 runner-race:
 	$(GO) test -race -count=2 ./internal/runner
-
-# The fault-injection plane under the race detector: injector determinism,
-# FTL retirement paths, device recovery, and the fault-ramp sweep at -j 8.
-.PHONY: faults-race
-faults-race:
-	$(GO) test -race -run 'Fault|Retire|DeepAged|Uncorrectable' ./internal/faults ./internal/ftl ./internal/emmc ./internal/experiments
-
-# The streaming pipeline under the race detector: stream primitives and
-# codecs, the streaming replay loops, online statistics, and the
-# stream-vs-slice equivalence sweep at full worker width.
-.PHONY: stream-race
-stream-race:
-	$(GO) test -race -run 'Stream|Online|Accumulator|Repeat|Merge' ./internal/trace ./internal/core ./internal/stats ./internal/analysis ./internal/experiments
-
-# The device layer under the race detector: the backend-neutral storage
-# seam, the UFS command-queue/booster model, the blockdev driver's
-# capability-gated packing, and the cross-backend determinism suite (which
-# replays all three backends in parallel subtests).
-.PHONY: device-race
-device-race:
-	$(GO) test -race ./internal/storage ./internal/ufs ./internal/blockdev
-	$(GO) test -race -run 'CrossBackend|Golden|BackendsDiverge|UFS' ./internal/core
 
 # The job service under the race detector: queue backpressure, mid-replay
 # cancellation, drain-on-shutdown, and the 64-way concurrent submission
@@ -72,25 +53,12 @@ coord-race:
 	$(GO) test -race -count=2 ./internal/coord
 
 # The device snapshot store under the race detector: concurrent Put/Get/
-# evict on the content-addressed archive, seal/restore determinism, the
-# fork-vs-reage bit-identity contract, and the /v1/devices + from_device
-# server surface (the store is shared mutable state under every age job
-# and fork admission, so interleavings matter; -count=2 varies them).
+# evict on the content-addressed archive (the store is shared mutable
+# state under every age job and fork admission, so interleavings matter;
+# -count=2 varies them).
 .PHONY: devstore-race
 devstore-race:
 	$(GO) test -race -count=2 ./internal/devstore
-	$(GO) test -race -run 'Seal|Fork|Aged|Device' ./internal/storage ./internal/experiments ./internal/server
-
-# The pooling layer under the race detector: the event engine's slot
-# recycling, the allocation-sensitive replay paths, and the FTL's dense
-# mapping tables (the sparse-LPN randomized test, the out-of-range guards,
-# and the pinned seal digests). Pools turn would-be-fresh objects into
-# shared mutable state, so this is where a forgotten reset or an aliased
-# scratch buffer shows up first.
-.PHONY: perf-race
-perf-race:
-	$(GO) test -race ./internal/sim
-	$(GO) test -race -run 'Alloc|Equivalence|Pool|Recycle|Scratch|Sparse|OutOfRange|Pinned' ./internal/core ./internal/emmc ./internal/ufs ./internal/ftl ./internal/storage
 
 .PHONY: overhead
 overhead:

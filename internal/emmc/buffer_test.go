@@ -6,8 +6,44 @@ import (
 	"emmcio/internal/trace"
 )
 
+// ramProbe drives the RAM read buffer through the device: each probe reads
+// one 4 KB sector after an idle gap and reports whether it was a RAM hit
+// (overhead plus host transfer, no flash read).
+type ramProbe struct {
+	t  *testing.T
+	d  *Device
+	at int64
+}
+
+func newRAMProbe(t *testing.T, bufBytes int64) *ramProbe {
+	c := cfg4K()
+	c.RAMBufferBytes = bufBytes
+	d, err := New(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &ramProbe{t: t, d: d}
+}
+
+func (p *ramProbe) submit(req trace.Request) trace.Request {
+	p.at += 10_000_000
+	req.Arrival = p.at
+	res, err := p.d.Submit(req)
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	req.ServiceStart, req.Finish = res.ServiceStart, res.Finish
+	return req
+}
+
+func (p *ramProbe) readProbe(lpn uint64) bool {
+	r := p.submit(rd(0, lpn*trace.SectorsPerPage, 4096))
+	tm := testTiming()
+	return r.Finish-r.ServiceStart == tm.RequestOverheadNs+tm.Transfer(4096)
+}
+
 func TestRAMBufferLRU(t *testing.T) {
-	b := newRAMBuffer(3 * 4096)
+	b := newRAMProbe(t, 3*4096)
 	if b.readProbe(1) {
 		t.Fatal("cold cache hit")
 	}
@@ -26,27 +62,29 @@ func TestRAMBufferLRU(t *testing.T) {
 }
 
 func TestRAMBufferWriteAllocate(t *testing.T) {
-	b := newRAMBuffer(4 * 4096)
-	b.writeAllocate(10)
+	b := newRAMProbe(t, 4*4096)
+	b.submit(wr(0, 10*trace.SectorsPerPage, 4096))
 	if !b.readProbe(10) {
 		t.Fatal("written sector not cached")
 	}
 }
 
 func TestRAMBufferHitRate(t *testing.T) {
-	b := newRAMBuffer(8 * 4096)
+	b := newRAMProbe(t, 8*4096)
 	b.readProbe(1) // miss
 	b.readProbe(1) // hit
 	b.readProbe(1) // hit
 	b.readProbe(2) // miss
-	if got := b.HitRate(); got != 0.5 {
+	if got := b.d.BufferHitRate(); got != 0.5 {
 		t.Fatalf("hit rate %v, want 0.5", got)
 	}
 }
 
 func TestRAMBufferDisabled(t *testing.T) {
-	if newRAMBuffer(0) != nil {
-		t.Fatal("zero-byte buffer should be nil")
+	b := newRAMProbe(t, 4095) // below one sector: no buffer
+	b.readProbe(1)
+	if b.readProbe(1) || b.d.BufferHitRate() != 0 {
+		t.Fatal("sub-sector buffer should be disabled")
 	}
 	d, _ := New(cfg4K())
 	if d.BufferHitRate() != 0 {

@@ -335,24 +335,24 @@ func TestSplitWriteShapes(t *testing.T) {
 		return out
 	}
 	// 20 KB = 5 sectors -> 8K(2) + 8K(2) + 4K(1).
-	chunks := d.splitWrite(lpns(5))
-	if len(chunks) != 3 || chunks[0].pageSize != 8192 || chunks[2].pageSize != 4096 {
+	chunks, _ := d.SplitWrite(0, lpns(5))
+	if len(chunks) != 3 || chunks[0].PageBytes != 8192 || chunks[2].PageBytes != 4096 {
 		t.Fatalf("20KB split %+v", chunks)
 	}
 	// 4 KB -> single 4K chunk.
-	chunks = d.splitWrite(lpns(1))
-	if len(chunks) != 1 || chunks[0].pageSize != 4096 {
+	chunks, _ = d.SplitWrite(0, lpns(1))
+	if len(chunks) != 1 || chunks[0].PageBytes != 4096 {
 		t.Fatalf("4KB split %+v", chunks)
 	}
 	// Pure-8K device pads the tail.
 	c8 := cfg4K()
 	c8.Pools = []flash.PoolSpec{{PageBytes: 8192, BlocksPerPlane: 32, PagesPerBlock: 32}}
 	d8, _ := New(c8)
-	chunks = d8.splitWrite(lpns(5))
+	chunks, _ = d8.SplitWrite(0, lpns(5))
 	if len(chunks) != 3 {
 		t.Fatalf("pure-8K 20KB split %+v", chunks)
 	}
-	if len(chunks[2].lpns) != 1 {
+	if len(chunks[2].LPNs) != 1 {
 		t.Fatal("tail chunk should hold one sector on a padded 8K page")
 	}
 }
@@ -367,11 +367,12 @@ func TestSplitWriteConservationProperty(t *testing.T) {
 			lpns[i] = int64(i)
 		}
 		total := 0
-		for _, c := range d.splitWrite(lpns) {
-			if len(c.lpns) == 0 || len(c.lpns)*4096 > c.pageSize {
+		chunks, _ := d.SplitWrite(0, lpns)
+		for _, c := range chunks {
+			if len(c.LPNs) == 0 || len(c.LPNs)*4096 > c.PageBytes {
 				return false
 			}
-			total += len(c.lpns)
+			total += len(c.LPNs)
 		}
 		return total == count
 	}

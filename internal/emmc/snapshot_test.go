@@ -2,6 +2,7 @@ package emmc
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"emmcio/internal/trace"
@@ -115,5 +116,55 @@ func TestSnapshotPreservesWear(t *testing.T) {
 	}
 	if after := restored.Wear(0); after != before {
 		t.Fatalf("wear changed across snapshot: %+v vs %+v", before, after)
+	}
+}
+
+// The snapshot layout has no write-buffer field, so a device holding
+// buffered writes refuses to snapshot instead of silently dropping them.
+// After a flush it snapshots, restores with its (empty) write buffer, and
+// continues exactly like the original.
+func TestSnapshotRefusesBufferedWrites(t *testing.T) {
+	dev, _ := New(cfgBuffered(1 << 20))
+	for i := 0; i < 4; i++ {
+		if _, err := dev.Submit(wr(int64(i)*100_000, uint64(i)*64, 8192)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := dev.Snapshot(&buf); err == nil || strings.Contains(err.Error(), "\n") {
+		t.Fatalf("snapshot with buffered writes = %v, want a one-line error", err)
+	}
+	fl, err := dev.Flush(1_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if err := dev.Snapshot(&buf); err != nil {
+		t.Fatalf("snapshot after flush: %v", err)
+	}
+	sealed := append([]byte(nil), buf.Bytes()...)
+	restored, err := RestoreSnapshot(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := restored.Snapshot(&again); err != nil || !bytes.Equal(again.Bytes(), sealed) {
+		t.Fatalf("restored device re-snapshots differently (err %v)", err)
+	}
+	at := fl.Finish
+	for i := 0; i < 200; i++ {
+		at += int64(200_000 + i%7*3_000_000)
+		req := wr(at, uint64(i%40)*16, uint32(4096*(1+i%3)))
+		if i%4 == 0 {
+			req.Op = trace.Read
+		}
+		a, errA := dev.Submit(req)
+		b, errB := restored.Submit(req)
+		if errA != nil || errB != nil || a != b {
+			t.Fatalf("request %d: original %+v (%v), restored %+v (%v)", i, a, errA, b, errB)
+		}
+	}
+	if dev.Metrics() != restored.Metrics() || dev.Metrics().BufferedWrites == 0 {
+		t.Fatalf("metrics diverged after resume:\n%+v\n%+v", dev.Metrics(), restored.Metrics())
 	}
 }

@@ -214,21 +214,35 @@ func (t Timing) Validate() error {
 		return fmt.Errorf("flash: timing has no per-page latencies")
 	}
 	for sz, ot := range t.PerPage {
-		if ot.ReadNs <= 0 || ot.ProgramNs <= 0 {
-			return fmt.Errorf("flash: non-positive latency for page size %d", sz)
+		if ot.ReadNs <= 0 || ot.ProgramNs <= 0 || ot.ReadNs > maxLatencyNs || ot.ProgramNs > maxLatencyNs {
+			return fmt.Errorf("flash: latency for page size %d outside (0, %d] ns", sz, maxLatencyNs)
 		}
 	}
-	if t.EraseNs <= 0 {
-		return fmt.Errorf("flash: non-positive erase latency")
+	if t.EraseNs <= 0 || t.EraseNs > maxLatencyNs {
+		return fmt.Errorf("flash: erase latency outside (0, %d] ns", maxLatencyNs)
 	}
-	if t.PipelineFactor <= 0 || t.PipelineFactor > 1 {
+	if t.CmdOverheadNs < 0 || t.RequestOverheadNs < 0 || t.CmdOverheadNs > maxLatencyNs || t.RequestOverheadNs > maxLatencyNs {
+		return fmt.Errorf("flash: command or request overhead outside [0, %d] ns", maxLatencyNs)
+	}
+	// The negated comparisons also reject NaN.
+	if !(t.TransferNsPerByte >= 0 && t.TransferNsPerByte <= 1e6) {
+		return fmt.Errorf("flash: transfer cost %v ns/byte outside [0, 1e6]", t.TransferNsPerByte)
+	}
+	if !(t.PipelineFactor > 0 && t.PipelineFactor <= 1) {
 		return fmt.Errorf("flash: pipeline factor %v outside (0,1]", t.PipelineFactor)
 	}
-	if t.PairingSpread < 0 || t.PairingSpread >= 2 {
+	if !(t.PairingSpread >= 0 && t.PairingSpread < 2) {
 		return fmt.Errorf("flash: pairing spread %v outside [0,2)", t.PairingSpread)
+	}
+	if !(t.SLCReadFactor >= 0 && t.SLCReadFactor <= 1 && t.SLCProgramFactor >= 0 && t.SLCProgramFactor <= 1) {
+		return fmt.Errorf("flash: SLC factors %v/%v outside [0,1]", t.SLCReadFactor, t.SLCProgramFactor)
 	}
 	return nil
 }
+
+// maxLatencyNs bounds every configured latency (about 11.6 days), far
+// above any real part, so sums of latencies cannot overflow sim time.
+const maxLatencyNs int64 = 1e15
 
 // Page states inside a block.
 const (

@@ -1,5 +1,7 @@
 package flash
 
+import "fmt"
+
 // BlockState is the serializable form of a Block, used by device snapshots
 // (archiving an aged device instead of replaying months of history).
 type BlockState struct {
@@ -10,6 +12,33 @@ type BlockState struct {
 	// Retired marks a grown bad block. Absent in pre-fault snapshots, which
 	// gob decodes as false — exactly the pre-fault semantics.
 	Retired bool
+}
+
+// Check reports a state no sequence of Program, Burn and Erase calls
+// produces on a block of pages pages holding up to spp sectors each: a
+// write pointer outside the block, a programmed page at or past it or a
+// free page before it, or a live-sector total that disagrees with the
+// pages. Restoring such a state would panic or resurrect data later.
+func (s BlockState) Check(pages, spp int) error {
+	if len(s.Live) != pages {
+		return fmt.Errorf("block has %d pages, spec %d", len(s.Live), pages)
+	}
+	if s.WritePtr < 0 || s.WritePtr > pages {
+		return fmt.Errorf("write pointer %d outside a %d-page block", s.WritePtr, pages)
+	}
+	sum := 0
+	for i, n := range s.Live {
+		if (i < s.WritePtr) != (n != pageFree) || int(n) > spp || n < pageFree {
+			return fmt.Errorf("page %d state %d contradicts write pointer %d", i, n, s.WritePtr)
+		}
+		if n > 0 {
+			sum += int(n)
+		}
+	}
+	if sum != s.LiveSecs {
+		return fmt.Errorf("block counts %d live sectors, its pages %d", s.LiveSecs, sum)
+	}
+	return nil
 }
 
 // Dump exports the block's state.

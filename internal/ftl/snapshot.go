@@ -178,9 +178,9 @@ func RestoreFromData(snap *SnapshotData) (*FTL, error) {
 				return nil, fmt.Errorf("ftl: snapshot pool %d/%d has %d blocks, spec %d",
 					pi, qi, len(q.Blocks), spec.BlocksPerPlane)
 			}
-			for _, bs := range q.Blocks {
-				if len(bs.Live) != spec.PagesPerBlock {
-					return nil, fmt.Errorf("ftl: snapshot block page count mismatch")
+			for bi, bs := range q.Blocks {
+				if err := bs.Check(spec.PagesPerBlock, spec.SectorsPerPage()); err != nil {
+					return nil, fmt.Errorf("ftl: snapshot block %d/%d/%d: %w", pi, qi, bi, err)
 				}
 			}
 			n := int32(spec.BlocksPerPlane)

@@ -5,9 +5,8 @@ import (
 	"fmt"
 	"io"
 
-	"emmcio/internal/faults"
 	"emmcio/internal/ftl"
-	"emmcio/internal/sim"
+	"emmcio/internal/nand"
 	"emmcio/internal/storage"
 )
 
@@ -47,32 +46,24 @@ type deviceSnapshot struct {
 // resource timing cursors, booster content, metrics) to w, so an aged
 // device can be resumed later without replaying its history.
 func (d *Device) Snapshot(w io.Writer) error {
+	s := d.State()
 	snap := deviceSnapshot{
-		Config:     d.cfg,
-		FTL:        d.ftl.SnapshotData(),
-		Slots:      append([]int64(nil), d.slots...),
-		LastEnd:    d.lastEnd,
-		RRPlane:    d.rrPlane,
-		Metrics:    d.metrics,
-		FaultDraws: d.inj.Draws(),
+		Config:        d.Config(),
+		FTL:           s.FTL,
+		Slots:         append([]int64(nil), d.slots...),
+		LastEnd:       s.LastEnd,
+		RRPlane:       s.RRPlane,
+		Metrics:       s.Metrics,
+		ChannelFree:   s.ChannelFree,
+		ChannelBusy:   s.ChannelBusy,
+		PlaneFree:     s.PlaneFree,
+		PlaneBusy:     s.PlaneBusy,
+		BoosterHits:   s.StageHits,
+		BoosterMisses: s.StageMisses,
+		FaultDraws:    s.FaultDraws,
 	}
-	if d.booster != nil {
-		snap.BoosterHits = d.booster.hits
-		snap.BoosterMisses = d.booster.misses
-		for _, c := range d.booster.pendingChunks() {
-			snap.BoosterQueue = append(snap.BoosterQueue,
-				BoosterChunk{Pool: c.pool, LPNs: append([]int64(nil), c.lpns...)})
-		}
-	}
-	for i := range d.channels {
-		f, b := d.channels[i].State()
-		snap.ChannelFree = append(snap.ChannelFree, f)
-		snap.ChannelBusy = append(snap.ChannelBusy, b)
-	}
-	for i := range d.planes {
-		f, b := d.planes[i].State()
-		snap.PlaneFree = append(snap.PlaneFree, f)
-		snap.PlaneBusy = append(snap.PlaneBusy, b)
+	for _, c := range s.Staged {
+		snap.BoosterQueue = append(snap.BoosterQueue, BoosterChunk{Pool: c.Pool, LPNs: c.LPNs})
 	}
 	if err := gob.NewEncoder(w).Encode(&snap); err != nil {
 		return fmt.Errorf("ufs: encoding snapshot: %w", err)
@@ -86,62 +77,33 @@ func RestoreSnapshot(r io.Reader) (*Device, error) {
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("ufs: decoding snapshot: %w", err)
 	}
-	if snap.Config.Queues == 0 {
-		snap.Config.Queues = 1
-	}
-	if snap.Config.QueueDepth == 0 {
-		snap.Config.QueueDepth = 32
-	}
-	if err := snap.Config.Validate(); err != nil {
+	cfg := snap.Config.withDefaults()
+	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("ufs: snapshot config: %w", err)
 	}
-	if snap.FTL == nil {
-		return nil, fmt.Errorf("ufs: snapshot missing FTL state")
-	}
-	f, err := ftl.RestoreFromData(snap.FTL)
-	if err != nil {
-		return nil, err
-	}
-	inj, err := faults.New(snap.Config.Faults)
-	if err != nil {
-		return nil, err
-	}
-	inj.Skip(snap.FaultDraws)
-	f.SetFaults(inj)
-	d := &Device{
-		cfg:      snap.Config,
-		ftl:      f,
-		inj:      inj,
-		channels: make([]sim.Resource, snap.Config.Geometry.Channels),
-		planes:   make([]sim.Resource, snap.Config.Geometry.Planes()),
-		slots:    make([]int64, snap.Config.slots()),
-		booster:  newBooster(snap.Config.WriteBoosterBytes),
-		lastEnd:  snap.LastEnd,
-		rrPlane:  snap.RRPlane,
-		metrics:  snap.Metrics,
-	}
-	if len(snap.Slots) != len(d.slots) {
+	if len(snap.Slots) != cfg.slots() {
 		return nil, fmt.Errorf("ufs: snapshot slot count mismatch")
 	}
-	copy(d.slots, snap.Slots)
-	if len(snap.ChannelFree) != len(d.channels) || len(snap.PlaneFree) != len(d.planes) {
-		return nil, fmt.Errorf("ufs: snapshot resource counts mismatch")
+	staged := make([]nand.Chunk, len(snap.BoosterQueue))
+	for i, c := range snap.BoosterQueue {
+		staged[i] = nand.Chunk{Pool: c.Pool, LPNs: c.LPNs}
 	}
-	for i := range d.channels {
-		d.channels[i].SetState(snap.ChannelFree[i], snap.ChannelBusy[i])
+	b, err := nand.Restore(cfg.params(), nand.State{
+		FTL:         snap.FTL,
+		LastEnd:     snap.LastEnd,
+		RRPlane:     snap.RRPlane,
+		Metrics:     snap.Metrics,
+		ChannelFree: snap.ChannelFree,
+		ChannelBusy: snap.ChannelBusy,
+		PlaneFree:   snap.PlaneFree,
+		PlaneBusy:   snap.PlaneBusy,
+		FaultDraws:  snap.FaultDraws,
+		Staged:      staged,
+		StageHits:   snap.BoosterHits,
+		StageMisses: snap.BoosterMisses,
+	})
+	if err != nil {
+		return nil, err
 	}
-	for i := range d.planes {
-		d.planes[i].SetState(snap.PlaneFree[i], snap.PlaneBusy[i])
-	}
-	if len(snap.BoosterQueue) > 0 && d.booster == nil {
-		return nil, fmt.Errorf("ufs: snapshot has booster content but no booster capacity")
-	}
-	if d.booster != nil {
-		d.booster.hits = snap.BoosterHits
-		d.booster.misses = snap.BoosterMisses
-		for _, c := range snap.BoosterQueue {
-			d.booster.add(c.Pool, c.LPNs)
-		}
-	}
-	return d, nil
+	return &Device{Backend: b, cfg: cfg, slots: snap.Slots}, nil
 }

@@ -186,15 +186,14 @@ func TestFlushDrainsBooster(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if d.booster.pending() == 0 {
+	if d.StagedBytes() == 0 {
 		t.Fatalf("booster empty before flush")
 	}
 	if _, err := d.Flush(0); err != nil {
 		t.Fatal(err)
 	}
-	if d.booster.pending() != 0 || d.booster.usedBytes != 0 {
-		t.Fatalf("booster not drained by flush: %d chunks, %d bytes",
-			d.booster.pending(), d.booster.usedBytes)
+	if n, b := len(d.State().Staged), d.StagedBytes(); n != 0 || b != 0 {
+		t.Fatalf("booster not drained by flush: %d chunks, %d bytes", n, b)
 	}
 	if d.Metrics().DestageStallNs == 0 {
 		t.Fatalf("flush drain charged no stall time")
@@ -213,7 +212,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	replay(t, d, reqs[:120])
-	if d.booster.pending() == 0 {
+	if d.StagedBytes() == 0 {
 		t.Fatalf("test needs booster content at the snapshot point")
 	}
 
@@ -229,14 +228,12 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(r.slots, d.slots) {
 		t.Fatalf("command slots not restored: %v vs %v", r.slots, d.slots)
 	}
-	if !reflect.DeepEqual(r.booster.pendingChunks(), d.booster.pendingChunks()) {
+	rs, ds := r.State(), d.State()
+	if !reflect.DeepEqual(rs.Staged, ds.Staged) || rs.StageHits != ds.StageHits || rs.StageMisses != ds.StageMisses {
 		t.Fatalf("booster queue not restored")
 	}
-	if !reflect.DeepEqual(r.booster.dirty, d.booster.dirty) {
-		t.Fatalf("booster dirty index not restored")
-	}
-	if r.booster.usedBytes != d.booster.usedBytes {
-		t.Fatalf("booster occupancy: restored %d, want %d", r.booster.usedBytes, d.booster.usedBytes)
+	if r.StagedBytes() != d.StagedBytes() {
+		t.Fatalf("booster occupancy: restored %d, want %d", r.StagedBytes(), d.StagedBytes())
 	}
 	if r.Metrics() != d.Metrics() {
 		t.Fatalf("metrics not restored")
