@@ -82,21 +82,3 @@ func TestCompressedRejectsTruncated(t *testing.T) {
 		t.Fatal("bad magic accepted")
 	}
 }
-
-func FuzzReadCompressed(f *testing.F) {
-	var seed bytes.Buffer
-	_ = WriteCompressed(&seed, &Trace{Name: "s", Reqs: []Request{{Arrival: 5, LBA: 8, Size: 4096, Op: Write}}})
-	f.Add(seed.Bytes())
-	f.Add([]byte("BIOZ"))
-	f.Fuzz(func(t *testing.T, in []byte) {
-		tr, err := ReadCompressed(bytes.NewReader(in))
-		if err != nil || tr == nil {
-			return
-		}
-		// Anything accepted must re-serialize.
-		var buf bytes.Buffer
-		if err := WriteCompressed(&buf, tr); err != nil {
-			t.Fatalf("accepted trace failed to serialize: %v", err)
-		}
-	})
-}
