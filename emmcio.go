@@ -65,13 +65,18 @@ const (
 
 // Trace codecs.
 var (
-	// ReadTraceText parses the one-request-per-line text format.
+	// ReadTraceText parses the one-request-per-line text format by
+	// draining the text stream decoder; the trace name comes from the
+	// "# name:" comment before the first record.
 	ReadTraceText = trace.ReadText
-	// WriteTraceText serializes a trace in the text format.
+	// WriteTraceText serializes a trace in the text format through the
+	// text stream encoder.
 	WriteTraceText = trace.WriteText
-	// ReadTraceBinary parses the compact binary record stream.
+	// ReadTraceBinary parses the compact BIO1 record stream by draining
+	// the binary stream decoder.
 	ReadTraceBinary = trace.ReadBinary
-	// WriteTraceBinary serializes a trace in the binary format.
+	// WriteTraceBinary serializes a trace in the BIO1 format through the
+	// binary stream encoder, with the real record count in the header.
 	WriteTraceBinary = trace.WriteBinary
 	// ReadBlkparse imports blkparse(1) text output, so real device traces
 	// flow through the same analysis and replay pipelines.
@@ -374,10 +379,11 @@ var (
 	// WriteTraceCompressed serializes with the delta+varint codec (several
 	// times smaller than the fixed binary format for real traces).
 	WriteTraceCompressed = trace.WriteCompressed
-	// ReadTraceCompressed parses the compressed codec.
+	// ReadTraceCompressed parses the BIOZ codec by draining the
+	// compressed stream decoder; hostile record counts are bounded.
 	ReadTraceCompressed = trace.ReadCompressed
 	// StreamTraceText processes a text trace incrementally in constant
-	// memory.
+	// memory, over the same decoder as ReadTraceText.
 	StreamTraceText = trace.StreamText
 	// ConcatTraces joins sessions back to back with a gap.
 	ConcatTraces = trace.Concat

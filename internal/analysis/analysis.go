@@ -205,8 +205,9 @@ func Report(tr *trace.Trace) FullReport {
 }
 
 // Accumulator computes SizeStats, TimingStats and Distributions in one
-// pass over a request stream without materializing the trace — pair it
-// with trace.StreamText for multi-hour collections in constant memory.
+// pass over a request stream without materializing the trace — feed it
+// from a trace decoder (trace.NewDecoder, or trace.StreamText for text) for
+// multi-hour collections in constant memory.
 // Localities are computed with the same definitions as the batch path
 // (temporal locality keeps a page-set, which grows with the unique
 // footprint, not the request count).

@@ -1,95 +1,19 @@
 package trace
 
-import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
-	"io"
-	"strconv"
-	"strings"
-)
+import "io"
 
-// Text codec: one request per line,
+// Each trace format has exactly one parser, its stream decoder in
+// streamcodec.go, and one encoder. The slice functions here are adapters:
+// the readers drain a decoder, the writers feed an encoder from FromSlice.
+//
+// Text format: one request per line,
 //
 //	arrival_ns lba_sectors size_bytes op service_start_ns finish_ns
 //
 // with a "# name: <trace name>" header comment. This mirrors the blktrace-
 // style logs BIOtracer flushes to its log file.
-
-// WriteText serializes the trace in the text format.
-func WriteText(w io.Writer, t *Trace) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "# name: %s\n", t.Name); err != nil {
-		return err
-	}
-	for i := range t.Reqs {
-		r := &t.Reqs[i]
-		if _, err := fmt.Fprintf(bw, "%d %d %d %s %d %d\n",
-			r.Arrival, r.LBA, r.Size, r.Op, r.ServiceStart, r.Finish); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadText parses the text format produced by WriteText.
-func ReadText(r io.Reader) (*Trace, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<20)
-	t := &Trace{}
-	line := 0
-	for sc.Scan() {
-		line++
-		s := strings.TrimSpace(sc.Text())
-		if s == "" {
-			continue
-		}
-		if strings.HasPrefix(s, "#") {
-			if rest, ok := strings.CutPrefix(s, "# name:"); ok {
-				t.Name = strings.TrimSpace(rest)
-			}
-			continue
-		}
-		fields := strings.Fields(s)
-		if len(fields) != 6 {
-			return nil, fmt.Errorf("trace: line %d: want 6 fields, got %d", line, len(fields))
-		}
-		var req Request
-		var err error
-		if req.Arrival, err = strconv.ParseInt(fields[0], 10, 64); err != nil {
-			return nil, fmt.Errorf("trace: line %d: arrival: %w", line, err)
-		}
-		if req.LBA, err = strconv.ParseUint(fields[1], 10, 64); err != nil {
-			return nil, fmt.Errorf("trace: line %d: lba: %w", line, err)
-		}
-		size, err := strconv.ParseUint(fields[2], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: size: %w", line, err)
-		}
-		req.Size = uint32(size)
-		switch fields[3] {
-		case "R":
-			req.Op = Read
-		case "W":
-			req.Op = Write
-		default:
-			return nil, fmt.Errorf("trace: line %d: bad op %q", line, fields[3])
-		}
-		if req.ServiceStart, err = strconv.ParseInt(fields[4], 10, 64); err != nil {
-			return nil, fmt.Errorf("trace: line %d: service start: %w", line, err)
-		}
-		if req.Finish, err = strconv.ParseInt(fields[5], 10, 64); err != nil {
-			return nil, fmt.Errorf("trace: line %d: finish: %w", line, err)
-		}
-		t.Reqs = append(t.Reqs, req)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// Binary codec: a compact fixed-width little-endian record stream with a
+//
+// Binary format: a compact fixed-width little-endian record stream with a
 // small header. This is the format the 32 KB BIOtracer record buffer holds
 // in memory before each flush (§II-B): 33 bytes per record, so the buffer
 // fits ~300 records as the paper states (actually 992 at 33 B; the paper's
@@ -105,41 +29,25 @@ const recordSize = 8 + 8 + 4 + 1 + 8 + 8
 // hostile header must not drive allocation or loop bounds.
 const maxReasonableRecords = 1 << 28
 
-// WriteBinary serializes the trace in the binary format.
+// WriteText serializes the trace in the text format.
+func WriteText(w io.Writer, t *Trace) error {
+	return WriteTextStream(w, FromSlice(t))
+}
+
+// ReadText parses the text format produced by WriteText. The name comes
+// from the last "# name:" comment before the first record.
+func ReadText(r io.Reader) (*Trace, error) {
+	return readAll(NewTextDecoder(r))
+}
+
+// WriteBinary serializes the trace in the binary format. The header always
+// carries the real record count, whether or not w can seek.
 func WriteBinary(w io.Writer, t *Trace) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(binMagic[:]); err != nil {
+	enc, err := newBinaryEncoder(w, t.Name, uint64(len(t.Reqs)), false)
+	if err != nil {
 		return err
 	}
-	name := []byte(t.Name)
-	if len(name) > 255 {
-		name = name[:255]
-	}
-	if err := bw.WriteByte(byte(len(name))); err != nil {
-		return err
-	}
-	if _, err := bw.Write(name); err != nil {
-		return err
-	}
-	var count [8]byte
-	binary.LittleEndian.PutUint64(count[:], uint64(len(t.Reqs)))
-	if _, err := bw.Write(count[:]); err != nil {
-		return err
-	}
-	var rec [recordSize]byte
-	for i := range t.Reqs {
-		r := &t.Reqs[i]
-		binary.LittleEndian.PutUint64(rec[0:], uint64(r.Arrival))
-		binary.LittleEndian.PutUint64(rec[8:], r.LBA)
-		binary.LittleEndian.PutUint32(rec[16:], r.Size)
-		rec[20] = byte(r.Op)
-		binary.LittleEndian.PutUint64(rec[21:], uint64(r.ServiceStart))
-		binary.LittleEndian.PutUint64(rec[29:], uint64(r.Finish))
-		if _, err := bw.Write(rec[:]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return encodeAll(enc, FromSlice(t))
 }
 
 // ReadBinary parses the binary format produced by WriteBinary. Errors name
@@ -147,139 +55,27 @@ func WriteBinary(w io.Writer, t *Trace) error {
 // truncated or corrupted capture file is diagnosable with dd/xxd rather
 // than guesswork.
 func ReadBinary(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	var off int64 // bytes consumed so far; the position each error reports
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading magic at offset %d: %w", off, err)
-	}
-	if magic != binMagic {
-		return nil, fmt.Errorf("trace: bad magic %q", magic)
-	}
-	off += int64(len(magic))
-	nameLen, err := br.ReadByte()
+	d, err := NewBinaryDecoder(r)
 	if err != nil {
-		return nil, fmt.Errorf("trace: reading name length at offset %d: %w", off, err)
+		return nil, err
 	}
-	off++
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, name); err != nil {
-		return nil, fmt.Errorf("trace: reading %d-byte name at offset %d: %w", nameLen, off, err)
-	}
-	off += int64(nameLen)
-	var count [8]byte
-	if _, err := io.ReadFull(br, count[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading record count at offset %d: %w", off, err)
-	}
-	off += int64(len(count))
-	n := binary.LittleEndian.Uint64(count[:])
-	// A streaming writer that could not seek back leaves the sentinel count:
-	// records then run to end of stream.
-	streaming := n == StreamingCount
-	if !streaming && n > maxReasonableRecords {
-		return nil, fmt.Errorf("trace: implausible record count %d", n)
-	}
-	// The count is attacker-controlled until the records back it up: cap the
-	// preallocation so a short hostile header cannot demand gigabytes.
-	prealloc := n
-	if streaming {
-		prealloc = 0 // unknown length: let append grow the slice
-	} else if prealloc > 1<<20 {
-		prealloc = 1 << 20
-	}
-	t := &Trace{Name: string(name), Reqs: make([]Request, 0, prealloc)}
-	var rec [recordSize]byte
-	for i := uint64(0); streaming || i < n; i++ {
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			if streaming && err == io.EOF {
-				break // clean end at a record boundary
-			}
-			if streaming {
-				return nil, fmt.Errorf("trace: record %d at offset %d: %w", i, off, err)
-			}
-			return nil, fmt.Errorf("trace: record %d of %d at offset %d: %w", i, n, off, err)
-		}
-		req := Request{
-			Arrival:      int64(binary.LittleEndian.Uint64(rec[0:])),
-			LBA:          binary.LittleEndian.Uint64(rec[8:]),
-			Size:         binary.LittleEndian.Uint32(rec[16:]),
-			Op:           Op(rec[20]),
-			ServiceStart: int64(binary.LittleEndian.Uint64(rec[21:])),
-			Finish:       int64(binary.LittleEndian.Uint64(rec[29:])),
-		}
-		if req.Op != Read && req.Op != Write {
-			return nil, fmt.Errorf("trace: record %d at offset %d: bad op %d", i, off, req.Op)
-		}
-		off += recordSize
-		t.Reqs = append(t.Reqs, req)
-	}
-	return t, nil
+	return readAll(d)
 }
 
 // StreamText parses the text format incrementally, invoking fn for each
 // request without materializing the whole trace — multi-hour collections
 // can be analyzed in constant memory. The callback may return an error to
-// stop early; that error is returned verbatim.
+// stop early; that error is returned verbatim. name is the header's.
 func StreamText(r io.Reader, fn func(Request) error) (name string, n int, err error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		s := strings.TrimSpace(sc.Text())
-		if s == "" {
-			continue
-		}
-		if strings.HasPrefix(s, "#") {
-			if rest, ok := strings.CutPrefix(s, "# name:"); ok {
-				name = strings.TrimSpace(rest)
-			}
-			continue
-		}
-		req, perr := parseTextLine(s)
-		if perr != nil {
-			return name, n, fmt.Errorf("trace: line %d: %w", line, perr)
+	d := NewTextDecoder(r)
+	for {
+		req, ok, err := d.Next()
+		if err != nil || !ok {
+			return d.Name(), n, err
 		}
 		if err := fn(req); err != nil {
-			return name, n, err
+			return d.Name(), n, err
 		}
 		n++
 	}
-	return name, n, sc.Err()
-}
-
-// parseTextLine parses one "arrival lba size op service finish" record.
-func parseTextLine(s string) (Request, error) {
-	fields := strings.Fields(s)
-	if len(fields) != 6 {
-		return Request{}, fmt.Errorf("want 6 fields, got %d", len(fields))
-	}
-	var req Request
-	var err error
-	if req.Arrival, err = strconv.ParseInt(fields[0], 10, 64); err != nil {
-		return Request{}, fmt.Errorf("arrival: %w", err)
-	}
-	if req.LBA, err = strconv.ParseUint(fields[1], 10, 64); err != nil {
-		return Request{}, fmt.Errorf("lba: %w", err)
-	}
-	size, err := strconv.ParseUint(fields[2], 10, 32)
-	if err != nil {
-		return Request{}, fmt.Errorf("size: %w", err)
-	}
-	req.Size = uint32(size)
-	switch fields[3] {
-	case "R":
-		req.Op = Read
-	case "W":
-		req.Op = Write
-	default:
-		return Request{}, fmt.Errorf("bad op %q", fields[3])
-	}
-	if req.ServiceStart, err = strconv.ParseInt(fields[4], 10, 64); err != nil {
-		return Request{}, fmt.Errorf("service start: %w", err)
-	}
-	if req.Finish, err = strconv.ParseInt(fields[5], 10, 64); err != nil {
-		return Request{}, fmt.Errorf("finish: %w", err)
-	}
-	return req, nil
 }

@@ -98,90 +98,9 @@ func WriteCompressed(w io.Writer, t *Trace) error {
 
 // ReadCompressed parses the compressed format.
 func ReadCompressed(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
-	}
-	if magic != compressedMagic {
-		return nil, fmt.Errorf("trace: bad magic %q", magic)
-	}
-	nameLen, err := br.ReadByte()
+	d, err := NewCompressedDecoder(r)
 	if err != nil {
 		return nil, err
 	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, name); err != nil {
-		return nil, err
-	}
-	count, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	// StreamingCount marks a writer that could not know the count upfront:
-	// records then run to end of stream.
-	streaming := count == StreamingCount
-	if !streaming && count > maxReasonableRecords {
-		return nil, fmt.Errorf("trace: implausible record count %d", count)
-	}
-	prealloc := count
-	if streaming {
-		prealloc = 0
-	}
-	t := &Trace{Name: string(name), Reqs: make([]Request, 0, prealloc)}
-	var prevArrival int64
-	var prevEnd uint64
-	for i := uint64(0); streaming || i < count; i++ {
-		arrivalDelta, err := binary.ReadUvarint(br)
-		if err != nil {
-			if streaming && err == io.EOF {
-				break // clean end at a record boundary
-			}
-			return nil, fmt.Errorf("trace: record %d: %w", i, err)
-		}
-		lbaDelta, err := binary.ReadVarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: record %d: %w", i, err)
-		}
-		pages, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: record %d: %w", i, err)
-		}
-		if pages == 0 || pages > (1<<24) {
-			return nil, fmt.Errorf("trace: record %d: bad page count %d", i, pages)
-		}
-		opByte, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("trace: record %d: %w", i, err)
-		}
-		if Op(opByte) != Read && Op(opByte) != Write {
-			return nil, fmt.Errorf("trace: record %d: bad op %d", i, opByte)
-		}
-		wait, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: record %d: %w", i, err)
-		}
-		service, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: record %d: %w", i, err)
-		}
-		lba := int64(prevEnd) + lbaDelta
-		if lba < 0 {
-			return nil, fmt.Errorf("trace: record %d: negative address", i)
-		}
-		req := Request{
-			Arrival: prevArrival + int64(arrivalDelta),
-			LBA:     uint64(lba),
-			Size:    uint32(pages) * PageSize,
-			Op:      Op(opByte),
-		}
-		if wait != 0 || service != 0 {
-			req.ServiceStart = req.Arrival + int64(wait)
-			req.Finish = req.ServiceStart + int64(service)
-		}
-		t.Reqs = append(t.Reqs, req)
-		prevArrival = req.Arrival
-		prevEnd = req.EndLBA()
-	}
-	return t, nil
+	return readAll(d)
 }

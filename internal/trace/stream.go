@@ -68,6 +68,12 @@ func Collect(s Stream) (*Trace, error) {
 	if err := s.Reset(); err != nil {
 		return nil, err
 	}
+	return readAll(s)
+}
+
+// readAll drains s from its current position without resetting it, so the
+// slice readers work over pipes.
+func readAll(s Stream) (*Trace, error) {
 	t := &Trace{Name: s.Name()}
 	for {
 		r, ok, err := s.Next()

@@ -5,13 +5,15 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
+	"strconv"
 	"strings"
 )
 
 // Streaming codec layer: decoders expose trace files as Streams and
 // encoders consume request-at-a-time, so multi-GB captures pass through
-// tools in constant memory. Each decoder produces exactly the requests the
-// batch reader of its format produces; Reset is supported whenever the
+// tools in constant memory. Each decoder is its format's only parser (the
+// slice readers in codec.go drain it); Reset is supported whenever the
 // underlying reader can seek (files can, pipes cannot).
 
 // StreamingCount is the record-count sentinel a streaming binary writer
@@ -39,29 +41,33 @@ func NewTextDecoder(r io.Reader) *TextDecoder {
 	return d
 }
 
-// start (re)initializes scanning and consumes leading comments and blanks.
+// start (re)initializes scanning and reads up to the first record line.
 func (d *TextDecoder) start() {
 	d.sc = bufio.NewScanner(d.src)
 	d.sc.Buffer(make([]byte, 1<<16), 1<<20)
 	d.line = 0
-	d.pending, d.hasPend = "", false
 	d.err = nil
+	d.pending, d.hasPend = d.scanRecord(true)
+}
+
+// scanRecord returns the next record line, skipping blanks and comments.
+// In the header (before the first record) "# name:" comments set the name.
+func (d *TextDecoder) scanRecord(header bool) (string, bool) {
 	for d.sc.Scan() {
 		d.line++
 		s := strings.TrimSpace(d.sc.Text())
 		if s == "" {
 			continue
 		}
-		if strings.HasPrefix(s, "#") {
-			if rest, ok := strings.CutPrefix(s, "# name:"); ok {
-				d.name = strings.TrimSpace(rest)
-			}
-			continue
+		if !strings.HasPrefix(s, "#") {
+			return s, true
 		}
-		d.pending, d.hasPend = s, true
-		return
+		if rest, ok := strings.CutPrefix(s, "# name:"); ok && header {
+			d.name = strings.TrimSpace(rest)
+		}
 	}
 	d.err = d.sc.Err()
+	return "", false
 }
 
 // Name returns the trace name from the header comment.
@@ -72,21 +78,11 @@ func (d *TextDecoder) Next() (Request, bool, error) {
 	if d.err != nil {
 		return Request{}, false, d.err
 	}
-	var s string
-	if d.hasPend {
-		s, d.hasPend = d.pending, false
-	} else {
-		for {
-			if !d.sc.Scan() {
-				d.err = d.sc.Err()
-				return Request{}, false, d.err
-			}
-			d.line++
-			s = strings.TrimSpace(d.sc.Text())
-			if s == "" || strings.HasPrefix(s, "#") {
-				continue
-			}
-			break
+	s, ok := d.pending, d.hasPend
+	d.hasPend = false
+	if !ok {
+		if s, ok = d.scanRecord(false); !ok {
+			return Request{}, false, d.err
 		}
 	}
 	req, err := parseTextLine(s)
@@ -110,6 +106,42 @@ func (d *TextDecoder) Reset() error {
 	return d.err
 }
 
+// parseTextLine parses one "arrival lba size op service finish" record.
+func parseTextLine(s string) (Request, error) {
+	fields := strings.Fields(s)
+	if len(fields) != 6 {
+		return Request{}, fmt.Errorf("want 6 fields, got %d", len(fields))
+	}
+	var req Request
+	var err error
+	if req.Arrival, err = strconv.ParseInt(fields[0], 10, 64); err != nil {
+		return Request{}, fmt.Errorf("arrival: %w", err)
+	}
+	if req.LBA, err = strconv.ParseUint(fields[1], 10, 64); err != nil {
+		return Request{}, fmt.Errorf("lba: %w", err)
+	}
+	size, err := strconv.ParseUint(fields[2], 10, 32)
+	if err != nil {
+		return Request{}, fmt.Errorf("size: %w", err)
+	}
+	req.Size = uint32(size)
+	switch fields[3] {
+	case "R":
+		req.Op = Read
+	case "W":
+		req.Op = Write
+	default:
+		return Request{}, fmt.Errorf("bad op %q", fields[3])
+	}
+	if req.ServiceStart, err = strconv.ParseInt(fields[4], 10, 64); err != nil {
+		return Request{}, fmt.Errorf("service start: %w", err)
+	}
+	if req.Finish, err = strconv.ParseInt(fields[5], 10, 64); err != nil {
+		return Request{}, fmt.Errorf("finish: %w", err)
+	}
+	return req, nil
+}
+
 // BinaryDecoder reads the binary "BIO1" format as a Stream.
 type BinaryDecoder struct {
 	src     io.Reader
@@ -126,36 +158,45 @@ type BinaryDecoder struct {
 // positioned at the first record. Reset works when r is an io.Seeker.
 func NewBinaryDecoder(r io.Reader) (*BinaryDecoder, error) {
 	d := &BinaryDecoder{src: r, br: bufio.NewReader(r)}
-	var magic [4]byte
-	if _, err := io.ReadFull(d.br, magic[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading magic at offset %d: %w", d.off, err)
+	var err error
+	if d.name, d.off, err = readHeader(d.br, binMagic); err != nil {
+		return nil, err
 	}
-	if magic != binMagic {
-		return nil, fmt.Errorf("trace: bad magic %q", magic)
-	}
-	d.off += int64(len(magic))
-	nameLen, err := d.br.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading name length at offset %d: %w", d.off, err)
-	}
-	d.off++
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(d.br, name); err != nil {
-		return nil, fmt.Errorf("trace: reading %d-byte name at offset %d: %w", nameLen, d.off, err)
-	}
-	d.off += int64(nameLen)
 	var count [8]byte
 	if _, err := io.ReadFull(d.br, count[:]); err != nil {
 		return nil, fmt.Errorf("trace: reading record count at offset %d: %w", d.off, err)
 	}
 	d.off += int64(len(count))
-	d.name = string(name)
 	d.count = binary.LittleEndian.Uint64(count[:])
 	if d.count != StreamingCount && d.count > maxReasonableRecords {
 		return nil, fmt.Errorf("trace: implausible record count %d", d.count)
 	}
 	d.dataOff = d.off
 	return d, nil
+}
+
+// readHeader reads the magic and length-prefixed name that open the BIO1
+// and BIOZ formats, returning the name and the bytes consumed. Errors name
+// the offset they occurred at.
+func readHeader(br *bufio.Reader, want [4]byte) (name string, off int64, err error) {
+	var magic [4]byte
+	if _, err := io.ReadFull(br, magic[:]); err != nil {
+		return "", 0, fmt.Errorf("trace: reading magic at offset 0: %w", err)
+	}
+	if magic != want {
+		return "", 0, fmt.Errorf("trace: bad magic %q", magic)
+	}
+	off = int64(len(magic))
+	nameLen, err := br.ReadByte()
+	if err != nil {
+		return "", 0, fmt.Errorf("trace: reading name length at offset %d: %w", off, err)
+	}
+	off++
+	nb := make([]byte, nameLen)
+	if _, err := io.ReadFull(br, nb); err != nil {
+		return "", 0, fmt.Errorf("trace: reading %d-byte name at offset %d: %w", nameLen, off, err)
+	}
+	return string(nb), off + int64(nameLen), nil
 }
 
 // Name returns the trace name from the header.
@@ -245,39 +286,20 @@ type CompressedDecoder struct {
 // io.Seeker.
 func NewCompressedDecoder(r io.Reader) (*CompressedDecoder, error) {
 	d := &CompressedDecoder{src: r, br: bufio.NewReader(r)}
-	var off int64
-	var magic [4]byte
-	if _, err := io.ReadFull(d.br, magic[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
-	}
-	if magic != compressedMagic {
-		return nil, fmt.Errorf("trace: bad magic %q", magic)
-	}
-	off += int64(len(magic))
-	nameLen, err := d.br.ReadByte()
-	if err != nil {
+	var err error
+	if d.name, d.dataOff, err = readHeader(d.br, compressedMagic); err != nil {
 		return nil, err
 	}
-	off++
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(d.br, name); err != nil {
-		return nil, err
-	}
-	off += int64(nameLen)
 	// Track the varint's width by counting bytes as they are consumed
 	// (varints have no fixed width, and Reset needs the exact data offset).
 	before := countBytes{br: d.br}
-	count, err := binary.ReadUvarint(&before)
-	if err != nil {
-		return nil, err
+	if d.count, err = binary.ReadUvarint(&before); err != nil {
+		return nil, fmt.Errorf("trace: reading record count at offset %d: %w", d.dataOff, err)
 	}
-	off += before.n
-	if count != StreamingCount && count > maxReasonableRecords {
-		return nil, fmt.Errorf("trace: implausible record count %d", count)
+	d.dataOff += before.n
+	if d.count != StreamingCount && d.count > maxReasonableRecords {
+		return nil, fmt.Errorf("trace: implausible record count %d", d.count)
 	}
-	d.name = string(name)
-	d.count = count
-	d.dataOff = off
 	return d, nil
 }
 
@@ -325,7 +347,7 @@ func (d *CompressedDecoder) Next() (Request, bool, error) {
 	if err != nil {
 		return fail(err)
 	}
-	if pages == 0 || pages > (1<<24) {
+	if pages == 0 || pages > math.MaxUint32/PageSize {
 		return fail(fmt.Errorf("bad page count %d", pages))
 	}
 	opByte, err := d.br.ReadByte()
@@ -347,8 +369,17 @@ func (d *CompressedDecoder) Next() (Request, bool, error) {
 	if lba < 0 {
 		return fail(fmt.Errorf("negative address"))
 	}
+	// Timestamps are int64 nanoseconds; deltas that overflow them would
+	// decode to a trace that is out of order or acausal.
+	if arrivalDelta > math.MaxInt64-uint64(d.prevArrival) {
+		return fail(fmt.Errorf("arrival overflows int64"))
+	}
+	arrival := d.prevArrival + int64(arrivalDelta)
+	if wait > math.MaxInt64-uint64(arrival) || service > math.MaxInt64-uint64(arrival)-wait {
+		return fail(fmt.Errorf("finish time overflows int64"))
+	}
 	req := Request{
-		Arrival: d.prevArrival + int64(arrivalDelta),
+		Arrival: arrival,
 		LBA:     uint64(lba),
 		Size:    uint32(pages) * PageSize,
 		Op:      Op(opByte),
@@ -435,14 +466,22 @@ type BinaryEncoder struct {
 	w        io.Writer
 	bw       *bufio.Writer
 	countOff int64
-	seekable bool
+	patch    bool // Close seeks back and writes the real count
 	n        uint64
 }
 
 // NewBinaryEncoder writes the header and returns an encoder.
 func NewBinaryEncoder(w io.Writer, name string) (*BinaryEncoder, error) {
-	e := &BinaryEncoder{w: w, bw: bufio.NewWriter(w)}
-	_, e.seekable = w.(io.WriteSeeker)
+	if _, ok := w.(io.WriteSeeker); ok {
+		return newBinaryEncoder(w, name, 0, true)
+	}
+	return newBinaryEncoder(w, name, StreamingCount, false)
+}
+
+// newBinaryEncoder writes a header declaring count records; with patch,
+// Close overwrites it with the number actually written.
+func newBinaryEncoder(w io.Writer, name string, count uint64, patch bool) (*BinaryEncoder, error) {
+	e := &BinaryEncoder{w: w, bw: bufio.NewWriter(w), patch: patch}
 	if _, err := e.bw.Write(binMagic[:]); err != nil {
 		return nil, err
 	}
@@ -457,13 +496,9 @@ func NewBinaryEncoder(w io.Writer, name string) (*BinaryEncoder, error) {
 		return nil, err
 	}
 	e.countOff = int64(len(binMagic) + 1 + len(nb))
-	var count [8]byte
-	placeholder := StreamingCount
-	if e.seekable {
-		placeholder = 0 // patched by Close
-	}
-	binary.LittleEndian.PutUint64(count[:], placeholder)
-	if _, err := e.bw.Write(count[:]); err != nil {
+	var c [8]byte
+	binary.LittleEndian.PutUint64(c[:], count)
+	if _, err := e.bw.Write(c[:]); err != nil {
 		return nil, err
 	}
 	return e, nil
@@ -485,12 +520,12 @@ func (e *BinaryEncoder) Write(r Request) error {
 	return nil
 }
 
-// Close flushes and, when the destination seeks, patches the record count.
+// Close flushes and, when the header needs it, patches the record count.
 func (e *BinaryEncoder) Close() error {
 	if err := e.bw.Flush(); err != nil {
 		return err
 	}
-	if !e.seekable {
+	if !e.patch {
 		return nil
 	}
 	ws := e.w.(io.WriteSeeker)
@@ -512,18 +547,7 @@ func WriteTextStream(w io.Writer, s Stream) error {
 	if err != nil {
 		return err
 	}
-	for {
-		r, ok, err := s.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return enc.Close()
-		}
-		if err := enc.Write(r); err != nil {
-			return err
-		}
-	}
+	return encodeAll(enc, s)
 }
 
 // WriteBinaryStream drains a stream into the binary format.
@@ -532,6 +556,14 @@ func WriteBinaryStream(w io.Writer, s Stream) error {
 	if err != nil {
 		return err
 	}
+	return encodeAll(enc, s)
+}
+
+// encodeAll drains s into enc and closes it.
+func encodeAll(enc interface {
+	Write(Request) error
+	Close() error
+}, s Stream) error {
 	for {
 		r, ok, err := s.Next()
 		if err != nil {
