@@ -34,6 +34,21 @@ func TestEventDrivenMatchesSequential(t *testing.T) {
 			}
 		}
 	}
+
+	seq, mSeq := replayFaultyBuffered(t)
+	ev := prof.Generate(workload.DefaultSeed)
+	mEv, err := ReplayEventDriven(SchemeHPS, faultyBufferedOptions(), ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mSeq != mEv {
+		t.Fatalf("engines' Metrics differ with faults and buffer:\nseq %+v\nev  %+v", mSeq, mEv)
+	}
+	for i := range seq.Reqs {
+		if seq.Reqs[i] != ev.Reqs[i] {
+			t.Fatalf("request %d timestamps differ:\nseq %+v\nev  %+v", i, seq.Reqs[i], ev.Reqs[i])
+		}
+	}
 }
 
 func TestEventDrivenWithPowerAndBuffer(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"emmcio/internal/faults"
 	"emmcio/internal/paper"
 	"emmcio/internal/trace"
 	"emmcio/internal/workload"
@@ -23,6 +24,47 @@ func TestScheduledFIFOMatchesReplay(t *testing.T) {
 	if mA.MeanResponseNs != mB.MeanResponseNs || mA.NoWaitRatio != mB.NoWaitRatio {
 		t.Fatalf("FIFO scheduler diverged from plain replay: %+v vs %+v", mA, mB)
 	}
+
+	seq, mSeq := replayFaultyBuffered(t)
+	fifo := workload.DefaultRegistry().Lookup(paper.Messaging).Generate(workload.DefaultSeed)
+	mFIFO, err := ReplayScheduled(SchemeHPS, faultyBufferedOptions(), fifo, SchedFIFO)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mSeq != mFIFO {
+		t.Fatalf("FIFO scheduler Metrics differ from plain replay:\nreplay %+v\nfifo   %+v", mSeq, mFIFO)
+	}
+	for i := range seq.Reqs {
+		if seq.Reqs[i] != fifo.Reqs[i] {
+			t.Fatalf("request %d timestamps differ:\nreplay %+v\nfifo   %+v", i, seq.Reqs[i], fifo.Reqs[i])
+		}
+	}
+}
+
+// faultyBufferedOptions is the case-study configuration with fault
+// injection and a 1 MiB device RAM buffer, so that faults, retired blocks,
+// buffer hits and queueing all show up in Metrics.
+func faultyBufferedOptions() Options {
+	opt := CaseStudyOptions()
+	opt.Faults = &faults.Config{Seed: 7, Rate: 20}
+	opt.RAMBufferBytes = 1 << 20
+	return opt
+}
+
+// replayFaultyBuffered replays Messaging on HPS with faultyBufferedOptions
+// through the sequential loop, checking that the fields the other loops
+// are compared on are non-trivial.
+func replayFaultyBuffered(t *testing.T) (*trace.Trace, Metrics) {
+	t.Helper()
+	tr := workload.DefaultRegistry().Lookup(paper.Messaging).Generate(workload.DefaultSeed)
+	m, err := Replay(SchemeHPS, faultyBufferedOptions(), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.ProgramFaults == 0 || m.RetiredBlocks == 0 || m.BufferHitRate == 0 || m.NoWaitRatio == 1 {
+		t.Fatalf("configuration does not exercise faults, buffer and queueing: %+v", m)
+	}
+	return tr, m
 }
 
 // On a typical (high-NoWait) trace, smarter host scheduling changes almost

@@ -197,6 +197,7 @@ func scheduledLoop(ctx context.Context, s Scheme, opt Options, st trace.Stream, 
 	name := st.Name()
 	var queue []item
 	var deviceFree int64
+	noWait := 0
 
 	// One-request lookahead over the stream, replacing the slice index.
 	next := 0
@@ -264,6 +265,9 @@ func scheduledLoop(ctx context.Context, s Scheme, opt Options, st trace.Stream, 
 			return Metrics{}, fmt.Errorf("core: scheduled replay of %s: %w", name, err)
 		}
 		deviceFree = res.Finish
+		if res.ServiceStart == it.req.Arrival {
+			noWait++
+		}
 		if sink != nil {
 			it.req.ServiceStart = res.ServiceStart
 			it.req.Finish = res.Finish
@@ -273,21 +277,11 @@ func scheduledLoop(ctx context.Context, s Scheme, opt Options, st trace.Stream, 
 		}
 	}
 
-	dm := dev.Metrics()
-	fs := dev.FTLStats()
-	m := Metrics{
-		Trace:            name,
-		Scheme:           s,
-		Served:           int(dm.Served),
-		MeanResponseNs:   dm.MeanResponseNs(),
-		MeanServiceNs:    dm.MeanServiceNs(),
-		NoWaitRatio:      dm.NoWaitRatio(),
-		SpaceUtilization: fs.SpaceUtilization(),
-		GCStallNs:        dm.GCStallNs,
-		IdleGCNs:         dm.IdleGCNs,
-	}
-	if fs.HostProgrammedPages > 0 {
-		m.WriteAmplification = 1 + float64(fs.GC.PageMoves)/float64(fs.HostProgrammedPages)
+	// The device sees every dispatch at deviceFree, so its own wait
+	// accounting never fires; NoWait is the paper's ServiceStart == Arrival.
+	m := deviceMetrics(dev, name, s)
+	if m.Served > 0 {
+		m.NoWaitRatio = float64(noWait) / float64(m.Served)
 	}
 	return m, nil
 }
@@ -462,26 +456,7 @@ func eventLoop(ctx context.Context, s Scheme, opt Options, st trace.Stream, sink
 		return Metrics{}, fmt.Errorf("core: event replay served %d of %d requests", r.dispatched, r.pulled)
 	}
 
-	dm := dev.Metrics()
-	fs := dev.FTLStats()
-	m := Metrics{
-		Trace:            r.name,
-		Scheme:           s,
-		Served:           int(dm.Served),
-		MeanResponseNs:   dm.MeanResponseNs(),
-		MeanServiceNs:    dm.MeanServiceNs(),
-		NoWaitRatio:      dm.NoWaitRatio(),
-		SpaceUtilization: fs.SpaceUtilization(),
-		GCStallNs:        dm.GCStallNs,
-		IdleGCNs:         dm.IdleGCNs,
-		BufferHitRate:    dev.BufferHitRate(),
-		LightWakes:       dm.LightWakes,
-		DeepWakes:        dm.DeepWakes,
-	}
-	if fs.HostProgrammedPages > 0 {
-		m.WriteAmplification = 1 + float64(fs.GC.PageMoves)/float64(fs.HostProgrammedPages)
-	}
-	return m, nil
+	return deviceMetrics(dev, r.name, s), nil
 }
 
 // writeBack returns a sink that writes replayed timestamps into the
