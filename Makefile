@@ -7,9 +7,9 @@ GO ?= go
 # mean response time by 5% or more — it must be exactly 0), and the recorded
 # benchmark trajectory (bench-gate fails on a >15% ns/op or allocs/op
 # regression between the two newest BENCH_*.json snapshots; it is a no-op
-# until a second snapshot exists).
+# until a second snapshot exists), and a short run of every fuzz target.
 .PHONY: check
-check: vet build runner-race server-race coord-race devstore-race race overhead bench-gate
+check: vet build runner-race server-race coord-race devstore-race race overhead bench-gate fuzz
 
 .PHONY: vet
 vet:
@@ -59,6 +59,21 @@ coord-race:
 .PHONY: devstore-race
 devstore-race:
 	$(GO) test -race -count=2 ./internal/devstore
+
+# Run every native fuzz target in the module for FUZZTIME each. Targets are
+# discovered with `go test -list`, so a new Fuzz* function joins the run
+# without an edit here. Failing inputs land in the package's testdata/fuzz.
+FUZZTIME ?= 10s
+
+.PHONY: fuzz
+fuzz:
+	@list=$$($(GO) test -list '^Fuzz' ./...) || { echo "$$list"; exit 1; }; \
+	targets=$$(echo "$$list" | awk '/^Fuzz/ {n[++k] = $$1} /^ok/ {for (i = 1; i <= k; i++) print $$2 "," n[i]; k = 0}'); \
+	[ -n "$$targets" ] || { echo "fuzz: no targets found" >&2; exit 1; }; \
+	for t in $$targets; do \
+		echo "fuzz: $${t#*,} in $${t%,*} for $(FUZZTIME)"; \
+		$(GO) test -run '^$$' -fuzz "^$${t#*,}$$" -fuzztime $(FUZZTIME) $${t%,*} || exit 1; \
+	done
 
 .PHONY: overhead
 overhead:
