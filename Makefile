@@ -75,6 +75,13 @@ fuzz:
 		$(GO) test -run '^$$' -fuzz "^$${t#*,}$$" -fuzztime $(FUZZTIME) $${t%,*} || exit 1; \
 	done
 
+# Print the non-test and test Go line counts outside perfbench/, the size
+# numbers ROADMAP tracks. Not part of `check`.
+.PHONY: loc
+loc:
+	@find . -name '*.go' -not -path './perfbench/*' -not -name '*_test.go' -exec cat {} + | wc -l | awk '{print "non-test Go lines: " $$1}'
+	@find . -name '*.go' -not -path './perfbench/*' -name '*_test.go' -exec cat {} + | wc -l | awk '{print "test Go lines:     " $$1}'
+
 .PHONY: overhead
 overhead:
 	$(GO) test -run TestTelemetryOverheadBudget -v .

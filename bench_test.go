@@ -23,6 +23,7 @@ package emmcio
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"emmcio/internal/androidstack"
@@ -396,7 +397,12 @@ func BenchmarkScheduledReplaySJF(b *testing.B) {
 	prof := workload.DefaultRegistry().Lookup(paper.Messaging)
 	for i := 0; i < b.N; i++ {
 		tr := prof.Generate(workload.DefaultSeed)
-		if _, err := core.ReplayScheduled(core.Scheme4PS, core.Options{}, tr, core.SchedSJF); err != nil {
+		dev, err := core.NewDevice(core.Scheme4PS, core.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sjf := core.ReplayOpts{Policy: core.SchedSJF}
+		if _, err := core.Replay(context.Background(), dev, core.Scheme4PS, trace.FromSlice(tr), sjf); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -486,23 +492,13 @@ func BenchmarkAblationCommandQueue(b *testing.B) {
 	}
 }
 
-func BenchmarkEventDrivenReplay(b *testing.B) {
-	prof := workload.DefaultRegistry().Lookup(paper.Messaging)
-	for i := 0; i < b.N; i++ {
-		tr := prof.Generate(workload.DefaultSeed)
-		if _, err := core.ReplayEventDriven(core.Scheme4PS, core.Options{}, tr); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkDeviceSnapshot(b *testing.B) {
 	dev, err := core.NewDevice(core.SchemeHPS, core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	tr := workload.DefaultRegistry().Lookup(paper.CallIn).Generate(workload.DefaultSeed)
-	if _, err := core.ReplayOn(dev, core.SchemeHPS, tr); err != nil {
+	if _, err := core.Replay(context.Background(), dev, core.SchemeHPS, trace.FromSlice(tr), core.ReplayOpts{}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()

@@ -120,7 +120,7 @@ func main() {
 						return core.Metrics{}, err
 					}
 				}
-				st = trace.ShiftStream(st, dev.LastActivity()+1_000_000_000)
+				st = core.Resume(dev, st)
 			case *loadDev != "":
 				f, err := os.Open(*loadDev)
 				if err != nil {
@@ -135,7 +135,7 @@ func main() {
 					return core.Metrics{}, err
 				}
 				// Resume after the archived device's last activity.
-				st = trace.ShiftStream(st, dev.LastActivity()+1_000_000_000)
+				st = core.Resume(dev, st)
 			default:
 				var err error
 				dev, err = core.NewDevice(s, opt)
@@ -166,7 +166,7 @@ func main() {
 					return f.Close()
 				}
 			}
-			m, err := core.ReplayStreamSinkContext(ctx, dev, s, st, reg, tracer, sink)
+			m, err := core.Replay(ctx, dev, s, st, core.ReplayOpts{Registry: reg, Tracer: tracer, Sink: sink})
 			if err != nil {
 				return core.Metrics{}, err
 			}

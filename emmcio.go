@@ -20,7 +20,9 @@
 // # Quick start
 //
 //	tr := emmcio.GenerateTrace(emmcio.Twitter, emmcio.DefaultSeed)
-//	m, err := emmcio.Replay(emmcio.SchemeHPS, emmcio.CaseStudyOptions(), tr)
+//	dev, err := emmcio.NewDevice(emmcio.SchemeHPS, emmcio.CaseStudyOptions())
+//	if err != nil { ... }
+//	m, err := emmcio.Replay(ctx, dev, emmcio.SchemeHPS, emmcio.FromSlice(tr), emmcio.ReplayOpts{})
 //	if err != nil { ... }
 //	fmt.Printf("HPS mean response time: %.2f ms\n", m.MeanResponseNs/1e6)
 //
@@ -55,6 +57,9 @@ type (
 	Request = trace.Request
 	// Op is a request's access type.
 	Op = trace.Op
+	// TraceStream yields a trace's requests one at a time; Replay pulls
+	// from one.
+	TraceStream = trace.Stream
 )
 
 // Request operation kinds.
@@ -165,6 +170,9 @@ type (
 	Options = core.Options
 	// Metrics summarizes one replay.
 	Metrics = core.Metrics
+	// ReplayOpts are Replay's optional inputs: host-side scheduling,
+	// telemetry, and a sink for the replayed requests.
+	ReplayOpts = core.ReplayOpts
 	// GCPolicy selects foreground or idle garbage collection.
 	GCPolicy = emmc.GCPolicy
 )
@@ -203,23 +211,14 @@ const (
 var (
 	// NewDevice builds a fresh device for a scheme.
 	NewDevice = core.NewDevice
-	// ReplayContext runs a trace through a fresh device, filling its
-	// timestamps. The replay loop checks ctx between events, so
-	// cancellation and deadlines abort it in bounded time.
-	ReplayContext = core.ReplayContext
-	// ReplayOnContext replays onto an existing (possibly aged) device
-	// under ctx.
-	ReplayOnContext = core.ReplayOnContext
-	// Replay runs a trace through a fresh device, filling its timestamps.
-	//
-	// Deprecated: use ReplayContext, which the server and any caller with
-	// a deadline should prefer; Replay is ReplayContext with
-	// context.Background.
+	// Replay runs a trace stream through a device, fresh or aged by
+	// earlier replays, and returns the §V metrics. The replay loop checks
+	// ctx between requests, so cancellation and deadlines abort it in
+	// bounded time. The caller's trace is not modified: pass FromSlice(tr)
+	// and collect the replayed timestamps with ReplayOpts.Sink.
 	Replay = core.Replay
-	// ReplayOn replays onto an existing (possibly aged) device.
-	//
-	// Deprecated: use ReplayOnContext.
-	ReplayOn = core.ReplayOn
+	// FromSlice streams a materialized trace without copying it.
+	FromSlice = trace.FromSlice
 	// CaseStudyOptions are the §V experiment settings.
 	CaseStudyOptions = core.CaseStudyOptions
 	// DefaultTiming is the Table V simulation latency model.
@@ -318,19 +317,12 @@ type ExperimentEnv = experiments.Env
 // NewExperimentEnv builds an experiment environment for a seed.
 func NewExperimentEnv(seed uint64) *ExperimentEnv { return experiments.NewEnv(seed) }
 
-// RunCaseStudyContext is RunCaseStudy bounded by ctx: it records ctx on
-// the env (Env.Ctx), so the §V sweep's replay loops abort between events
-// once ctx is done. The ctx stays attached to env for later sweeps.
+// RunCaseStudyContext reproduces Figs. 8 and 9 and writes both tables to
+// w. It records ctx on the env (Env.Ctx), so the §V sweep's replay loops
+// abort between events once ctx is done; the ctx stays attached to env for
+// later sweeps.
 func RunCaseStudyContext(ctx context.Context, env *ExperimentEnv, w io.Writer) error {
 	env.Ctx = ctx
-	return RunCaseStudy(env, w)
-}
-
-// RunCaseStudy reproduces Figs. 8 and 9 and writes both tables to w.
-//
-// Deprecated: use RunCaseStudyContext; RunCaseStudy runs unbounded (or
-// under whatever Env.Ctx is already set).
-func RunCaseStudy(env *ExperimentEnv, w io.Writer) error {
 	res, err := experiments.CaseStudy(env)
 	if err != nil {
 		return err
@@ -350,18 +342,11 @@ func DefaultReliability() *ReliabilityModel { return reliability.Default() }
 // AgingPoint is one wear level of the aging curve.
 type AgingPoint = experiments.AgingPoint
 
-// RunAgingContext is RunAging bounded by ctx (recorded on Env.Ctx, as in
-// RunCaseStudyContext).
+// RunAgingContext replays a trace on devices pre-aged to the given
+// endurance fractions and returns the read-latency aging curve. ctx is
+// recorded on Env.Ctx, as in RunCaseStudyContext.
 func RunAgingContext(ctx context.Context, env *ExperimentEnv, app string, lifeFractions []float64) ([]AgingPoint, error) {
 	env.Ctx = ctx
-	return RunAging(env, app, lifeFractions)
-}
-
-// RunAging replays a trace on devices pre-aged to the given endurance
-// fractions and returns the read-latency aging curve.
-//
-// Deprecated: use RunAgingContext.
-func RunAging(env *ExperimentEnv, app string, lifeFractions []float64) ([]AgingPoint, error) {
 	return experiments.Aging(env, app, lifeFractions)
 }
 

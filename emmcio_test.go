@@ -2,6 +2,7 @@ package emmcio
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -17,14 +18,25 @@ func TestQuickStartFlow(t *testing.T) {
 	if len(tr.Reqs) == 0 {
 		t.Fatal("empty trace")
 	}
-	m, err := Replay(SchemeHPS, CaseStudyOptions(), tr)
+	dev, err := NewDevice(SchemeHPS, CaseStudyOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed := &Trace{Name: tr.Name}
+	m, err := Replay(context.Background(), dev, SchemeHPS, FromSlice(tr), ReplayOpts{Sink: func(r Request) error {
+		replayed.Reqs = append(replayed.Reqs, r)
+		return nil
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.MeanResponseNs <= 0 {
 		t.Fatal("no response time measured")
 	}
-	if err := tr.Validate(); err != nil {
+	if len(replayed.Reqs) != len(tr.Reqs) {
+		t.Fatalf("sink saw %d of %d requests", len(replayed.Reqs), len(tr.Reqs))
+	}
+	if err := replayed.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -109,7 +121,7 @@ func TestRunCaseStudySubset(t *testing.T) {
 	}
 	env := NewExperimentEnv(DefaultSeed)
 	var buf bytes.Buffer
-	if err := RunCaseStudy(env, &buf); err != nil {
+	if err := RunCaseStudyContext(context.Background(), env, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

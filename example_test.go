@@ -1,6 +1,7 @@
 package emmcio_test
 
 import (
+	"context"
 	"fmt"
 
 	"emmcio"
@@ -19,7 +20,11 @@ func ExampleGenerateTrace() {
 // Replay a trace on the hybrid-page-size device and read the §V metrics.
 func ExampleReplay() {
 	tr := emmcio.GenerateTrace(emmcio.CallIn, emmcio.DefaultSeed)
-	m, err := emmcio.Replay(emmcio.SchemeHPS, emmcio.CaseStudyOptions(), tr)
+	dev, err := emmcio.NewDevice(emmcio.SchemeHPS, emmcio.CaseStudyOptions())
+	if err != nil {
+		panic(err)
+	}
+	m, err := emmcio.Replay(context.Background(), dev, emmcio.SchemeHPS, emmcio.FromSlice(tr), emmcio.ReplayOpts{})
 	if err != nil {
 		panic(err)
 	}

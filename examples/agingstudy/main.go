@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,7 +17,7 @@ import (
 
 func main() {
 	fractions := []float64{0, 0.5, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5}
-	pts, err := emmcio.RunAging(emmcio.NewExperimentEnv(emmcio.DefaultSeed), emmcio.Movie, fractions)
+	pts, err := emmcio.RunAgingContext(context.Background(), emmcio.NewExperimentEnv(emmcio.DefaultSeed), emmcio.Movie, fractions)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -41,9 +42,11 @@ func main() {
 
 	fmt.Printf("%-8s %10s %12s\n", "Scheme", "MRT (ms)", "SpaceUtil")
 	for _, scheme := range []emmcio.Scheme{emmcio.Scheme4PS, emmcio.Scheme8PS, emmcio.SchemeHPS} {
-		run := tr.Clone()
-		run.ClearTimestamps()
-		m, err := emmcio.Replay(scheme, emmcio.CaseStudyOptions(), run)
+		dev, err := emmcio.NewDevice(scheme, emmcio.CaseStudyOptions())
+		if err != nil {
+			log.Fatal(err)
+		}
+		m, err := emmcio.Replay(context.Background(), dev, scheme, emmcio.FromSlice(tr), emmcio.ReplayOpts{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -48,7 +49,7 @@ func main() {
 				tr.Reqs[i].Arrival += offset
 			}
 			before := dev.Metrics()
-			if _, err := emmcio.ReplayOn(dev, scheme, tr); err != nil {
+			if _, err := emmcio.Replay(context.Background(), dev, scheme, emmcio.FromSlice(tr), emmcio.ReplayOpts{}); err != nil {
 				log.Fatalf("%s during %s: %v", scheme, app, err)
 			}
 			after := dev.Metrics()
@@ -57,7 +58,7 @@ func main() {
 			gcMs := float64(after.GCStallNs-before.GCStallNs) / 1e6
 			fmt.Printf("  %-12s %6d reqs  MRT %8.2f ms  GC stalls %8.1f ms\n",
 				app, served, mrt, gcMs)
-			offset = tr.Duration() + 1_000_000_000
+			offset = dev.LastActivity() + 1_000_000_000
 		}
 		fs := dev.FTLStats()
 		fmt.Printf("  day total: %.1f GB written, write amplification %.3f, space utilization %.3f\n\n",

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -39,9 +40,11 @@ func main() {
 			ScaleBlocks: 8,
 			ScalePages:  16,
 		}
-		run := tr.Clone()
-		run.ClearTimestamps()
-		m, err := emmcio.Replay(emmcio.Scheme4PS, opt, run)
+		dev, err := emmcio.NewDevice(emmcio.Scheme4PS, opt)
+		if err != nil {
+			log.Fatal(err)
+		}
+		m, err := emmcio.Replay(context.Background(), dev, emmcio.Scheme4PS, emmcio.FromSlice(tr), emmcio.ReplayOpts{})
 		if err != nil {
 			log.Fatal(err)
 		}

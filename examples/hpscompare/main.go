@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -30,11 +31,15 @@ func main() {
 		if emmcio.Profiles().Lookup(name) == nil {
 			log.Fatalf("unknown application %q", name)
 		}
+		tr := emmcio.GenerateTrace(name, *seed)
 		var mrt [3]float64
 		var util [3]float64
 		for i, s := range schemes {
-			tr := emmcio.GenerateTrace(name, *seed)
-			m, err := emmcio.Replay(s, opt, tr)
+			dev, err := emmcio.NewDevice(s, opt)
+			if err != nil {
+				log.Fatal(err)
+			}
+			m, err := emmcio.Replay(context.Background(), dev, s, emmcio.FromSlice(tr), emmcio.ReplayOpts{})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -25,11 +26,15 @@ func main() {
 	for _, app := range apps {
 		var mrt [2]float64
 		var light, deep int64
+		tr := emmcio.GenerateTrace(app, emmcio.DefaultSeed)
 		for i, power := range []bool{false, true} {
-			tr := emmcio.GenerateTrace(app, emmcio.DefaultSeed)
 			opt := emmcio.CaseStudyOptions()
 			opt.PowerSaving = power
-			m, err := emmcio.Replay(emmcio.Scheme4PS, opt, tr)
+			dev, err := emmcio.NewDevice(emmcio.Scheme4PS, opt)
+			if err != nil {
+				log.Fatal(err)
+			}
+			m, err := emmcio.Replay(context.Background(), dev, emmcio.Scheme4PS, emmcio.FromSlice(tr), emmcio.ReplayOpts{})
 			if err != nil {
 				log.Fatal(err)
 			}

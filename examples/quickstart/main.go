@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,18 +21,19 @@ func main() {
 
 	// 2. Replay it on the conventional 4 KB-page device and on HPS
 	//    (fresh 32 GB devices, the §V-B setup).
-	opt := emmcio.CaseStudyOptions()
-	base := tr.Clone()
-	m4, err := emmcio.Replay(emmcio.Scheme4PS, opt, base)
-	if err != nil {
-		log.Fatal(err)
+	//    Replay reads the trace and leaves it untouched.
+	replay := func(s emmcio.Scheme) emmcio.Metrics {
+		dev, err := emmcio.NewDevice(s, emmcio.CaseStudyOptions())
+		if err != nil {
+			log.Fatal(err)
+		}
+		m, err := emmcio.Replay(context.Background(), dev, s, emmcio.FromSlice(tr), emmcio.ReplayOpts{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return m
 	}
-	hps := tr.Clone()
-	hps.ClearTimestamps()
-	mH, err := emmcio.Replay(emmcio.SchemeHPS, opt, hps)
-	if err != nil {
-		log.Fatal(err)
-	}
+	m4, mH := replay(emmcio.Scheme4PS), replay(emmcio.SchemeHPS)
 
 	// 3. Compare (Fig. 8's metric).
 	fmt.Printf("4PS mean response time: %.2f ms\n", m4.MeanResponseNs/1e6)

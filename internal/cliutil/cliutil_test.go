@@ -108,6 +108,7 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		{"unknown wear", ReplaySpec{App: paper.Twitter, Wear: "perfect"}},
 		{"negative scale", ReplaySpec{App: paper.Twitter, Scale: -2}},
 		{"negative shrink", ReplaySpec{App: paper.Twitter, Shrink: -1}},
+		{"stretch past the clock", ReplaySpec{App: paper.Twitter, Scale: 1e300, Sessions: 2}},
 		{"fault seed only", ReplaySpec{App: paper.Twitter, FaultSeed: 9}},
 	}
 	for _, tc := range cases {

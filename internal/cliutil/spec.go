@@ -199,6 +199,10 @@ func (s *ReplaySpec) Profile(reg *workload.Registry) (*workload.Profile, error) 
 	return p, nil
 }
 
+// maxStretch bounds scale × sessions, the factor by which a replay spec
+// lengthens its workload's timeline.
+const maxStretch = 1e4
+
 // Validate normalizes the spec and rejects anything a replay would choke
 // on — unknown application, scheme, GC or wear policy, bad fault or scale
 // values — so the server can 400 before a job is ever queued.
@@ -215,6 +219,12 @@ func (s *ReplaySpec) Validate(reg *workload.Registry) error {
 	}
 	if s.Scale <= 0 {
 		return fmt.Errorf("scale must be > 0, got %v", s.Scale)
+	}
+	// Arrivals are int64 nanoseconds. The longest built-in session (Idle,
+	// ~8 h) stretched and repeated by this much stays ~30x inside that
+	// clock; past it, session repetition overflows and panics.
+	if s.Scale*float64(s.Sessions) > maxStretch {
+		return fmt.Errorf("scale × sessions must be <= %g, got %v × %d", float64(maxStretch), s.Scale, s.Sessions)
 	}
 	if s.Shrink < 0 {
 		return fmt.Errorf("shrink must be >= 0, got %d", s.Shrink)
@@ -284,9 +294,9 @@ func (s *ReplaySpec) Replay(ctx context.Context, scheme core.Scheme, reg *teleme
 		// Resume after the archived history: the fork's clock is already at
 		// its last activity, so the new session starts an idle gap later —
 		// the same shift emmcsim's -load path applies.
-		st = trace.ShiftStream(st, dev.LastActivity()+1_000_000_000)
+		st = core.Resume(dev, st)
 	}
-	return core.ReplayStreamSinkContext(ctx, dev, scheme, st, reg, tracer, sink)
+	return core.Replay(ctx, dev, scheme, st, core.ReplayOpts{Registry: reg, Tracer: tracer, Sink: sink})
 }
 
 // SchemeResult pairs one scheme with its replay metrics; it is the unit of

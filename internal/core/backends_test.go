@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -29,7 +30,7 @@ func TestCrossBackendDeterminism(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				m, err := ReplayStreamOn(dev, Scheme4PS, newSynthStream(n))
+				m, err := Replay(context.Background(), dev, Scheme4PS, newSynthStream(n), ReplayOpts{})
 				if err != nil {
 					t.Fatalf("%s replay died: %v", backend, err)
 				}
@@ -70,7 +71,7 @@ func TestBackendsDiverge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := ReplayStreamOn(dev, Scheme4PS, newSynthStream(n))
+		m, err := Replay(context.Background(), dev, Scheme4PS, newSynthStream(n), ReplayOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}

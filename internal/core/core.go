@@ -19,7 +19,6 @@ import (
 	"emmcio/internal/reliability"
 	"emmcio/internal/runner"
 	"emmcio/internal/storage"
-	"emmcio/internal/telemetry"
 	"emmcio/internal/trace"
 	"emmcio/internal/ufs"
 )
@@ -374,73 +373,6 @@ type Metrics struct {
 	RecoveryNs    int64
 }
 
-// Replay runs every request of the trace through a fresh device of the
-// given scheme, filling the requests' ServiceStart/Finish fields in place,
-// and returns the replay metrics. The trace must be arrival-ordered.
-func Replay(s Scheme, opt Options, tr *trace.Trace) (Metrics, error) {
-	return ReplayContext(context.Background(), s, opt, tr)
-}
-
-// ReplayContext is Replay with cancellation: the replay loop checks ctx
-// between events and aborts promptly with ctx's error once it is done.
-func ReplayContext(ctx context.Context, s Scheme, opt Options, tr *trace.Trace) (Metrics, error) {
-	dev, err := NewDevice(s, opt)
-	if err != nil {
-		return Metrics{}, err
-	}
-	return ReplayOnContext(ctx, dev, s, tr)
-}
-
-// ReplayOn replays a trace on an existing device (which may hold state from
-// prior traces — useful for aging studies).
-func ReplayOn(dev storage.Device, s Scheme, tr *trace.Trace) (Metrics, error) {
-	return ReplayObserved(dev, s, tr, nil, nil)
-}
-
-// ReplayOnContext is ReplayOn with cancellation.
-func ReplayOnContext(ctx context.Context, dev storage.Device, s Scheme, tr *trace.Trace) (Metrics, error) {
-	return ReplayObservedContext(ctx, dev, s, tr, nil, nil)
-}
-
-// coreTel holds the replay loop's metric handles, resolved once.
-type coreTel struct {
-	readReqs, writeReqs *telemetry.Counter
-	readResp, writeResp *telemetry.Histogram
-	readServ, writeServ *telemetry.Histogram
-	readWait, writeWait *telemetry.Histogram
-}
-
-func newCoreTel(reg *telemetry.Registry) *coreTel {
-	if reg == nil {
-		return nil
-	}
-	r, w := telemetry.L("op", "read"), telemetry.L("op", "write")
-	return &coreTel{
-		readReqs:  reg.Counter("core_requests_total", r),
-		writeReqs: reg.Counter("core_requests_total", w),
-		readResp:  reg.Histogram("core_response_ns", nil, r),
-		writeResp: reg.Histogram("core_response_ns", nil, w),
-		readServ:  reg.Histogram("core_service_ns", nil, r),
-		writeServ: reg.Histogram("core_service_ns", nil, w),
-		readWait:  reg.Histogram("core_wait_ns", nil, r),
-		writeWait: reg.Histogram("core_wait_ns", nil, w),
-	}
-}
-
-// ReplayObserved is ReplayOn with observability: it attaches the registry and
-// tracer to the device stack (nil values leave telemetry off), records one
-// "request" span (arrival → finish) and one "service" span (service-start →
-// finish) per request on the requests/read or requests/write track, and
-// feeds the core_{response,service,wait}_ns histograms split by operation.
-func ReplayObserved(dev storage.Device, s Scheme, tr *trace.Trace, reg *telemetry.Registry, tc *telemetry.Tracer) (Metrics, error) {
-	return ReplayObservedContext(context.Background(), dev, s, tr, reg, tc)
-}
-
-// ReplayObservedContext is ReplayObserved with cancellation.
-func ReplayObservedContext(ctx context.Context, dev storage.Device, s Scheme, tr *trace.Trace, reg *telemetry.Registry, tc *telemetry.Tracer) (Metrics, error) {
-	return replayLoop(ctx, dev, s, trace.FromSlice(tr), reg, tc, writeBack(tr))
-}
-
 // CaseStudyOptions are the settings of the §V experiments, matching the
 // paper's SSDsim setup: foreground GC, the RAM buffer disabled, and no
 // power-mode model (SSDsim does not simulate sleep states; power effects
@@ -474,14 +406,9 @@ const MaxReadSize = 256 * 1024
 // off, as a tight microbenchmark never lets the device sleep) and reports
 // payload moved per unit of service time. The per-size points are
 // independent (each builds its own devices), so they run as one plan on the
-// given runner; a nil runner uses a default-width pool.
-func ThroughputSweep(r *runner.Runner, s Scheme, opt Options, sizes []int, reqsPerPoint int) ([]ThroughputPoint, error) {
-	return ThroughputSweepContext(context.Background(), r, s, opt, sizes, reqsPerPoint)
-}
-
-// ThroughputSweepContext is ThroughputSweep with cancellation: once ctx is
-// done, points that have not started fail fast with its error.
-func ThroughputSweepContext(ctx context.Context, r *runner.Runner, s Scheme, opt Options, sizes []int, reqsPerPoint int) ([]ThroughputPoint, error) {
+// given runner; a nil runner uses a default-width pool. Once ctx is done,
+// points that have not started fail fast with its error.
+func ThroughputSweep(ctx context.Context, r *runner.Runner, s Scheme, opt Options, sizes []int, reqsPerPoint int) ([]ThroughputPoint, error) {
 	return runner.MapContext(ctx, r, "throughput", sizes, func(_ context.Context, _ int, size int) (ThroughputPoint, error) {
 		return throughputPoint(s, opt, size, reqsPerPoint)
 	})

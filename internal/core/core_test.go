@@ -1,9 +1,12 @@
 package core
 
 import (
+	"context"
+	"sort"
 	"testing"
 
 	"emmcio/internal/paper"
+	"emmcio/internal/storage"
 	"emmcio/internal/trace"
 	"emmcio/internal/workload"
 )
@@ -68,9 +71,45 @@ func smallTrace() *trace.Trace {
 	return tr
 }
 
+// loopFunc is one replay loop under test.
+type loopFunc func(ctx context.Context, dev storage.Device, s Scheme, st trace.Stream, sink func(trace.Request) error) (Metrics, error)
+
+// replayPolicy is Replay under policy as a loopFunc.
+func replayPolicy(policy SchedPolicy) loopFunc {
+	return func(ctx context.Context, dev storage.Device, s Scheme, st trace.Stream, sink func(trace.Request) error) (Metrics, error) {
+		return Replay(ctx, dev, s, st, ReplayOpts{Policy: policy, Sink: sink})
+	}
+}
+
+// replaySlice replays tr through loop on a fresh device of scheme s and
+// writes the replayed requests back into tr in arrival order, so tests can
+// compare loops request by request.
+func replaySlice(loop loopFunc, s Scheme, opt Options, tr *trace.Trace) (Metrics, error) {
+	dev, err := NewDevice(s, opt)
+	if err != nil {
+		return Metrics{}, err
+	}
+	out := make([]trace.Request, 0, len(tr.Reqs))
+	m, err := loop(context.Background(), dev, s, trace.FromSlice(tr), func(r trace.Request) error {
+		out = append(out, r)
+		return nil
+	})
+	if err != nil {
+		return m, err
+	}
+	sort.SliceStable(out, func(a, b int) bool { return out[a].Arrival < out[b].Arrival })
+	copy(tr.Reqs, out)
+	return m, nil
+}
+
+// replayTrace is a FIFO Replay of tr on a fresh device through replaySlice.
+func replayTrace(s Scheme, opt Options, tr *trace.Trace) (Metrics, error) {
+	return replaySlice(replayPolicy(SchedFIFO), s, opt, tr)
+}
+
 func TestReplayFillsTimestamps(t *testing.T) {
 	tr := smallTrace()
-	m, err := Replay(Scheme4PS, Options{}, tr)
+	m, err := replayTrace(Scheme4PS, Options{}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,8 +135,8 @@ func TestReplayFillsTimestamps(t *testing.T) {
 func TestReplayDeterministic(t *testing.T) {
 	a := smallTrace()
 	b := smallTrace()
-	ma, _ := Replay(SchemeHPS, Options{}, a)
-	mb, _ := Replay(SchemeHPS, Options{}, b)
+	ma, _ := replayTrace(SchemeHPS, Options{}, a)
+	mb, _ := replayTrace(SchemeHPS, Options{}, b)
 	if ma != mb {
 		t.Fatalf("identical replays diverged: %+v vs %+v", ma, mb)
 	}
@@ -107,7 +146,7 @@ func TestReplayDeterministic(t *testing.T) {
 func TestSpaceUtilizationOrdering(t *testing.T) {
 	for _, s := range []Scheme{Scheme4PS, SchemeHPS} {
 		tr := smallTrace()
-		m, err := Replay(s, Options{}, tr)
+		m, err := replayTrace(s, Options{}, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +155,7 @@ func TestSpaceUtilizationOrdering(t *testing.T) {
 		}
 	}
 	tr := smallTrace()
-	m8, err := Replay(Scheme8PS, Options{}, tr)
+	m8, err := replayTrace(Scheme8PS, Options{}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,12 +171,12 @@ func TestHPSBeats4PSOnAppTrace(t *testing.T) {
 	opt := CaseStudyOptions()
 
 	tr4 := prof.Generate(workload.DefaultSeed)
-	m4, err := Replay(Scheme4PS, opt, tr4)
+	m4, err := replayTrace(Scheme4PS, opt, tr4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	trH := prof.Generate(workload.DefaultSeed)
-	mH, err := Replay(SchemeHPS, opt, trH)
+	mH, err := replayTrace(SchemeHPS, opt, trH)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +185,7 @@ func TestHPSBeats4PSOnAppTrace(t *testing.T) {
 			mH.MeanResponseNs/1e6, m4.MeanResponseNs/1e6)
 	}
 	tr8 := prof.Generate(workload.DefaultSeed)
-	m8, err := Replay(Scheme8PS, opt, tr8)
+	m8, err := replayTrace(Scheme8PS, opt, tr8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +196,7 @@ func TestHPSBeats4PSOnAppTrace(t *testing.T) {
 }
 
 func TestThroughputSweepShape(t *testing.T) {
-	pts, err := ThroughputSweep(nil, Scheme4PS, Options{}, []int{4096, 65536, 1048576}, 4)
+	pts, err := ThroughputSweep(context.Background(), nil, Scheme4PS, Options{}, []int{4096, 65536, 1048576}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"emmcio/internal/paper"
+	"emmcio/internal/trace"
 	"emmcio/internal/workload"
 )
 
@@ -14,12 +16,12 @@ func TestEventDrivenMatchesSequential(t *testing.T) {
 	prof := workload.DefaultRegistry().Lookup(paper.Messaging)
 	for _, s := range Schemes {
 		seq := prof.Generate(workload.DefaultSeed)
-		mSeq, err := Replay(s, CaseStudyOptions(), seq)
+		mSeq, err := replayTrace(s, CaseStudyOptions(), seq)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ev := prof.Generate(workload.DefaultSeed)
-		mEv, err := ReplayEventDriven(s, CaseStudyOptions(), ev)
+		mEv, err := replaySlice(replayEventDriven, s, CaseStudyOptions(), ev)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,7 +39,7 @@ func TestEventDrivenMatchesSequential(t *testing.T) {
 
 	seq, mSeq := replayFaultyBuffered(t)
 	ev := prof.Generate(workload.DefaultSeed)
-	mEv, err := ReplayEventDriven(SchemeHPS, faultyBufferedOptions(), ev)
+	mEv, err := replaySlice(replayEventDriven, SchemeHPS, faultyBufferedOptions(), ev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,12 +57,12 @@ func TestEventDrivenWithPowerAndBuffer(t *testing.T) {
 	prof := workload.DefaultRegistry().Lookup(paper.YouTube)
 	opt := Options{PowerSaving: true, RAMBufferBytes: 4 << 20}
 	seq := prof.Generate(workload.DefaultSeed)
-	mSeq, err := Replay(Scheme4PS, opt, seq)
+	mSeq, err := replayTrace(Scheme4PS, opt, seq)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ev := prof.Generate(workload.DefaultSeed)
-	mEv, err := ReplayEventDriven(Scheme4PS, opt, ev)
+	mEv, err := replaySlice(replayEventDriven, Scheme4PS, opt, ev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +72,25 @@ func TestEventDrivenWithPowerAndBuffer(t *testing.T) {
 }
 
 func TestEventDrivenEmptyTrace(t *testing.T) {
-	m, err := ReplayEventDriven(Scheme4PS, Options{}, smallTrace().Window(0, 0))
+	m, err := replaySlice(replayEventDriven, Scheme4PS, Options{}, smallTrace().Window(0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Served != 0 {
 		t.Fatal("served requests from an empty trace")
+	}
+}
+
+func BenchmarkEventDrivenReplay(b *testing.B) {
+	prof := workload.DefaultRegistry().Lookup(paper.Messaging)
+	for i := 0; i < b.N; i++ {
+		tr := prof.Generate(workload.DefaultSeed)
+		dev, err := NewDevice(Scheme4PS, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := replayEventDriven(context.Background(), dev, Scheme4PS, trace.FromSlice(tr), nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

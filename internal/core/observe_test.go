@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -9,11 +10,11 @@ import (
 	"emmcio/internal/trace"
 )
 
-// ReplayObserved must record exactly one "request" span per trace request
+// An observed Replay must record exactly one "request" span per trace request
 // and leave the replay's timing identical to the unobserved path.
 func TestReplayObservedSpansAndMetrics(t *testing.T) {
 	plain := smallTrace()
-	mPlain, err := Replay(SchemeHPS, Options{}, plain)
+	mPlain, err := replayTrace(SchemeHPS, Options{}, plain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +27,7 @@ func TestReplayObservedSpansAndMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := ReplayObserved(dev, SchemeHPS, tr, reg, tc)
+	m, err := Replay(context.Background(), dev, SchemeHPS, trace.FromSlice(tr), ReplayOpts{Registry: reg, Tracer: tc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,12 +91,12 @@ func TestReplayObservedNilTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := ReplayObserved(dev, Scheme4PS, tr, nil, nil)
+	m, err := Replay(context.Background(), dev, Scheme4PS, trace.FromSlice(tr), ReplayOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref := smallTrace()
-	mRef, err := Replay(Scheme4PS, Options{}, ref)
+	mRef, err := replayTrace(Scheme4PS, Options{}, ref)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,5 @@
 package core
 
-import (
-	"context"
-
-	"emmcio/internal/trace"
-)
-
 // SchedPolicy selects how an OS-level dispatcher orders waiting requests
 // before handing them to the (single-queue, FIFO) eMMC device. The paper's
 // Implication 1 argues that host-side queueing machinery buys little on
@@ -32,18 +26,4 @@ func (p SchedPolicy) String() string {
 		return "read-first"
 	}
 	return "FIFO"
-}
-
-// ReplayScheduled replays a trace through a fresh device with an OS-level
-// dispatcher applying the given policy to waiting requests. With SchedFIFO
-// it is equivalent to Replay. Timestamps are filled into the trace.
-func ReplayScheduled(s Scheme, opt Options, tr *trace.Trace, policy SchedPolicy) (Metrics, error) {
-	m, err := scheduledLoop(context.Background(), s, opt, trace.FromSlice(tr), policy, writeBack(tr))
-	if err != nil {
-		return m, err
-	}
-	// Requests may have been served out of order; restore arrival order for
-	// downstream analyses that assume it.
-	sortByArrivalStable(tr)
-	return m, nil
 }

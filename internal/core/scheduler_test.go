@@ -1,23 +1,34 @@
 package core
 
 import (
+	"bytes"
+	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"emmcio/internal/faults"
 	"emmcio/internal/paper"
+	"emmcio/internal/storage"
+	"emmcio/internal/telemetry"
 	"emmcio/internal/trace"
 	"emmcio/internal/workload"
 )
 
+// scheduledFIFO runs the dispatcher loop in FIFO order, which Replay itself
+// never does (a FIFO Replay takes replayLoop).
+func scheduledFIFO(ctx context.Context, dev storage.Device, s Scheme, st trace.Stream, sink func(trace.Request) error) (Metrics, error) {
+	return scheduledLoop(ctx, dev, s, st, ReplayOpts{Sink: sink})
+}
+
 func TestScheduledFIFOMatchesReplay(t *testing.T) {
 	a := smallTrace()
-	mA, err := Replay(Scheme4PS, Options{}, a)
+	mA, err := replayTrace(Scheme4PS, Options{}, a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := smallTrace()
-	mB, err := ReplayScheduled(Scheme4PS, Options{}, b, SchedFIFO)
+	mB, err := replaySlice(scheduledFIFO, Scheme4PS, Options{}, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +38,7 @@ func TestScheduledFIFOMatchesReplay(t *testing.T) {
 
 	seq, mSeq := replayFaultyBuffered(t)
 	fifo := workload.DefaultRegistry().Lookup(paper.Messaging).Generate(workload.DefaultSeed)
-	mFIFO, err := ReplayScheduled(SchemeHPS, faultyBufferedOptions(), fifo, SchedFIFO)
+	mFIFO, err := replaySlice(scheduledFIFO, SchemeHPS, faultyBufferedOptions(), fifo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,6 +49,37 @@ func TestScheduledFIFOMatchesReplay(t *testing.T) {
 		if seq.Reqs[i] != fifo.Reqs[i] {
 			t.Fatalf("request %d timestamps differ:\nreplay %+v\nfifo   %+v", i, seq.Reqs[i], fifo.Reqs[i])
 		}
+	}
+
+	// Both loops feed the same core_* series through the shared observer.
+	coreSeries := func(loop func(context.Context, storage.Device, Scheme, trace.Stream, ReplayOpts) (Metrics, error)) string {
+		t.Helper()
+		dev, err := NewDevice(SchemeHPS, faultyBufferedOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := telemetry.NewRegistry()
+		if _, err := loop(context.Background(), dev, SchemeHPS, trace.FromSlice(seq), ReplayOpts{Registry: reg}); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var lines []string
+		for _, l := range strings.Split(buf.String(), "\n") {
+			if strings.HasPrefix(l, "core_") {
+				lines = append(lines, l)
+			}
+		}
+		return strings.Join(lines, "\n")
+	}
+	plain, sched := coreSeries(replayLoop), coreSeries(scheduledLoop)
+	if !strings.Contains(plain, "core_requests_total") {
+		t.Fatalf("FIFO replay wrote no core_* series:\n%s", plain)
+	}
+	if plain != sched {
+		t.Fatalf("core_* series differ:\nreplay\n%s\nscheduled\n%s", plain, sched)
 	}
 }
 
@@ -57,7 +99,7 @@ func faultyBufferedOptions() Options {
 func replayFaultyBuffered(t *testing.T) (*trace.Trace, Metrics) {
 	t.Helper()
 	tr := workload.DefaultRegistry().Lookup(paper.Messaging).Generate(workload.DefaultSeed)
-	m, err := Replay(SchemeHPS, faultyBufferedOptions(), tr)
+	m, err := replayTrace(SchemeHPS, faultyBufferedOptions(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,13 +114,13 @@ func replayFaultyBuffered(t *testing.T) (*trace.Trace, Metrics) {
 func TestSchedulingBarelyMattersOnTypicalTrace(t *testing.T) {
 	prof := workload.DefaultRegistry().Lookup(paper.Twitter)
 	base := prof.Generate(workload.DefaultSeed)
-	mFIFO, err := ReplayScheduled(Scheme4PS, CaseStudyOptions(), base.Clone(), SchedFIFO)
+	mFIFO, err := replayTrace(Scheme4PS, CaseStudyOptions(), base.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
 	sjf := base.Clone()
 	sjf.ClearTimestamps()
-	mSJF, err := ReplayScheduled(Scheme4PS, CaseStudyOptions(), sjf, SchedSJF)
+	mSJF, err := replaySlice(replayPolicy(SchedSJF), Scheme4PS, CaseStudyOptions(), sjf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +149,11 @@ func TestSJFHelpsUnderSaturation(t *testing.T) {
 		}
 		return tr
 	}
-	mFIFO, err := ReplayScheduled(Scheme4PS, Options{}, mk(), SchedFIFO)
+	mFIFO, err := replayTrace(Scheme4PS, Options{}, mk())
 	if err != nil {
 		t.Fatal(err)
 	}
-	mSJF, err := ReplayScheduled(Scheme4PS, Options{}, mk(), SchedSJF)
+	mSJF, err := replaySlice(replayPolicy(SchedSJF), Scheme4PS, Options{}, mk())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +172,7 @@ func TestReadFirstPolicy(t *testing.T) {
 		{Arrival: 1, LBA: 8000, Size: 4096, Op: trace.Write},
 		{Arrival: 2, LBA: 16000, Size: 4096, Op: trace.Read},
 	}
-	m, err := ReplayScheduled(Scheme4PS, Options{}, tr, SchedReadFirst)
+	m, err := replaySlice(replayPolicy(SchedReadFirst), Scheme4PS, Options{}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}

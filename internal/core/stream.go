@@ -1,86 +1,132 @@
-// Streaming replay: every replay path in this package pulls requests from a
+// Replay is the package's one replay entry point. It pulls requests from a
 // trace.Stream, so memory is O(in-flight requests) and independent of trace
-// length. The slice-based entry points (Replay, ReplayObserved,
-// ReplayScheduled, ReplayEventDriven) are thin adapters over the stream
-// loops via trace.FromSlice, writing timestamps back into the caller's
-// slice — both paths execute the identical Submit sequence, so their
-// Metrics are bit-identical (TestStreamingReplayEquivalence enforces it).
+// length. A materialized trace replays through trace.FromSlice, with a Sink
+// to collect the timestamps; both inputs execute the identical Submit
+// sequence, so their Metrics are bit-identical
+// (TestStreamingReplayEquivalence enforces it).
 
 package core
 
 import (
 	"context"
 	"fmt"
-	"sort"
 
-	"emmcio/internal/sim"
 	"emmcio/internal/storage"
 	"emmcio/internal/telemetry"
 	"emmcio/internal/trace"
 )
 
-// ReplayStream replays a stream through a fresh device of the given scheme
-// and returns the replay metrics. Requests must arrive in order.
-func ReplayStream(s Scheme, opt Options, st trace.Stream) (Metrics, error) {
-	return ReplayStreamContext(context.Background(), s, opt, st)
+// ReplayOpts are Replay's optional inputs. The zero value is a FIFO replay
+// with telemetry off and no sink.
+type ReplayOpts struct {
+	// Policy selects host-side scheduling. SchedFIFO (the zero value)
+	// submits in arrival order and lets the device compute waiting; any
+	// other policy runs an OS-level dispatcher that picks among the
+	// requests that have arrived by the time the device frees.
+	Policy SchedPolicy
+	// Registry and Tracer, when non-nil, are attached to the device stack.
+	// The replay feeds the core_requests_total counter and the
+	// core_{response,service,wait}_ns histograms, split by operation, and
+	// records one "request" span (arrival → finish) and one "service" span
+	// (service start → finish) per request on the requests/read or
+	// requests/write track.
+	Registry *telemetry.Registry
+	Tracer   *telemetry.Tracer
+	// Sink, when non-nil, receives every request with its replayed
+	// ServiceStart and Finish filled in, in dispatch order (arrival order
+	// under SchedFIFO) — the hook online analysis and streaming trace
+	// writers attach to. A sink error aborts the replay.
+	Sink func(trace.Request) error
 }
 
-// ReplayStreamContext is ReplayStream with cancellation: ctx is checked
-// between events, so a canceled replay returns promptly with ctx's error
-// instead of running the stream dry.
-func ReplayStreamContext(ctx context.Context, s Scheme, opt Options, st trace.Stream) (Metrics, error) {
-	dev, err := NewDevice(s, opt)
-	if err != nil {
-		return Metrics{}, err
+// Replay runs every request of st through dev and returns the replay
+// metrics. dev may be fresh or hold state from earlier replays (aging
+// studies, forked snapshots); requests must arrive in order. ctx is checked
+// between requests, so a canceled replay returns promptly with ctx's error
+// instead of running the stream dry; the check costs nothing when ctx can
+// never be canceled (Background/TODO).
+func Replay(ctx context.Context, dev storage.Device, s Scheme, st trace.Stream, o ReplayOpts) (Metrics, error) {
+	if o.Policy != SchedFIFO {
+		return scheduledLoop(ctx, dev, s, st, o)
 	}
-	return ReplayStreamSinkContext(ctx, dev, s, st, nil, nil, nil)
+	return replayLoop(ctx, dev, s, st, o)
 }
 
-// ReplayStreamOn replays a stream on an existing device (which may hold
-// state from prior traces — useful for aging studies).
-func ReplayStreamOn(dev storage.Device, s Scheme, st trace.Stream) (Metrics, error) {
-	return ReplayStreamObserved(dev, s, st, nil, nil)
-}
-
-// ReplayStreamObserved is ReplayStreamOn with observability, the streaming
-// form of ReplayObserved.
-func ReplayStreamObserved(dev storage.Device, s Scheme, st trace.Stream, reg *telemetry.Registry, tc *telemetry.Tracer) (Metrics, error) {
-	return ReplayStreamSink(dev, s, st, reg, tc, nil)
-}
-
-// ReplayStreamObservedContext is ReplayStreamObserved with cancellation.
-func ReplayStreamObservedContext(ctx context.Context, dev storage.Device, s Scheme, st trace.Stream, reg *telemetry.Registry, tc *telemetry.Tracer) (Metrics, error) {
-	return ReplayStreamSinkContext(ctx, dev, s, st, reg, tc, nil)
-}
-
-// ReplayStreamSink is ReplayStreamObserved with a completion sink: sink
-// (when non-nil) receives every request with its replayed ServiceStart and
-// Finish filled in, in arrival order — the hook online analysis and
-// streaming trace writers attach to. A sink error aborts the replay.
-func ReplayStreamSink(dev storage.Device, s Scheme, st trace.Stream, reg *telemetry.Registry, tc *telemetry.Tracer, sink func(trace.Request) error) (Metrics, error) {
-	return ReplayStreamSinkContext(context.Background(), dev, s, st, reg, tc, sink)
-}
-
-// ReplayStreamSinkContext is ReplayStreamSink with cancellation: the replay
-// loop checks ctx between events, so long replays abort promptly (the
-// server's job cancellation and per-job deadlines rely on this). The check
-// costs nothing when ctx can never be canceled (Background/TODO).
+// ReplayStreamSinkContext is a FIFO Replay with the options as arguments.
+//
+// Deprecated: use Replay. It stays only because perfbench, a separate
+// module pinned to the benchmark it runs, calls it by this name.
 func ReplayStreamSinkContext(ctx context.Context, dev storage.Device, s Scheme, st trace.Stream, reg *telemetry.Registry, tc *telemetry.Tracer, sink func(trace.Request) error) (Metrics, error) {
-	if sink == nil {
-		return replayLoop(ctx, dev, s, st, reg, tc, nil)
-	}
-	return replayLoop(ctx, dev, s, st, reg, tc, func(_ int, req trace.Request) error { return sink(req) })
+	return Replay(ctx, dev, s, st, ReplayOpts{Registry: reg, Tracer: tc, Sink: sink})
 }
 
-// replayLoop is the one sequential replay loop behind Replay/ReplayOn/
-// ReplayObserved and their stream forms: pull, submit, observe, sink.
-// ctx is polled once per event; Background's nil Done channel skips the
-// check entirely, keeping the uncancellable hot path identical.
-func replayLoop(ctx context.Context, dev storage.Device, s Scheme, st trace.Stream, reg *telemetry.Registry, tc *telemetry.Tracer, sink func(i int, req trace.Request) error) (Metrics, error) {
-	if reg != nil || tc != nil {
-		dev.SetTelemetry(reg, tc)
+// Resume shifts st to start one idle second after dev's last activity, so a
+// device restored from a snapshot (or forked from an archived one) replays
+// a new session after its history instead of overlapping it.
+func Resume(dev storage.Device, st trace.Stream) trace.Stream {
+	return trace.ShiftStream(st, dev.LastActivity()+1_000_000_000)
+}
+
+// observer is the per-request step both replay loops share: the core_*
+// series, the request/service spans, and the sink. The series are indexed
+// by operation: 0 for reads, 1 for writes.
+type observer struct {
+	reqs             [2]*telemetry.Counter
+	resp, serv, wait [2]*telemetry.Histogram
+	tc               *telemetry.Tracer
+	sink             func(trace.Request) error
+}
+
+// newObserver attaches o's telemetry to dev (nil values leave it off) and
+// resolves the metric handles once.
+func newObserver(dev storage.Device, o ReplayOpts) observer {
+	if o.Registry != nil || o.Tracer != nil {
+		dev.SetTelemetry(o.Registry, o.Tracer)
 	}
-	ct := newCoreTel(reg)
+	ob := observer{tc: o.Tracer, sink: o.Sink}
+	if reg := o.Registry; reg != nil {
+		for op, name := range [2]string{"read", "write"} {
+			l := telemetry.L("op", name)
+			ob.reqs[op] = reg.Counter("core_requests_total", l)
+			ob.resp[op] = reg.Histogram("core_response_ns", nil, l)
+			ob.serv[op] = reg.Histogram("core_service_ns", nil, l)
+			ob.wait[op] = reg.Histogram("core_wait_ns", nil, l)
+		}
+	}
+	return ob
+}
+
+// served observes one completed request and hands it, timestamped, to the
+// sink; it returns the sink's error.
+func (ob *observer) served(req trace.Request, res storage.Result) error {
+	op := 0
+	if req.Op == trace.Write {
+		op = 1
+	}
+	if ob.reqs[op] != nil {
+		ob.reqs[op].Inc()
+		ob.resp[op].Observe(res.Finish - req.Arrival)
+		ob.serv[op].Observe(res.Finish - res.ServiceStart)
+		ob.wait[op].Observe(res.ServiceStart - req.Arrival)
+	}
+	if ob.tc != nil {
+		track := [2]string{"requests/read", "requests/write"}[op]
+		ob.tc.Span("core", track, "request", req.Arrival, res.Finish)
+		ob.tc.Span("core", track, "service", res.ServiceStart, res.Finish)
+	}
+	if ob.sink == nil {
+		return nil
+	}
+	req.ServiceStart = res.ServiceStart
+	req.Finish = res.Finish
+	return ob.sink(req)
+}
+
+// replayLoop is the FIFO replay: pull, submit, observe, sink. ctx is polled
+// once per request; Background's nil Done channel skips the check entirely,
+// keeping the uncancellable hot path identical.
+func replayLoop(ctx context.Context, dev storage.Device, s Scheme, st trace.Stream, o ReplayOpts) (Metrics, error) {
+	ob := newObserver(dev, o)
 	name := st.Name()
 	done := ctx.Done()
 	for i := 0; ; i++ {
@@ -102,33 +148,8 @@ func replayLoop(ctx context.Context, dev storage.Device, s Scheme, st trace.Stre
 		if err != nil {
 			return Metrics{}, fmt.Errorf("core: replaying %s request %d on %s: %w", name, i, s, err)
 		}
-		if ct != nil {
-			if req.Op == trace.Write {
-				ct.writeReqs.Inc()
-				ct.writeResp.Observe(res.Finish - req.Arrival)
-				ct.writeServ.Observe(res.Finish - res.ServiceStart)
-				ct.writeWait.Observe(res.ServiceStart - req.Arrival)
-			} else {
-				ct.readReqs.Inc()
-				ct.readResp.Observe(res.Finish - req.Arrival)
-				ct.readServ.Observe(res.Finish - res.ServiceStart)
-				ct.readWait.Observe(res.ServiceStart - req.Arrival)
-			}
-		}
-		if tc != nil {
-			track := "requests/read"
-			if req.Op == trace.Write {
-				track = "requests/write"
-			}
-			tc.Span("core", track, "request", req.Arrival, res.Finish)
-			tc.Span("core", track, "service", res.ServiceStart, res.Finish)
-		}
-		if sink != nil {
-			req.ServiceStart = res.ServiceStart
-			req.Finish = res.Finish
-			if err := sink(i, req); err != nil {
-				return Metrics{}, fmt.Errorf("core: sinking %s request %d: %w", name, i, err)
-			}
+		if err := ob.served(req, res); err != nil {
+			return Metrics{}, fmt.Errorf("core: sinking %s request %d: %w", name, i, err)
 		}
 	}
 	return deviceMetrics(dev, name, s), nil
@@ -163,33 +184,14 @@ func deviceMetrics(dev storage.Device, name string, s Scheme) Metrics {
 	return m
 }
 
-// ReplayScheduledStream replays a stream through a fresh device with an
-// OS-level dispatcher applying the given policy to waiting requests — the
-// streaming form of ReplayScheduled. Memory is O(waiting queue): the
-// dispatcher keeps one lookahead request plus whatever has arrived but not
-// yet dispatched. sink (when non-nil) receives completed requests in
-// dispatch order, which under SJF or read-first is not arrival order.
-func ReplayScheduledStream(s Scheme, opt Options, st trace.Stream, policy SchedPolicy, sink func(trace.Request) error) (Metrics, error) {
-	return ReplayScheduledStreamContext(context.Background(), s, opt, st, policy, sink)
-}
-
-// ReplayScheduledStreamContext is ReplayScheduledStream with cancellation:
-// ctx is checked once per dispatch.
-func ReplayScheduledStreamContext(ctx context.Context, s Scheme, opt Options, st trace.Stream, policy SchedPolicy, sink func(trace.Request) error) (Metrics, error) {
-	if sink == nil {
-		return scheduledLoop(ctx, s, opt, st, policy, nil)
-	}
-	return scheduledLoop(ctx, s, opt, st, policy, func(_ int, req trace.Request) error { return sink(req) })
-}
-
-// scheduledLoop is the dispatcher behind ReplayScheduled and its stream
-// form. The sink receives each completed request with its pull index.
-func scheduledLoop(ctx context.Context, s Scheme, opt Options, st trace.Stream, policy SchedPolicy, sink func(idx int, req trace.Request) error) (Metrics, error) {
-	dev, err := NewDevice(s, opt)
-	if err != nil {
-		return Metrics{}, err
-	}
-
+// scheduledLoop is the host-side dispatcher behind every non-FIFO Replay:
+// it admits whatever has arrived by the time the device frees and submits
+// the request o.Policy picks, at that dispatch time. Memory is O(waiting
+// queue): one lookahead request plus the arrived, undispatched ones. With
+// SchedFIFO it reproduces replayLoop's timestamps
+// (TestScheduledFIFOMatchesReplay holds it to that).
+func scheduledLoop(ctx context.Context, dev storage.Device, s Scheme, st trace.Stream, o ReplayOpts) (Metrics, error) {
+	ob := newObserver(dev, o)
 	type item struct {
 		idx int
 		req trace.Request
@@ -197,7 +199,9 @@ func scheduledLoop(ctx context.Context, s Scheme, opt Options, st trace.Stream, 
 	name := st.Name()
 	var queue []item
 	var deviceFree int64
-	noWait := 0
+	// A resumed device's history counts toward NoWait, as it does toward
+	// every other device-lifetime field of Metrics.
+	noWait := dev.Metrics().NoWait
 
 	// One-request lookahead over the stream, replacing the slice index.
 	next := 0
@@ -217,7 +221,7 @@ func scheduledLoop(ctx context.Context, s Scheme, opt Options, st trace.Stream, 
 
 	pick := func() int {
 		best := 0
-		switch policy {
+		switch o.Policy {
 		case SchedSJF:
 			for i := 1; i < len(queue); i++ {
 				if queue[i].req.Size < queue[best].req.Size {
@@ -268,12 +272,8 @@ func scheduledLoop(ctx context.Context, s Scheme, opt Options, st trace.Stream, 
 		if res.ServiceStart == it.req.Arrival {
 			noWait++
 		}
-		if sink != nil {
-			it.req.ServiceStart = res.ServiceStart
-			it.req.Finish = res.Finish
-			if err := sink(it.idx, it.req); err != nil {
-				return Metrics{}, fmt.Errorf("core: sinking %s request %d: %w", name, it.idx, err)
-			}
+		if err := ob.served(it.req, res); err != nil {
+			return Metrics{}, fmt.Errorf("core: sinking %s request %d: %w", name, it.idx, err)
 		}
 	}
 
@@ -284,193 +284,4 @@ func scheduledLoop(ctx context.Context, s Scheme, opt Options, st trace.Stream, 
 		m.NoWaitRatio = float64(noWait) / float64(m.Served)
 	}
 	return m, nil
-}
-
-// ReplayEventDrivenStream replays a stream through the discrete-event
-// kernel — the streaming form of ReplayEventDriven. Arrivals are scheduled
-// lazily, one lookahead at a time (arrival i fires, arrival i+1 enters the
-// event queue), so the engine's queue holds O(waiting requests) rather than
-// the whole trace. sink (when non-nil) receives completed requests in
-// dispatch (FIFO) order.
-func ReplayEventDrivenStream(s Scheme, opt Options, st trace.Stream, sink func(trace.Request) error) (Metrics, error) {
-	return ReplayEventDrivenStreamContext(context.Background(), s, opt, st, sink)
-}
-
-// ReplayEventDrivenStreamContext is ReplayEventDrivenStream with
-// cancellation: ctx is checked once per dispatched request.
-func ReplayEventDrivenStreamContext(ctx context.Context, s Scheme, opt Options, st trace.Stream, sink func(trace.Request) error) (Metrics, error) {
-	if sink == nil {
-		return eventLoop(ctx, s, opt, st, nil)
-	}
-	return eventLoop(ctx, s, opt, st, func(_ int, req trace.Request) error { return sink(req) })
-}
-
-// Event kinds for eventReplay, carried as the sim.Handler arg.
-const (
-	evArrival  int64 = 0
-	evComplete int64 = 1
-)
-
-// eventEntry is one arrived request waiting for the device.
-type eventEntry struct {
-	idx int
-	req trace.Request
-}
-
-// eventReplay is the event-driven replay state machine. It implements
-// sim.Handler, so arrival and completion events reuse pooled engine slots
-// instead of allocating a closure per event; the event kind travels as the
-// handler arg. Only one arrival event is ever in flight (lazy lookahead),
-// so a single pending slot carries the request between schedule and fire.
-type eventReplay struct {
-	eng  sim.Engine
-	dev  storage.Device
-	st   trace.Stream
-	name string
-	done <-chan struct{}
-	ctx  context.Context
-	sink func(idx int, req trace.Request) error
-
-	// queue[head:] holds arrived requests in FIFO order; the drained prefix
-	// is compacted away once it dominates, keeping the backing array bounded
-	// by the peak waiting depth.
-	queue      []eventEntry
-	head       int
-	busy       bool
-	pulled     int
-	dispatched int
-
-	pending   eventEntry // the scheduled-but-not-fired arrival
-	pendingOK bool
-
-	err error
-}
-
-// scheduleNext pulls one request and schedules its arrival event.
-func (r *eventReplay) scheduleNext() {
-	if r.err != nil {
-		return
-	}
-	req, ok, err := r.st.Next()
-	if err != nil {
-		r.err = fmt.Errorf("core: reading %s request %d: %w", r.name, r.pulled, err)
-		return
-	}
-	if !ok {
-		return
-	}
-	r.pending = eventEntry{idx: r.pulled, req: req}
-	r.pendingOK = true
-	r.pulled++
-	r.eng.Schedule(req.Arrival, r, evArrival)
-}
-
-// OnEvent advances the state machine on an arrival or completion event.
-func (r *eventReplay) OnEvent(now sim.Time, arg int64) {
-	switch arg {
-	case evArrival:
-		r.queue = append(r.queue, r.pending)
-		r.pending = eventEntry{}
-		r.pendingOK = false
-		r.scheduleNext()
-	case evComplete:
-		r.busy = false
-	}
-	r.dispatch(now)
-}
-
-// dispatch submits the oldest waiting request when the device is free.
-func (r *eventReplay) dispatch(now sim.Time) {
-	if r.busy || r.head == len(r.queue) || r.err != nil {
-		return
-	}
-	if r.done != nil {
-		select {
-		case <-r.done:
-			r.err = fmt.Errorf("core: event replay of %s canceled after %d requests: %w", r.name, r.dispatched, r.ctx.Err())
-			return
-		default:
-		}
-	}
-	e := r.queue[r.head]
-	r.queue[r.head] = eventEntry{}
-	r.head++
-	if r.head == len(r.queue) {
-		r.queue = r.queue[:0]
-		r.head = 0
-	} else if r.head >= 64 && r.head*2 >= len(r.queue) {
-		n := copy(r.queue, r.queue[r.head:])
-		clearTail := r.queue[n:]
-		for i := range clearTail {
-			clearTail[i] = eventEntry{}
-		}
-		r.queue = r.queue[:n]
-		r.head = 0
-	}
-	r.busy = true
-	// Dispatch with the request's own arrival so the device's
-	// wait/no-wait accounting matches the tracer's semantics: the
-	// device computes serviceStart = max(arrival, freeAt) itself.
-	res, err := r.dev.SubmitAt(e.req.Arrival, e.req)
-	if err != nil {
-		r.err = fmt.Errorf("core: event replay of %s request %d: %w", r.name, e.idx, err)
-		return
-	}
-	r.dispatched++
-	if r.sink != nil {
-		e.req.ServiceStart = res.ServiceStart
-		e.req.Finish = res.Finish
-		if err := r.sink(e.idx, e.req); err != nil {
-			r.err = fmt.Errorf("core: sinking %s request %d: %w", r.name, e.idx, err)
-			return
-		}
-	}
-	r.eng.Schedule(res.Finish, r, evComplete)
-}
-
-// eventLoop is the event-driven replay behind ReplayEventDriven and its
-// stream form. Tie handling note: lazy arrival scheduling interleaves
-// arrival and completion events differently than scheduling every arrival
-// upfront, but results are unaffected — the FIFO queue order depends only
-// on the arrival sequence, and the device computes service start from the
-// request's own arrival time, not from when dispatch runs.
-func eventLoop(ctx context.Context, s Scheme, opt Options, st trace.Stream, sink func(idx int, req trace.Request) error) (Metrics, error) {
-	dev, err := NewDevice(s, opt)
-	if err != nil {
-		return Metrics{}, err
-	}
-	r := &eventReplay{
-		dev:  dev,
-		st:   st,
-		name: st.Name(),
-		done: ctx.Done(),
-		ctx:  ctx,
-		sink: sink,
-	}
-	r.scheduleNext()
-	r.eng.Run()
-	if r.err != nil {
-		return Metrics{}, r.err
-	}
-	if r.dispatched != r.pulled {
-		return Metrics{}, fmt.Errorf("core: event replay served %d of %d requests", r.dispatched, r.pulled)
-	}
-
-	return deviceMetrics(dev, r.name, s), nil
-}
-
-// writeBack returns a sink that writes replayed timestamps into the
-// caller's slice by pull index — the adapter every slice-based replay path
-// uses to keep its fill-in-place contract.
-func writeBack(tr *trace.Trace) func(idx int, req trace.Request) error {
-	return func(idx int, req trace.Request) error {
-		tr.Reqs[idx].ServiceStart = req.ServiceStart
-		tr.Reqs[idx].Finish = req.Finish
-		return nil
-	}
-}
-
-// sortByArrivalStable restores arrival order after an out-of-order replay.
-func sortByArrivalStable(tr *trace.Trace) {
-	sort.SliceStable(tr.Reqs, func(a, b int) bool { return tr.Reqs[a].Arrival < tr.Reqs[b].Arrival })
 }

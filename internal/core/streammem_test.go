@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -66,14 +67,14 @@ func TestStreamReplayAllocationBudget(t *testing.T) {
 	}
 	// Warm up device-internal lazy structures on a short prefix so the
 	// measured window reflects steady-state replay.
-	if _, err := ReplayStreamOn(dev, SchemeHPS, newSynthStream(10_000)); err != nil {
+	if _, err := Replay(context.Background(), dev, SchemeHPS, newSynthStream(10_000), ReplayOpts{}); err != nil {
 		t.Fatal(err)
 	}
 
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	if _, err := ReplayStreamOn(dev, SchemeHPS, newSynthStream(n)); err != nil {
+	if _, err := Replay(context.Background(), dev, SchemeHPS, newSynthStream(n), ReplayOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
@@ -119,14 +120,14 @@ func TestStreamReplayAllocationBudgetUFS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReplayStreamOn(dev, SchemeHPS, newSynthStream(10_000)); err != nil {
+	if _, err := Replay(context.Background(), dev, SchemeHPS, newSynthStream(10_000), ReplayOpts{}); err != nil {
 		t.Fatal(err)
 	}
 
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	if _, err := ReplayStreamOn(dev, SchemeHPS, newSynthStream(n)); err != nil {
+	if _, err := Replay(context.Background(), dev, SchemeHPS, newSynthStream(n), ReplayOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
@@ -164,7 +165,7 @@ func BenchmarkReplayUFS1k(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ReplayStreamOn(dev, SchemeHPS, newSynthStream(n)); err != nil {
+		if _, err := Replay(context.Background(), dev, SchemeHPS, newSynthStream(n), ReplayOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -180,12 +181,12 @@ func benchReplay(b *testing.B, streamed bool) {
 			b.Fatal(err)
 		}
 		if streamed {
-			_, err = ReplayStreamOn(dev, SchemeHPS, newSynthStream(n))
+			_, err = Replay(context.Background(), dev, SchemeHPS, newSynthStream(n), ReplayOpts{})
 		} else {
 			var tr *trace.Trace
 			tr, err = trace.Collect(newSynthStream(n))
 			if err == nil {
-				_, err = ReplayOn(dev, SchemeHPS, tr)
+				_, err = Replay(context.Background(), dev, SchemeHPS, trace.FromSlice(tr), ReplayOpts{})
 			}
 		}
 		if err != nil {

@@ -76,7 +76,7 @@ func AgeDevice(env *Env, p AgePrep) (storage.Device, error) {
 	if p.Sessions > 1 {
 		st = trace.Repeat(st, p.Sessions, 1_000_000_000)
 	}
-	if _, err := core.ReplayStreamSinkContext(env.context(), dev, p.Scheme, st, nil, nil, nil); err != nil {
+	if _, err := core.Replay(env.context(), dev, p.Scheme, st, core.ReplayOpts{}); err != nil {
 		return nil, fmt.Errorf("experiments: aging prep %s x%d: %w", p.Trace, p.Sessions, err)
 	}
 	return dev, nil
@@ -118,8 +118,8 @@ func AgedStudy(env *Env, p AgePrep, traces []string) ([]AgedPoint, error) {
 			if err != nil {
 				return AgedPoint{}, err
 			}
-			st := trace.ShiftStream(env.Stream(name), dev.LastActivity()+1_000_000_000)
-			m, err := core.ReplayStreamObservedContext(ctx, dev, p.Scheme, st, env.Telemetry, env.Tracer)
+			m, err := core.Replay(ctx, dev, p.Scheme, core.Resume(dev, env.Stream(name)),
+				core.ReplayOpts{Registry: env.Telemetry, Tracer: env.Tracer})
 			if err != nil {
 				return AgedPoint{}, err
 			}

@@ -8,7 +8,6 @@ import (
 	"emmcio/internal/faults"
 	"emmcio/internal/paper"
 	"emmcio/internal/storage"
-	"emmcio/internal/trace"
 )
 
 // testAgePrep keeps the aging replays test-sized: one session of a small
@@ -55,8 +54,7 @@ func TestForkDeterminism(t *testing.T) {
 			fork, _ := forkFromSealed(t, env, p)
 
 			replay := func(dev storage.Device) (core.Metrics, int64) {
-				st := trace.ShiftStream(env.Stream(paper.Movie), dev.LastActivity()+1_000_000_000)
-				m, err := core.ReplayStreamObservedContext(env.context(), dev, p.Scheme, st, nil, nil)
+				m, err := core.Replay(env.context(), dev, p.Scheme, core.Resume(dev, env.Stream(paper.Movie)), core.ReplayOpts{})
 				if err != nil {
 					t.Fatalf("replay: %v", err)
 				}

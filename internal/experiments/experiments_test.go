@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -430,16 +431,19 @@ func TestMLCPairingPreservesMeanService(t *testing.T) {
 	paired.MLCPairing = true
 	paired.PairingSpread = 0.8
 
-	tr1 := env.Trace(paper.Messaging)
-	m1, err := core.Replay(core.Scheme4PS, core.Options{Timing: &base}, tr1)
-	if err != nil {
-		t.Fatal(err)
+	replay := func(opt core.Options) core.Metrics {
+		dev, err := core.NewDevice(core.Scheme4PS, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := core.Replay(env.context(), dev, core.Scheme4PS, env.Stream(paper.Messaging), core.ReplayOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
 	}
-	tr2 := env.Trace(paper.Messaging)
-	m2, err := core.Replay(core.Scheme4PS, core.Options{Timing: &paired}, tr2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m1 := replay(core.Options{Timing: &base})
+	m2 := replay(core.Options{Timing: &paired})
 	if relDiff(m2.MeanServiceNs, m1.MeanServiceNs) > 0.10 {
 		t.Fatalf("pairing moved mean service %.2f -> %.2f ms",
 			m1.MeanServiceNs/1e6, m2.MeanServiceNs/1e6)
@@ -546,8 +550,8 @@ func TestMapCacheSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := DefaultEnv().Trace(paper.Twitter)
-	if _, err := core.ReplayOn(dev, core.Scheme4PS, tr); err != nil {
+	st := DefaultEnv().Stream(paper.Twitter)
+	if _, err := core.Replay(context.Background(), dev, core.Scheme4PS, st, core.ReplayOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	if dev.Metrics().MapReads != 0 {

@@ -125,9 +125,9 @@ func FaultSweep(env *Env, name string, seed uint64, rates []float64) ([]FaultPoi
 		}
 		st := trace.Repeat(env.Stream(name), faultSweepSessions, 1_000_000_000)
 		if env.Fork != nil {
-			st = trace.ShiftStream(st, dev.LastActivity()+1_000_000_000)
+			st = core.Resume(dev, st)
 		}
-		m, err := core.ReplayStreamObservedContext(ctx, dev, c.scheme, st, env.Telemetry, env.Tracer)
+		m, err := core.Replay(ctx, dev, c.scheme, st, core.ReplayOpts{Registry: env.Telemetry, Tracer: env.Tracer})
 		if err != nil {
 			if ctx.Err() != nil {
 				// Cancellation is a sweep abort, not a device-death data point.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"emmcio/internal/core"
@@ -23,7 +24,7 @@ func TestFaultRateZeroBitIdenticalToNoFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := core.ReplayObserved(dev, core.Scheme4PS, env.Trace(paper.Twitter), nil, nil)
+		m, err := core.Replay(context.Background(), dev, core.Scheme4PS, env.Stream(paper.Twitter), core.ReplayOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +121,7 @@ func TestDeepAgedReplayRecoversReads(t *testing.T) {
 	}
 	reg := telemetry.NewRegistry()
 	env := DefaultEnv()
-	m, err := core.ReplayObserved(dev, core.Scheme4PS, env.Trace(paper.Twitter), reg, nil)
+	m, err := core.Replay(context.Background(), dev, core.Scheme4PS, env.Stream(paper.Twitter), core.ReplayOpts{Registry: reg})
 	if err != nil {
 		t.Fatalf("deep-aged replay died: %v", err)
 	}

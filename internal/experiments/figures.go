@@ -24,7 +24,7 @@ type Fig3Result struct {
 // The per-size points run on the env's worker pool.
 func Fig3(env *Env, reqsPerPoint int) (Fig3Result, error) {
 	timing := MeasuredDeviceTiming()
-	pts, err := core.ThroughputSweepContext(env.context(), env.Runner(), core.Scheme4PS,
+	pts, err := core.ThroughputSweep(env.context(), env.Runner(), core.Scheme4PS,
 		core.Options{Timing: &timing}, core.Fig3Sizes(), reqsPerPoint)
 	if err != nil {
 		return Fig3Result{}, err

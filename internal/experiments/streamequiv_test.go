@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"emmcio/internal/core"
@@ -9,6 +10,7 @@ import (
 	"emmcio/internal/reliability"
 	"emmcio/internal/rng"
 	"emmcio/internal/runner"
+	"emmcio/internal/trace"
 )
 
 // TestStreamingReplayEquivalence is the refactor's load-bearing property:
@@ -74,9 +76,9 @@ func TestStreamingReplayEquivalence(t *testing.T) {
 		}
 		var m core.Metrics
 		if streamed {
-			m, err = core.ReplayStreamOn(dev, c.scheme, env.Stream(c.name))
+			m, err = core.Replay(context.Background(), dev, c.scheme, env.Stream(c.name), core.ReplayOpts{})
 		} else {
-			m, err = core.ReplayOn(dev, c.scheme, env.Trace(c.name))
+			m, err = core.Replay(context.Background(), dev, c.scheme, trace.FromSlice(env.Trace(c.name)), core.ReplayOpts{})
 		}
 		out := outcome{metrics: m}
 		if err != nil {

@@ -40,9 +40,8 @@ type ReplayJob struct {
 	// for custom emmc.Configs or pre-aged devices. It must return a fresh
 	// device on every call.
 	Device func() (storage.Device, error)
-	// Policy selects host-side scheduling (core.ReplayScheduledStream)
-	// when not SchedFIFO. Scheduled replays build their own device: Device
-	// and Collect are ignored.
+	// Policy selects host-side scheduling (core.ReplayOpts.Policy) when
+	// not SchedFIFO. Collect jobs ignore it.
 	Policy core.SchedPolicy
 	// Collect routes the replay through biotracer.CollectStream (the §II-C
 	// trace-collection path) instead of the plain streaming replay. The
@@ -62,9 +61,8 @@ type ReplayJob struct {
 // ReplayResult is one job's outcome. Metrics is set for plain and scheduled
 // replays, Overhead for Collect jobs. Trace is the replayed request
 // sequence (nil unless the job set WantTrace), Stats the online
-// accumulator (nil unless WantStats). Device is the device the job ran on
-// (nil for scheduled replays), so callers can read wear, FTL, or cache
-// state.
+// accumulator (nil unless WantStats). Device is the device the job ran on,
+// so callers can read wear, FTL, or cache state.
 type ReplayResult struct {
 	Metrics  core.Metrics
 	Overhead biotracer.Overhead
@@ -148,15 +146,6 @@ func (e *Env) replay(ctx context.Context, j ReplayJob) (ReplayResult, error) {
 		}
 	}
 
-	if j.Policy != core.SchedFIFO {
-		m, err := core.ReplayScheduledStreamContext(ctx, j.Scheme, j.Options, st, j.Policy, sink)
-		res.Metrics = m
-		if res.Trace != nil {
-			// The sink saw dispatch order; restore arrival order.
-			res.Trace.SortByArrival()
-		}
-		return res, err
-	}
 	var dev storage.Device
 	var err error
 	switch {
@@ -176,11 +165,11 @@ func (e *Env) replay(ctx context.Context, j ReplayJob) (ReplayResult, error) {
 	if err != nil {
 		return ReplayResult{}, err
 	}
-	if last := dev.LastActivity(); last > 0 {
+	if dev.LastActivity() > 0 {
 		// The device carries replayed history (an env.Fork or a custom
 		// builder handing out a fork): resume after it, the same idle-gap
 		// shift emmcsim's -load applies. Fresh devices are untouched.
-		st = trace.ShiftStream(st, last+1_000_000_000)
+		st = core.Resume(dev, st)
 	}
 	res.Device = dev
 	if j.Collect {
@@ -192,6 +181,11 @@ func (e *Env) replay(ctx context.Context, j ReplayJob) (ReplayResult, error) {
 		res.Overhead, err = biotracer.CollectStream(dev, trace.WithContext(ctx, st), sink)
 		return res, err
 	}
-	res.Metrics, err = core.ReplayStreamSinkContext(ctx, dev, j.Scheme, st, e.Telemetry, e.Tracer, sink)
+	res.Metrics, err = core.Replay(ctx, dev, j.Scheme, st,
+		core.ReplayOpts{Policy: j.Policy, Registry: e.Telemetry, Tracer: e.Tracer, Sink: sink})
+	if res.Trace != nil && j.Policy != core.SchedFIFO {
+		// The sink saw dispatch order; restore arrival order.
+		res.Trace.SortByArrival()
+	}
 	return res, err
 }

@@ -151,21 +151,22 @@ func Validate(env *Env) ([]Check, error) {
 	// Replay one Fig. 8 trace with telemetry attached and require that the
 	// span count and request counters agree exactly with the trace length —
 	// the instrument can neither drop nor invent requests.
-	obsTr := env.Trace(paper.Twitter)
+	obsN := int64(len(env.shared(paper.Twitter).Reqs))
 	obsReg := telemetry.NewRegistry()
-	obsTc := telemetry.NewTracer(8 * len(obsTr.Reqs))
+	obsTc := telemetry.NewTracer(8 * int(obsN))
 	obsDev, err := core.NewDevice(core.SchemeHPS, core.CaseStudyOptions())
 	if err != nil {
 		return nil, err
 	}
-	if _, err := core.ReplayObserved(obsDev, core.SchemeHPS, obsTr, obsReg, obsTc); err != nil {
+	obs := core.ReplayOpts{Registry: obsReg, Tracer: obsTc}
+	if _, err := core.Replay(env.context(), obsDev, core.SchemeHPS, env.Stream(paper.Twitter), obs); err != nil {
 		return nil, err
 	}
 	spans := obsTc.CountSpans("core", "request")
 	counted := obsReg.Counter("core_requests_total", telemetry.L("op", "read")).Value() +
 		obsReg.Counter("core_requests_total", telemetry.L("op", "write")).Value()
-	obsOK := spans == int64(len(obsTr.Reqs)) && counted == int64(len(obsTr.Reqs)) && obsTc.Dropped() == 0
-	add("Telemetry: one span per replayed request", fmt.Sprintf("%d requests", len(obsTr.Reqs)),
+	obsOK := spans == obsN && counted == obsN && obsTc.Dropped() == 0
+	add("Telemetry: one span per replayed request", fmt.Sprintf("%d requests", obsN),
 		fmt.Sprintf("%d spans, %d counted, %d dropped", spans, counted, obsTc.Dropped()), obsOK)
 
 	// --- The six characteristics ---

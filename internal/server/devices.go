@@ -236,7 +236,7 @@ func (s *Server) ageJob(spec AgeSpec, scheme core.Scheme) jobFunc {
 			return nil, err
 		}
 		st := spec.PrepareStream(p.Stream(spec.Seed))
-		if _, err := core.ReplayStreamSinkContext(ctx, dev, scheme, st, reg, tc, nil); err != nil {
+		if _, err := core.Replay(ctx, dev, scheme, st, core.ReplayOpts{Registry: reg, Tracer: tc}); err != nil {
 			return nil, fmt.Errorf("aging %s: %w", spec.App, err)
 		}
 		sealed, _, err := storage.Seal(dev)

@@ -67,13 +67,17 @@ type Config struct {
 // slots returns the total command-slot count.
 func (c Config) slots() int { return c.Queues * c.QueueDepth }
 
+// maxSlots bounds Queues × QueueDepth. The device keeps one timestamp per
+// command slot, so a job spec's queue shape must not size it past memory.
+const maxSlots = 1 << 16
+
 // Validate reports unusable configurations.
 func (c Config) Validate() error {
 	if err := c.params().Validate(); err != nil {
 		return err
 	}
-	if c.Queues < 1 || c.QueueDepth < 1 {
-		return fmt.Errorf("ufs: need at least one queue and one slot, got %dx%d", c.Queues, c.QueueDepth)
+	if c.Queues < 1 || c.QueueDepth < 1 || c.QueueDepth > maxSlots/c.Queues {
+		return fmt.Errorf("ufs: need 1 to %d command slots in at least one queue, got %dx%d", maxSlots, c.Queues, c.QueueDepth)
 	}
 	return nil
 }

@@ -260,3 +260,20 @@ func TestCaps(t *testing.T) {
 		t.Fatalf("caps = %+v", caps)
 	}
 }
+
+// A hostile queue shape is rejected before any slot is allocated: a job
+// spec naming 2^40 slots used to exhaust memory in New.
+func TestQueueShapeBounded(t *testing.T) {
+	for _, shape := range [][2]int{{1, 1 << 40}, {1 << 40, 1}, {1 << 9, 1 << 8}} {
+		cfg := testConfig()
+		cfg.Queues, cfg.QueueDepth = shape[0], shape[1]
+		if _, err := New(cfg); err == nil {
+			t.Errorf("New accepted %dx%d command slots", shape[0], shape[1])
+		}
+	}
+	cfg := testConfig()
+	cfg.Queues, cfg.QueueDepth = 1<<8, 1<<8
+	if _, err := New(cfg); err != nil {
+		t.Errorf("New rejected %d slots: %v", 1<<16, err)
+	}
+}

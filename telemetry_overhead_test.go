@@ -9,12 +9,14 @@ package emmcio
 // paper's metric and is deterministic.
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"emmcio/internal/core"
 	"emmcio/internal/paper"
 	"emmcio/internal/telemetry"
+	"emmcio/internal/trace"
 	"emmcio/internal/workload"
 )
 
@@ -25,7 +27,7 @@ func replayTwitter(t testing.TB, reg *telemetry.Registry, tc *telemetry.Tracer) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := core.ReplayObserved(dev, core.SchemeHPS, tr, reg, tc)
+	m, err := core.Replay(context.Background(), dev, core.SchemeHPS, trace.FromSlice(tr), core.ReplayOpts{Registry: reg, Tracer: tc})
 	if err != nil {
 		t.Fatal(err)
 	}
