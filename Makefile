@@ -63,6 +63,8 @@ devstore-race:
 # Run every native fuzz target in the module for FUZZTIME each. Targets are
 # discovered with `go test -list`, so a new Fuzz* function joins the run
 # without an edit here. Failing inputs land in the package's testdata/fuzz.
+# A 1 s minimize time keeps the engine from spending up to 60 s shrinking
+# each new corpus entry, which stalls a short run at 0 execs/s.
 FUZZTIME ?= 10s
 
 .PHONY: fuzz
@@ -72,7 +74,7 @@ fuzz:
 	[ -n "$$targets" ] || { echo "fuzz: no targets found" >&2; exit 1; }; \
 	for t in $$targets; do \
 		echo "fuzz: $${t#*,} in $${t%,*} for $(FUZZTIME)"; \
-		$(GO) test -run '^$$' -fuzz "^$${t#*,}$$" -fuzztime $(FUZZTIME) $${t%,*} || exit 1; \
+		$(GO) test -run '^$$' -fuzz "^$${t#*,}$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 1s $${t%,*} || exit 1; \
 	done
 
 # Print the non-test and test Go line counts outside perfbench/, the size

@@ -54,7 +54,16 @@ func main() {
 		return
 	}
 
-	spec.Normalize()
+	// Validate like the server does before any work starts. Only -app is
+	// checked against the registry: -in and -profile supply their own
+	// trace, and traceSource reports a missing or doubled source.
+	validate := spec.ValidateReplay
+	if spec.App != "" {
+		validate = func() error { return spec.Validate(nil) }
+	}
+	if err := validate(); err != nil {
+		fatal(err)
+	}
 	opt, err := spec.DeviceOptions()
 	if err != nil {
 		fatal(err)

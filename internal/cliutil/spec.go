@@ -211,6 +211,13 @@ func (s *ReplaySpec) Validate(reg *workload.Registry) error {
 	if _, err := s.Profile(reg); err != nil {
 		return err
 	}
+	return s.ValidateReplay()
+}
+
+// ValidateReplay is Validate without the application check, for a caller
+// whose trace comes from elsewhere (emmcsim's -in and -profile).
+func (s *ReplaySpec) ValidateReplay() error {
+	s.Normalize()
 	if _, err := s.Schemes(); err != nil {
 		return err
 	}

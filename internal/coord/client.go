@@ -192,6 +192,28 @@ func (c *Client) ImportDevice(ctx context.Context, sealed []byte, label string) 
 	return dev.ID, nil
 }
 
+// Device GETs /v1/devices/{id}: the metadata of a snapshot the worker's
+// store holds. A worker that does not hold it answers 404 (*StatusError).
+func (c *Client) Device(ctx context.Context, id string) (server.DeviceStatus, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/devices/"+url.PathEscape(id), nil)
+	if err != nil {
+		return server.DeviceStatus{}, err
+	}
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		return server.DeviceStatus{}, err
+	}
+	defer drain(resp)
+	if resp.StatusCode != http.StatusOK {
+		return server.DeviceStatus{}, newStatusError(resp.StatusCode, readSnippet(resp.Body))
+	}
+	var dev server.DeviceStatus
+	if err := json.NewDecoder(resp.Body).Decode(&dev); err != nil {
+		return server.DeviceStatus{}, fmt.Errorf("decoding device status: %w", err)
+	}
+	return dev, nil
+}
+
 // JobStatus GETs /v1/jobs/{id}.
 func (c *Client) JobStatus(ctx context.Context, id string) (server.JobStatus, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/jobs/"+id, nil)

@@ -326,7 +326,13 @@ func (c *Coordinator) ensureDevice(ctx context.Context, w *workerState, push *de
 	}
 	id, err := w.cli.ImportDevice(ctx, push.sealed, "")
 	if err != nil {
-		return fmt.Errorf("pushing device %s to %s: %w", push.id, w.name, err)
+		// The worker archives before it answers, so an import whose
+		// response was lost or late (a client timeout) may still have
+		// landed. If the worker holds the snapshot, the push happened.
+		if _, derr := w.cli.Device(ctx, push.id); derr != nil {
+			return fmt.Errorf("pushing device %s to %s: %w", push.id, w.name, err)
+		}
+		id = push.id
 	}
 	if id != push.id {
 		return fmt.Errorf("worker %s archived pushed snapshot as %s, want %s", w.name, id, push.id)

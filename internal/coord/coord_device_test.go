@@ -3,7 +3,11 @@ package coord
 import (
 	"context"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"emmcio/internal/cliutil"
 	"emmcio/internal/core"
@@ -109,6 +113,82 @@ func TestFromDeviceSweepPushesSnapshots(t *testing.T) {
 	}
 	if int64(holders) != pushes {
 		t.Errorf("%d workers hold the snapshot but %d pushes were counted", holders, pushes)
+	}
+}
+
+// TestLateImportCountsAsPushed: a worker that archives a pushed snapshot
+// but answers only after the client has timed out still holds it. The
+// coordinator must find that out, count the push, and run the shard on
+// that worker instead of failing the push.
+func TestLateImportCountsAsPushed(t *testing.T) {
+	local, id := agedStore(t)
+	spec := cliutil.SweepSpec{
+		Sweeps:     []string{"casestudy"},
+		Traces:     []string{paper.Idle},
+		FromDevice: id,
+	}
+	spec.SetDeviceSource(local)
+	want := localBaseline(t, spec)
+
+	store, err := devstore.Open(t.TempDir(), devstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(server.Config{DeviceStore: store})
+	h := srv.Handler()
+	var imports atomic.Int32
+	// The import runs to completion (the snapshot is archived), then the
+	// handler holds the response until the client gives up on it.
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/devices" {
+			imports.Add(1)
+			h.ServeHTTP(httptest.NewRecorder(), r)
+			select {
+			case <-r.Context().Done():
+			case <-time.After(time.Minute):
+			}
+			return
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx) //nolint:errcheck // best-effort teardown
+	})
+
+	cfg := fastConfig([]string{ts.URL})
+	// Room for the worker's restore-and-archive under the race detector,
+	// so the import lands before the client's timeout ends it.
+	cfg.HTTPTimeout = 5 * time.Second
+	cfg.DisableLocal = true // success must come through the stalling worker
+	c := New(cfg)
+	res, err := c.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatalf("coordinator run: %v", err)
+	}
+	got, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("forked sweep diverged from single-process run:\n got %s\nwant %s", got, want)
+	}
+	st := counters(c)
+	if st["coord_shard_attempts_total"] != 1 || st["coord_local_runs_total"] != 0 {
+		t.Errorf("attempts %d, local runs %d; want the one shard run once on the worker",
+			st["coord_shard_attempts_total"], st["coord_local_runs_total"])
+	}
+	if n := imports.Load(); n != 1 {
+		t.Errorf("worker saw %d imports, want 1", n)
+	}
+	holders := int64(0)
+	if _, err := store.Get(id); err == nil {
+		holders = 1
+	}
+	if pushes := st["coord_device_pushes_total"]; pushes != holders || holders != 1 {
+		t.Errorf("%d workers hold the snapshot but %d pushes were counted, want 1 and 1", holders, pushes)
 	}
 }
 

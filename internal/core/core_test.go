@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -233,5 +234,32 @@ func TestCaseStudyOptions(t *testing.T) {
 	}
 	if opt.RAMBufferBytes != 0 {
 		t.Fatal("case study: RAM buffer disabled (§V-B)")
+	}
+}
+
+// TestNewDeviceAllocatesLittle guards construction cost: blocks carry no
+// page state until they first open, so a case-study HPS device allocates
+// a small fraction of the ~6 MB its flash array's page state would take.
+func TestNewDeviceAllocatesLittle(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := NewDevice(SchemeHPS, CaseStudyOptions()); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("NewDevice allocated %d bytes, budget 1 MiB", got)
+	}
+}
+
+// BenchmarkNewDevice measures building a case-study HPS device, the cost
+// every replay job, sweep cell and file replay pays before its first
+// request.
+func BenchmarkNewDevice(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewDevice(SchemeHPS, CaseStudyOptions()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -244,17 +244,16 @@ func (t Timing) Validate() error {
 // above any real part, so sums of latencies cannot overflow sim time.
 const maxLatencyNs int64 = 1e15
 
-// Page states inside a block.
-const (
-	pageFree = -1 // never programmed since last erase
-)
-
 // Block is one erase unit. Pages are programmed strictly in order
-// (writePtr), the NAND constraint that forces out-of-place updates.
+// (writePtr), the NAND constraint that forces out-of-place updates. A page
+// at or past writePtr is free by definition, so zeroed page state is an
+// erased block.
 type Block struct {
-	// live[i] counts the live 4 KB sectors page i still holds;
-	// pageFree marks an unprogrammed page.
+	// live[i] counts the live 4 KB sectors page i still holds. It is nil
+	// until the block is first opened for programming (Attach); a block
+	// that was never written carries no page state at all.
 	live     []int8
+	pages    int
 	writePtr int
 	// liveSectors is the block total, kept for O(1) GC victim scoring.
 	liveSectors int
@@ -264,26 +263,40 @@ type Block struct {
 	retired bool
 }
 
-// NewBlock returns an erased block with the given page count.
-func NewBlock(pagesPerBlock int) *Block { return &NewBlocks(1, pagesPerBlock)[0] }
+// NewBlock returns an erased block with the given page count, already
+// carrying its page state, so it can be programmed at once.
+func NewBlock(pagesPerBlock int) *Block {
+	b := &NewBlocks(1, pagesPerBlock)[0]
+	b.Attach(make([]int8, pagesPerBlock))
+	return b
+}
 
-// NewBlocks returns n erased blocks of pagesPerBlock pages each. The
-// blocks and their page-state arrays come from two backing slices, so a
-// whole pool costs two allocations instead of two per block.
+// NewBlocks returns n erased blocks of pagesPerBlock pages each, from one
+// backing slice. The blocks carry no page state until attached, so a pool
+// costs one allocation however large its flash.
 func NewBlocks(n, pagesPerBlock int) []Block {
-	live := make([]int8, n*pagesPerBlock)
-	for i := range live {
-		live[i] = pageFree
-	}
 	blocks := make([]Block, n)
 	for i := range blocks {
-		blocks[i].live = live[i*pagesPerBlock : (i+1)*pagesPerBlock : (i+1)*pagesPerBlock]
+		blocks[i].pages = pagesPerBlock
 	}
 	return blocks
 }
 
+// Attached reports whether the block carries its page state.
+func (b *Block) Attached() bool { return b.live != nil }
+
+// Attach gives a block without page state its per-page slab, which must
+// be zeroed and exactly Pages() long. Program and Burn need it; the block
+// keeps it across erases.
+func (b *Block) Attach(live []int8) {
+	if b.live != nil || len(live) != b.pages {
+		panic("flash: attaching page state twice or of the wrong size")
+	}
+	b.live = live
+}
+
 // Full reports whether every page has been programmed.
-func (b *Block) Full() bool { return b.writePtr >= len(b.live) }
+func (b *Block) Full() bool { return b.writePtr >= b.pages }
 
 // NextFree returns the next programmable page index, or -1 when full.
 func (b *Block) NextFree() int {
@@ -319,7 +332,7 @@ func (b *Block) Program(liveSectors int) int {
 
 // InvalidateSector marks one live sector of page i stale.
 func (b *Block) InvalidateSector(i int) {
-	if b.live[i] <= 0 {
+	if b.PageLive(i) <= 0 {
 		panic("flash: invalidating a sector on a page with no live sectors")
 	}
 	b.live[i]--
@@ -332,7 +345,7 @@ func (b *Block) LiveSectors() int { return b.liveSectors }
 // LivePages returns how many pages still hold at least one live sector.
 func (b *Block) LivePages() int {
 	n := 0
-	for _, c := range b.live {
+	for _, c := range b.live[:b.writePtr] {
 		if c > 0 {
 			n++
 		}
@@ -342,14 +355,14 @@ func (b *Block) LivePages() int {
 
 // PageLive returns the live sector count of page i (0 for stale/free pages).
 func (b *Block) PageLive(i int) int {
-	if b.live[i] == pageFree {
+	if i >= b.writePtr {
 		return 0
 	}
 	return int(b.live[i])
 }
 
 // Programmed reports whether page i has been programmed since the last erase.
-func (b *Block) Programmed(i int) bool { return b.live[i] != pageFree }
+func (b *Block) Programmed(i int) bool { return i < b.writePtr }
 
 // Erase resets the block to the free state and bumps its wear counter.
 // Erasing a block with live sectors is a data-loss bug and panics.
@@ -360,9 +373,7 @@ func (b *Block) Erase() {
 	if b.liveSectors != 0 {
 		panic("flash: erasing a block that still holds live data")
 	}
-	for i := range b.live {
-		b.live[i] = pageFree
-	}
+	clear(b.live[:b.writePtr])
 	b.writePtr = 0
 	b.erases++
 }
@@ -402,4 +413,4 @@ func (b *Block) Retired() bool { return b.retired }
 func (b *Block) EraseCount() int { return b.erases }
 
 // Pages returns the block's page count.
-func (b *Block) Pages() int { return len(b.live) }
+func (b *Block) Pages() int { return b.pages }

@@ -2,6 +2,10 @@ package flash
 
 import "fmt"
 
+// pageFree is the wire value of a page at or past the write pointer in
+// BlockState.Live. In memory such a page is free by position alone.
+const pageFree = -1
+
 // BlockState is the serializable form of a Block, used by device snapshots
 // (archiving an aged device instead of replaying months of history).
 type BlockState struct {
@@ -41,27 +45,38 @@ func (s BlockState) Check(pages, spp int) error {
 	return nil
 }
 
-// Dump exports the block's state.
+// Dump exports the block's state, writing pageFree for every page at or
+// past the write pointer.
 func (b *Block) Dump() BlockState {
-	live := make([]int8, len(b.live))
-	copy(live, b.live)
+	live := make([]int8, b.pages)
+	copy(live, b.live[:b.writePtr])
+	for i := b.writePtr; i < b.pages; i++ {
+		live[i] = pageFree
+	}
 	return BlockState{Live: live, WritePtr: b.writePtr, LiveSecs: b.liveSectors, Erases: b.erases, Retired: b.retired}
 }
 
-// RestoreBlocks builds blocks from dumped states; like NewBlocks, the
-// blocks and their page-state arrays come from two backing slices.
+// RestoreBlocks builds blocks from states that pass Check. Only blocks with
+// programmed pages get page state, all carved from one backing slice; the
+// rest stay unattached like NewBlocks' blocks.
 func RestoreBlocks(states []BlockState) []Block {
 	n := 0
 	for _, s := range states {
-		n += len(s.Live)
+		if s.WritePtr > 0 {
+			n += len(s.Live)
+		}
 	}
-	live := make([]int8, 0, n)
+	arena := make([]int8, n)
 	blocks := make([]Block, len(states))
 	for i, s := range states {
-		start := len(live)
-		live = append(live, s.Live...)
-		blocks[i] = Block{live: live[start:len(live):len(live)], writePtr: s.WritePtr,
+		blocks[i] = Block{pages: len(s.Live), writePtr: s.WritePtr,
 			liveSectors: s.LiveSecs, erases: s.Erases, retired: s.Retired}
+		if s.WritePtr > 0 {
+			k := len(s.Live)
+			blocks[i].live = arena[:k:k]
+			arena = arena[k:]
+			copy(blocks[i].live, s.Live[:s.WritePtr])
+		}
 	}
 	return blocks
 }

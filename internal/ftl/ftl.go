@@ -129,15 +129,33 @@ type poolState struct {
 	// can hold live data carry one.
 	rev     [][]int64
 	freeRev [][]int64
+	// pageArena is the unused tail of the pool's current page-state chunk.
+	// A block takes its page-state slab from here the first time it opens
+	// and keeps it, cleared, across erases.
+	pageArena []int8
 }
+
+// arenaBlocks is how many blocks' page state one pageArena chunk holds,
+// so opening blocks costs one allocation per arenaBlocks of them.
+const arenaBlocks = 16
 
 func newPoolState(spec flash.PoolSpec, blocks []flash.Block, free []int32, active int32) poolState {
 	return poolState{spec: spec, spp: spec.SectorsPerPage(), blocks: blocks,
 		free: free, active: active, rev: make([][]int64, len(blocks))}
 }
 
-// attach gives block b a reverse slab, recycling a free one when it can.
+// attach readies block b to hold data: it gives the block its page-state
+// slab if it has none yet, and a reverse slab, recycling a free one when
+// it can.
 func (ps *poolState) attach(b int32) {
+	if blk := &ps.blocks[b]; !blk.Attached() {
+		n := ps.spec.PagesPerBlock
+		if len(ps.pageArena) < n {
+			ps.pageArena = make([]int8, min(arenaBlocks, len(ps.blocks))*n)
+		}
+		blk.Attach(ps.pageArena[:n:n])
+		ps.pageArena = ps.pageArena[n:]
+	}
 	if ps.rev[b] != nil {
 		return
 	}
@@ -836,8 +854,9 @@ func (f *FTL) RetiredBlocks() int64 { return f.stats.RetiredBlocks }
 // restore and returns the first violation found.
 func (f *FTL) CheckConsistency() error {
 	mapped := 0
-	for li, d := range f.fwd.owner {
-		for i, e := range f.fwd.leaves[li<<leafShift:][:leafSize] {
+	for li := range f.fwd.leaves {
+		d, leaf := f.fwd.leaf(li)
+		for i, e := range leaf {
 			if e&mappedBit == 0 {
 				continue
 			}

@@ -25,32 +25,41 @@ func CheckRange(lpn int64, n int) error {
 }
 
 // The forward map is a two-level table over the LPN space: dir[lpn>>5]
-// holds 1 + the index of a 32-entry leaf in the leaves arena (0: no leaf
-// yet), and each leaf entry is a packed Loc with mappedBit set while the
-// LPN is mapped. Leaves stay small because live LPNs are sparse over the
-// address space; the directory costs 4 bytes per 128 KiB of address space
-// up to the highest LPN ever written.
+// holds 1 + the global index of a 32-entry leaf (0: no leaf yet), and each
+// leaf entry is a packed Loc with mappedBit set while the LPN is mapped.
+// Leaves stay small because live LPNs are sparse over the address space;
+// the directory costs 4 bytes per 128 KiB of address space up to the
+// highest LPN ever written. Leaves live in fixed chunks of chunkLeaves, so
+// adding one never copies the leaves before it.
 const (
-	leafShift = 5
-	leafSize  = 1 << leafShift
-	leafMask  = leafSize - 1
-	mappedBit = 1 << 63
+	leafShift  = 5
+	leafSize   = 1 << leafShift
+	leafMask   = leafSize - 1
+	chunkShift = 10
+	// chunkLeaves leaves (256 KiB of entries) make one allocation.
+	chunkLeaves = 1 << chunkShift
+	chunkMask   = chunkLeaves - 1
+	mappedBit   = 1 << 63
 )
 
-var emptyLeaf [leafSize]uint64
+// fwdChunk holds chunkLeaves consecutive leaves and, for each, the
+// directory index that owns it, so a full scan can walk the leaves alone.
+type fwdChunk struct {
+	entries [chunkLeaves << leafShift]uint64
+	owner   [chunkLeaves]int32
+}
 
 type fwdTable struct {
 	dir    []int32
-	leaves []uint64
-	// owner[i] is the directory index of leaf i, so a full scan can walk
-	// the leaves alone.
-	owner []int32
+	chunks []*fwdChunk
+	// leaves counts the leaves in use, filling the chunks in order.
+	leaves int
 	// n counts mapped LPNs.
 	n int
 }
 
-// slot returns the index of lpn's entry in leaves, or -1 when its leaf
-// does not exist (negative LPNs and LPNs past the directory included).
+// slot returns the global index of lpn's entry, or -1 when its leaf does
+// not exist (negative LPNs and LPNs past the directory included).
 func (t *fwdTable) slot(lpn int64) int {
 	d := uint64(lpn) >> leafShift
 	if d >= uint64(len(t.dir)) || t.dir[d] == 0 {
@@ -59,10 +68,22 @@ func (t *fwdTable) slot(lpn int64) int {
 	return int(t.dir[d]-1)<<leafShift | int(lpn&leafMask)
 }
 
+// entry returns the entry at global index i (leaf i>>leafShift).
+func (t *fwdTable) entry(i int) *uint64 {
+	return &t.chunks[i>>(chunkShift+leafShift)].entries[i&(chunkLeaves<<leafShift-1)]
+}
+
+// leaf returns leaf li's directory index and entries.
+func (t *fwdTable) leaf(li int) (int32, *[leafSize]uint64) {
+	c := t.chunks[li>>chunkShift]
+	k := li & chunkMask
+	return c.owner[k], (*[leafSize]uint64)(c.entries[k<<leafShift:])
+}
+
 // get returns lpn's entry, 0 when it has none.
 func (t *fwdTable) get(lpn int64) uint64 {
 	if i := t.slot(lpn); i >= 0 {
-		return t.leaves[i]
+		return *t.entry(i)
 	}
 	return 0
 }
@@ -81,11 +102,15 @@ func (t *fwdTable) set(lpn int64, loc Loc) {
 		t.dir = t.dir[:d+1]
 	}
 	if t.dir[d] == 0 {
-		t.leaves = append(t.leaves, emptyLeaf[:]...)
-		t.owner = append(t.owner, int32(d))
-		t.dir[d] = int32(len(t.owner))
+		li := t.leaves
+		if li>>chunkShift == len(t.chunks) {
+			t.chunks = append(t.chunks, new(fwdChunk))
+		}
+		t.chunks[li>>chunkShift].owner[li&chunkMask] = int32(d)
+		t.leaves++
+		t.dir[d] = int32(t.leaves)
 	}
-	e := &t.leaves[int(t.dir[d]-1)<<leafShift|int(lpn&leafMask)]
+	e := t.entry(int(t.dir[d]-1)<<leafShift | int(lpn&leafMask))
 	if *e&mappedBit == 0 {
 		t.n++
 	}
@@ -96,18 +121,21 @@ func (t *fwdTable) set(lpn int64, loc Loc) {
 // directory slot maxDir, so a restore fills it without regrowing.
 func (t *fwdTable) reserve(maxDir, leaves int) {
 	t.dir = make([]int32, 0, maxDir+1)
-	t.leaves = make([]uint64, 0, leaves*leafSize)
-	t.owner = make([]int32, 0, leaves)
+	t.chunks = make([]*fwdChunk, 0, (leaves+chunkMask)>>chunkShift)
 }
 
 // clear unmaps lpn, returning where it was mapped.
 func (t *fwdTable) clear(lpn int64) (Loc, bool) {
 	i := t.slot(lpn)
-	if i < 0 || t.leaves[i]&mappedBit == 0 {
+	if i < 0 {
 		return Loc{}, false
 	}
-	loc := unpack(t.leaves[i])
-	t.leaves[i] = 0
+	e := t.entry(i)
+	if *e&mappedBit == 0 {
+		return Loc{}, false
+	}
+	loc := unpack(*e)
+	*e = 0
 	t.n--
 	return loc, true
 }
@@ -119,7 +147,7 @@ func (t *fwdTable) pairs() []fwdPair {
 		if li == 0 {
 			continue
 		}
-		leaf := t.leaves[int(li-1)<<leafShift:][:leafSize]
+		_, leaf := t.leaf(int(li - 1))
 		for i, e := range leaf {
 			if e&mappedBit != 0 {
 				out = append(out, fwdPair{LPN: int64(d)<<leafShift | int64(i), Loc: unpack(e)})

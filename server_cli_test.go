@@ -115,9 +115,10 @@ func writeTruncatedTrace(t *testing.T, dir string) string {
 	return path
 }
 
-// TestToolDiagnostics pins the failure contract for the read-only tools:
-// unreadable or truncated inputs exit non-zero with a single prefixed
-// diagnostic line on stderr.
+// TestToolDiagnostics pins the failure contract for the read-only tools
+// and emmcsim's spec validation: unreadable or truncated inputs and
+// out-of-range flags exit non-zero with a single prefixed diagnostic line
+// on stderr, never a recovered panic.
 func TestToolDiagnostics(t *testing.T) {
 	bins := buildCLIs(t)
 	work := t.TempDir()
@@ -138,6 +139,8 @@ func TestToolDiagnostics(t *testing.T) {
 		{"tracestat truncated trace", "tracestat", []string{truncated}},
 		{"tracediff missing file", "tracediff", []string{good, missing}},
 		{"tracediff truncated trace", "tracediff", []string{truncated, good}},
+		{"emmcsim overflowing stretch", "emmcsim", []string{"-app", paper.Twitter, "-scale", "1e300", "-sessions", "2"}},
+		{"emmcsim negative scale", "emmcsim", []string{"-app", paper.Twitter, "-scale", "-1"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -150,7 +153,7 @@ func TestToolDiagnostics(t *testing.T) {
 				t.Fatalf("%s %v: err = %v, want non-zero exit", tc.tool, tc.args, err)
 			}
 			msg := strings.TrimRight(stderr.String(), "\n")
-			if msg == "" || strings.Contains(msg, "\n") {
+			if msg == "" || strings.Contains(msg, "\n") || strings.Contains(msg, "panicked") {
 				t.Fatalf("stderr should be one diagnostic line, got %q", stderr.String())
 			}
 			if !strings.HasPrefix(msg, tc.tool+": ") {
