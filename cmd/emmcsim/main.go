@@ -137,7 +137,7 @@ func main() {
 				}
 				// The sealed envelope names its own backend and carries the
 				// payload digest, so a truncated or cross-backend snapshot is
-				// a one-line diagnostic instead of a gob panic.
+				// a one-line diagnostic instead of a decoder panic.
 				dev, _, err = core.RestoreSealed(*loadDev, f)
 				f.Close()
 				if err != nil {

@@ -503,7 +503,7 @@ const submit429Budget = 3
 func (c *Coordinator) submit(actx context.Context, w *workerState, sh cliutil.SweepShard) (string, error) {
 	var rejected int
 	for try := 0; ; try++ {
-		id, err := w.cli.SubmitSweep(actx, sh.Spec)
+		id, err := c.post(actx, w, sh)
 		if err == nil {
 			return id, nil
 		}
@@ -520,6 +520,22 @@ func (c *Coordinator) submit(actx context.Context, w *workerState, sh cliutil.Sw
 			return "", fmt.Errorf("attempt deadline during backpressure backoff: %w", actx.Err())
 		}
 	}
+}
+
+// post POSTs the shard once. The request runs detached from actx, bounded
+// by HTTPTimeout: a cancellation landing while it is in flight would
+// otherwise drop the response, and with it the id of a job the worker has
+// already accepted, orphaning that job. If actx ended meanwhile, the
+// accepted job is cancelled and actx's error returned.
+func (c *Coordinator) post(actx context.Context, w *workerState, sh cliutil.SweepShard) (string, error) {
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(actx), c.cfg.HTTPTimeout)
+	defer cancel()
+	id, err := w.cli.SubmitSweep(ctx, sh.Spec)
+	if err == nil && actx.Err() != nil {
+		c.cancelRemote(w, id)
+		return "", fmt.Errorf("attempt ended while submitting: %w", actx.Err())
+	}
+	return id, err
 }
 
 // cancelRemote best-effort DELETEs a job we are abandoning, under its own

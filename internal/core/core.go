@@ -313,11 +313,11 @@ func NewDevice(s Scheme, opt Options) (storage.Device, error) {
 		opt.Backend, strings.Join(storage.Backends(), ", "))
 }
 
-// RestoreDevice rebuilds a device from a bare Snapshot stream. Snapshots
-// are backend-specific gob layouts, so the caller says which backend wrote
-// it ("" = eMMC; the sd flavour shares the eMMC layout). The stream is
-// trusted: corrupt bytes surface as gob errors. Prefer RestoreSealed, which
-// verifies a digest and reads the backend from the envelope instead.
+// RestoreDevice rebuilds a device from a bare Snapshot stream (payload
+// version 2). The layout is backend-specific, so the caller says which
+// backend wrote it ("" = eMMC; the sd flavour shares the eMMC layout).
+// Prefer RestoreSealed, which verifies a digest, reads the backend from
+// the envelope and also reads version-1 payloads.
 func RestoreDevice(b storage.Backend, r io.Reader) (storage.Device, error) {
 	switch b {
 	case "", storage.BackendEMMC, storage.BackendSD:
@@ -332,12 +332,18 @@ func RestoreDevice(b storage.Backend, r io.Reader) (storage.Device, error) {
 // RestoreSealed rebuilds a device from a sealed snapshot (storage.Seal):
 // the envelope's digest is verified and its backend header drives the
 // dispatch, so a corrupt or truncated stream fails with a one-line
-// diagnostic naming id and the byte offset — never a gob error from deep
-// inside restore. id labels diagnostics only ("" reads as "snapshot").
+// diagnostic naming id and the byte offset. A version-1 (gob) payload is
+// transcoded to version 2 first. id labels diagnostics only ("" reads as
+// "snapshot").
 func RestoreSealed(id string, r io.Reader) (storage.Device, storage.SealInfo, error) {
 	info, payload, err := storage.ReadSeal(r, id)
 	if err != nil {
 		return nil, storage.SealInfo{}, err
+	}
+	if info.Version == 1 {
+		if payload, err = transcodeV1(info.Backend, payload); err != nil {
+			return nil, info, err
+		}
 	}
 	dev, err := RestoreDevice(info.Backend, bytes.NewReader(payload))
 	if err != nil {

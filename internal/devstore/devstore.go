@@ -3,9 +3,9 @@
 // once — a prep workload replayed onto fresh flash — and the sealed
 // snapshot (internal/storage's self-describing envelope) is archived under
 // its content hash. Every job that wants a worn device then *forks* the
-// archived snapshot instead of re-aging: restore is a gob decode, re-aging
-// is a full replay, and the paper's aging studies (§V) need many worn
-// devices that differ only in what happens after the wear.
+// archived snapshot instead of re-aging: restore is one linear scan of the
+// snapshot, re-aging is a full replay, and the paper's aging studies (§V)
+// need many worn devices that differ only in what happens after the wear.
 //
 // Layout on disk:
 //
@@ -15,7 +15,7 @@
 // where <id> is "d" + the first 12 hex digits of the payload's SHA-256.
 // Content addressing makes Put idempotent — aging the same prep twice
 // yields the same id — and relies on snapshots being byte-deterministic
-// (see the canonical gob encodings in internal/flash and internal/ftl).
+// (the hand-written little-endian layout in internal/storage/seal.go).
 //
 // The store is size- and count-capped with LRU eviction: access order is
 // seeded from object file mtimes at Open and refreshed with os.Chtimes on

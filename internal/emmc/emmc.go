@@ -21,7 +21,6 @@
 package emmc
 
 import (
-	"encoding/gob"
 	"fmt"
 	"io"
 
@@ -33,6 +32,7 @@ import (
 	"emmcio/internal/storage"
 	"emmcio/internal/telemetry"
 	"emmcio/internal/trace"
+	"emmcio/internal/wire"
 )
 
 // GCPolicy selects when garbage collection runs.
@@ -127,8 +127,7 @@ func (c Config) Validate() error { return c.params().Validate() }
 type Result = storage.Result
 
 // Metrics aggregates a device's activity over a replay (storage.Metrics —
-// the alias keeps the gob snapshot layout and every JSON field identical to
-// the pre-seam layout).
+// the alias keeps every JSON field identical to the pre-seam layout).
 type Metrics = storage.Metrics
 
 // Utilization reports resource busy fractions (see nand.Utilization).
@@ -380,76 +379,44 @@ func (d *Device) Flush(dispatchAt int64) (Result, error) {
 	return res, nil
 }
 
-// deviceSnapshot is the gob layout of a device's dynamic state. The RAM
-// buffer and mapping cache restart cold (they are caches; only their
-// statistics would change, and those reset too). It has no write-buffer
-// field, so Snapshot refuses a device whose buffer holds writes.
-type deviceSnapshot struct {
-	Config      Config
-	FTL         *ftl.SnapshotData
-	FreeAt      int64
-	LastEnd     int64
-	RRPlane     int
-	Metrics     Metrics
-	ChannelFree []int64
-	ChannelBusy []int64
-	PlaneFree   []int64
-	PlaneBusy   []int64
-	// FaultDraws archives the injector's decision-stream position so a
-	// restored device resumes the exact fault sequence (Skip fast-forward).
-	FaultDraws int64
-}
-
-// Snapshot archives the device (configuration, FTL state, timing cursors,
-// metrics) to w, so an aged device can be resumed later without replaying
-// its history. A device whose write buffer holds writes cannot be
-// archived: Flush it first.
+// Snapshot archives the device to w — its configuration, free-at cursor
+// and back end (FTL, timing cursors, metrics, fault stream, write-buffer
+// content) in the version-2 layout of internal/storage/seal.go — so an
+// aged device can be resumed later without replaying its history. The RAM
+// read buffer and mapping cache restart cold.
 func (d *Device) Snapshot(w io.Writer) error {
-	if n := d.StagedBytes(); n > 0 {
-		return fmt.Errorf("emmc: snapshot with %d bytes in the write buffer; flush first", n)
+	buf, err := wire.AppendJSON(nil, d.Config())
+	if err != nil {
+		return fmt.Errorf("emmc: encoding snapshot config: %w", err)
 	}
-	s := d.State()
-	snap := deviceSnapshot{
-		Config:      d.Config(),
-		FTL:         s.FTL,
-		FreeAt:      d.freeAt,
-		LastEnd:     s.LastEnd,
-		RRPlane:     s.RRPlane,
-		Metrics:     s.Metrics,
-		ChannelFree: s.ChannelFree,
-		ChannelBusy: s.ChannelBusy,
-		PlaneFree:   s.PlaneFree,
-		PlaneBusy:   s.PlaneBusy,
-		FaultDraws:  s.FaultDraws,
-	}
-	if err := gob.NewEncoder(w).Encode(&snap); err != nil {
-		return fmt.Errorf("emmc: encoding snapshot: %w", err)
-	}
-	return nil
+	buf = d.AppendState(wire.AppendI64(buf, d.freeAt))
+	_, err = w.Write(buf)
+	return err
 }
 
-// RestoreSnapshot rebuilds a device from a Snapshot stream.
+// RestoreSnapshot rebuilds a device from a Snapshot stream, checking it
+// against its own configuration as it reads.
 func RestoreSnapshot(r io.Reader) (*Device, error) {
-	var snap deviceSnapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("emmc: decoding snapshot: %w", err)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("emmc: reading snapshot: %w", err)
 	}
-	if err := snap.Config.Validate(); err != nil {
+	rd := wire.NewReader(data)
+	var cfg Config
+	rd.JSON("config", &cfg)
+	freeAt := rd.I64()
+	if err := rd.Err(); err != nil {
+		return nil, fmt.Errorf("emmc: snapshot %w", err)
+	}
+	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("emmc: snapshot config: %w", err)
 	}
-	b, err := nand.Restore(snap.Config.params(), nand.State{
-		FTL:         snap.FTL,
-		LastEnd:     snap.LastEnd,
-		RRPlane:     snap.RRPlane,
-		Metrics:     snap.Metrics,
-		ChannelFree: snap.ChannelFree,
-		ChannelBusy: snap.ChannelBusy,
-		PlaneFree:   snap.PlaneFree,
-		PlaneBusy:   snap.PlaneBusy,
-		FaultDraws:  snap.FaultDraws,
-	})
+	b, err := nand.Restore(cfg.params(), rd)
 	if err != nil {
 		return nil, err
 	}
-	return &Device{Backend: b, cfg: snap.Config, freeAt: snap.FreeAt}, nil
+	if err := rd.Done(); err != nil {
+		return nil, fmt.Errorf("emmc: snapshot %w", err)
+	}
+	return &Device{Backend: b, cfg: cfg, freeAt: freeAt}, nil
 }

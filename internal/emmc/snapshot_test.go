@@ -2,7 +2,6 @@ package emmc
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"emmcio/internal/trace"
@@ -119,37 +118,42 @@ func TestSnapshotPreservesWear(t *testing.T) {
 	}
 }
 
-// The snapshot layout has no write-buffer field, so a device holding
-// buffered writes refuses to snapshot instead of silently dropping them.
-// After a flush it snapshots, restores with its (empty) write buffer, and
-// continues exactly like the original.
-func TestSnapshotRefusesBufferedWrites(t *testing.T) {
+// A snapshot keeps the write buffer's content: a device holding buffered
+// writes snapshots, restores with the same buffer, re-snapshots to the
+// same bytes, and continues exactly like the original — destaging the
+// same writes in the same order.
+func TestSnapshotKeepsBufferedWrites(t *testing.T) {
 	dev, _ := New(cfgBuffered(1 << 20))
 	for i := 0; i < 4; i++ {
 		if _, err := dev.Submit(wr(int64(i)*100_000, uint64(i)*64, 8192)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if dev.StagedBytes() == 0 {
+		t.Fatal("test needs buffered writes at the snapshot point")
+	}
 	var buf bytes.Buffer
-	if err := dev.Snapshot(&buf); err == nil || strings.Contains(err.Error(), "\n") {
-		t.Fatalf("snapshot with buffered writes = %v, want a one-line error", err)
-	}
-	fl, err := dev.Flush(1_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
 	if err := dev.Snapshot(&buf); err != nil {
-		t.Fatalf("snapshot after flush: %v", err)
+		t.Fatalf("snapshot with buffered writes: %v", err)
 	}
 	sealed := append([]byte(nil), buf.Bytes()...)
 	restored, err := RestoreSnapshot(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if restored.StagedBytes() != dev.StagedBytes() {
+		t.Fatalf("restored write buffer holds %d bytes, want %d", restored.StagedBytes(), dev.StagedBytes())
+	}
 	var again bytes.Buffer
 	if err := restored.Snapshot(&again); err != nil || !bytes.Equal(again.Bytes(), sealed) {
 		t.Fatalf("restored device re-snapshots differently (err %v)", err)
+	}
+	fl, err := dev.Flush(1_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rfl, err := restored.Flush(1_000_000); err != nil || rfl != fl {
+		t.Fatalf("flush of the restored buffer = %+v (%v), want %+v", rfl, err, fl)
 	}
 	at := fl.Finish
 	for i := 0; i < 200; i++ {

@@ -58,6 +58,10 @@ func (g Geometry) Validate() error {
 	if g.Channels <= 0 || g.ChipsPerChannel <= 0 || g.DiesPerChip <= 0 || g.PlanesPerDie <= 0 {
 		return fmt.Errorf("flash: non-positive geometry %+v", g)
 	}
+	// Bounding each factor keeps Planes from overflowing.
+	if g.Channels > 1<<15 || g.ChipsPerChannel > 1<<15 || g.DiesPerChip > 1<<15 || g.PlanesPerDie > 1<<15 {
+		return fmt.Errorf("flash: geometry %+v has a dimension above 32768", g)
+	}
 	return nil
 }
 

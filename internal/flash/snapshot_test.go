@@ -1,8 +1,10 @@
 package flash
 
 import (
-	"reflect"
+	"encoding/hex"
 	"testing"
+
+	"emmcio/internal/wire"
 )
 
 // TestNewBlocksCarryNoPageState: construction allocates no per-page state;
@@ -47,10 +49,10 @@ func TestAttachRejectsMisuse(t *testing.T) {
 	}
 }
 
-// TestDumpWireForm pins Dump to the sentinel form snapshots have always
-// carried: every page at or past the write pointer reads pageFree (-1),
-// whether or not the block holds page state in memory.
-func TestDumpWireForm(t *testing.T) {
+// TestBlockStateRoundTrip: a block's header plus its pages replayed
+// through Program restores every kind of block state, and only written
+// blocks need page state.
+func TestBlockStateRoundTrip(t *testing.T) {
 	never := &NewBlocks(1, 4)[0]
 
 	partly := NewBlock(4)
@@ -72,47 +74,52 @@ func TestDumpWireForm(t *testing.T) {
 	reprogrammed.Erase()
 	reprogrammed.Program(1)
 
-	cases := []struct {
+	retired := NewBlock(4)
+	retired.Burn()
+	retired.Retire()
+
+	for _, tc := range []struct {
 		name string
 		b    *Block
-		want BlockState
+		want string
 	}{
-		{"never written", never, BlockState{Live: []int8{-1, -1, -1, -1}}},
-		{"partly written", partly, BlockState{Live: []int8{1, 1, -1, -1}, WritePtr: 2, LiveSecs: 2}},
-		{"burned page", burned, BlockState{Live: []int8{1, 0, -1, -1}, WritePtr: 2, LiveSecs: 1}},
-		{"erased then reprogrammed", reprogrammed, BlockState{Live: []int8{1, -1, -1, -1}, WritePtr: 1, LiveSecs: 1, Erases: 1}},
-	}
-	for _, tc := range cases {
-		got := tc.b.Dump()
-		if !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("%s: Dump = %+v, want %+v", tc.name, got, tc.want)
+		{"never written", never, "0000000000000000" + "00"},
+		{"partly written", partly, "0000000002000000" + "00"},
+		{"burned page", burned, "0000000002000000" + "00"},
+		{"erased then reprogrammed", reprogrammed, "0100000001000000" + "00"},
+		{"retired", retired, "0000000001000000" + "01"},
+	} {
+		buf := tc.b.AppendState(nil)
+		if got := hex.EncodeToString(buf); got != tc.want {
+			t.Errorf("%s: AppendState = %s, want %s", tc.name, got, tc.want)
 		}
-		if err := got.Check(4, 2); err != nil {
-			t.Errorf("%s: dumped state fails Check: %v", tc.name, err)
+		b := &NewBlocks(1, 4)[0]
+		r := wire.NewReader(buf)
+		ptr, isRetired := b.ReadState(r)
+		if err := r.Done(); err != nil {
+			t.Fatalf("%s: ReadState: %v", tc.name, err)
+		}
+		if ptr > 0 {
+			b.Attach(make([]int8, 4))
+		}
+		for p := 0; p < ptr; p++ {
+			b.Program(tc.b.PageLive(p))
+		}
+		if isRetired {
+			b.Retire()
+		}
+		if b.NextFreeCount() != tc.b.NextFreeCount() || b.LiveSectors() != tc.b.LiveSectors() ||
+			b.EraseCount() != tc.b.EraseCount() || b.Retired() != tc.b.Retired() || b.LivePages() != tc.b.LivePages() {
+			t.Errorf("%s: restored block differs from the original", tc.name)
 		}
 	}
 
-	// RestoreBlocks(Dump(...)) round-trips, and only written blocks come
-	// back with page state.
-	states := make([]BlockState, len(cases))
-	for i, tc := range cases {
-		states[i] = tc.b.Dump()
-	}
-	restored := RestoreBlocks(states)
-	for i, tc := range cases {
-		b := &restored[i]
-		if got := b.Dump(); !reflect.DeepEqual(got, states[i]) {
-			t.Errorf("%s: restored block dumps %+v, want %+v", tc.name, got, states[i])
+	// A write pointer past the block or a flag other than 0/1 is refused.
+	for _, bad := range []string{"000000000500000000", "000000000100000002", "0000"} {
+		raw, _ := hex.DecodeString(bad)
+		r := wire.NewReader(raw)
+		if NewBlocks(1, 4)[0].ReadState(r); r.Err() == nil {
+			t.Errorf("ReadState(%s) accepted a corrupt header", bad)
 		}
-		if b.Attached() != (states[i].WritePtr > 0) {
-			t.Errorf("%s: restored block attached = %v with write pointer %d", tc.name, b.Attached(), states[i].WritePtr)
-		}
-		if b.LivePages() != tc.b.LivePages() || b.Pages() != 4 {
-			t.Errorf("%s: restored block has %d live of %d pages, want %d of 4", tc.name, b.LivePages(), b.Pages(), tc.b.LivePages())
-		}
-	}
-	// A restored written block keeps programming where it left off.
-	if p := restored[1].Program(2); p != 2 || restored[1].PageLive(2) != 2 {
-		t.Fatalf("restored block programmed page %d with %d live, want page 2 with 2", p, restored[1].PageLive(2))
 	}
 }

@@ -2,14 +2,17 @@ package ftl
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
 	"emmcio/internal/faults"
 	"emmcio/internal/flash"
 	"emmcio/internal/rng"
+	"emmcio/internal/wire"
 )
 
 // sparseLPNs returns the addresses the dense-table tests draw from: both
@@ -26,11 +29,21 @@ func sparseLPNs(r *rng.Rand, n int) []int64 {
 
 func snapshotBytes(t *testing.T, f *FTL) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := f.Snapshot(&buf); err != nil {
-		t.Fatal(err)
+	return f.AppendState(nil)
+}
+
+// restoreBytes restores state AppendState wrote, requiring every byte to
+// be consumed.
+func restoreBytes(cfg Config, b []byte) (*FTL, error) {
+	r := wire.NewReader(b)
+	f, err := Restore(cfg, r)
+	if err != nil {
+		return nil, err
 	}
-	return buf.Bytes()
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
+	return f, nil
 }
 
 // checkRoundTrip restores f's snapshot and checks the restored FTL
@@ -38,7 +51,7 @@ func snapshotBytes(t *testing.T, f *FTL) []byte {
 func checkRoundTrip(t *testing.T, f *FTL, lpns []int64) {
 	t.Helper()
 	a := snapshotBytes(t, f)
-	g, err := RestoreSnapshot(bytes.NewReader(a))
+	g, err := restoreBytes(f.cfg, a)
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}
@@ -146,48 +159,76 @@ func TestSparseDenseMappingRandomized(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsOutOfRange: a hand-built snapshot mapping an LPN past
-// the address space, or naming a reverse-map page outside the geometry,
-// fails to restore with a one-line error instead of growing the table or
-// panicking.
+// TestRestoreRejectsOutOfRange: state naming an LPN past the address
+// space, a block or page outside the geometry, or a count the bytes cannot
+// back fails to restore with a one-line error instead of growing a table,
+// allocating by the claim, or panicking. The state holds one write, LPN 5
+// on page 0 of block 0 of plane 0, whose fields sit at fixed offsets.
 func TestRestoreRejectsOutOfRange(t *testing.T) {
-	build := func() *SnapshotData {
-		f, err := New(smallConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := f.Write(0, 0, []int64{5}); err != nil {
-			t.Fatal(err)
-		}
-		return f.SnapshotData()
+	cfg := smallConfig()
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	cases := map[string]func(*SnapshotData){
-		"lpn-past-max": func(s *SnapshotData) { s.fwd[0].LPN = MaxLPN },
-		"lpn-negative": func(s *SnapshotData) { s.fwd[0].LPN = -1 },
-		"loc-outside":  func(s *SnapshotData) { s.fwd[0].Loc.Block = 99 },
-		"rev-block":    func(s *SnapshotData) { s.rev[0].Key = Loc{Block: 99}.pack() },
-		"rev-stray":    func(s *SnapshotData) { s.rev[0].Key |= 1 << 63 },
-		"rev-overfull": func(s *SnapshotData) { s.rev[0].LPNs = append(s.rev[0].LPNs, 6) },
+	if _, _, err := f.Write(0, 0, []int64{5}); err != nil {
+		t.Fatal(err)
+	}
+	pristine := f.AppendState(nil)
+	base := 13*8 + 8*len(cfg.Pools) // stats and pool erases
+	const (
+		active  = 0  // int32 active block
+		runs    = 4  // uint32 free-list runs
+		written = 16 // uint32 written blocks, after one 8-byte run
+		index   = 20 // uint32 block index
+		ptr     = 28 // uint32 write pointer, after the erase count
+		retired = 32 // uint8 retired flag
+		live    = 33 // uint8 live count of page 0
+		lpn     = 34 // uint32 LPN
+	)
+	le := binary.LittleEndian
+	if le.Uint32(pristine[base+written:]) != 1 || le.Uint32(pristine[base+ptr:]) != 1 ||
+		pristine[base+live] != 1 || le.Uint32(pristine[base+lpn:]) != 5 {
+		t.Fatalf("state layout moved: % x", pristine[base:base+lpn+4])
+	}
+	u32 := func(at int, v uint32) func([]byte) { return func(b []byte) { le.PutUint32(b[base+at:], v) } }
+	cases := map[string]func([]byte){
+		"lpn-past-max":    u32(lpn, MaxLPN),
+		"lpn-negative":    u32(lpn, 0xffffffff),
+		"loc-outside":     u32(index, 99),
+		"rev-block":       u32(active, 99),
+		"rev-stray":       u32(ptr, 5),
+		"rev-overfull":    func(b []byte) { b[base+live] = 2 },
+		"retired-live":    func(b []byte) { b[base+retired] = 1 },
+		"blocks-2^31":     u32(written, 1<<31),
+		"free-runs-2^31":  u32(runs, 1<<31),
+		"free-run-2^31":   u32(runs+8, 1<<31),
+		"truncated":       func(b []byte) {},
+		"active-negative": u32(active, 0xfffffffe),
 	}
 	for name, mutate := range cases {
 		t.Run(name, func(t *testing.T) {
-			snap := build()
-			mutate(snap)
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-				t.Fatal(err)
+			b := append([]byte(nil), pristine...)
+			mutate(b)
+			if name == "truncated" {
+				b = b[:len(b)-1]
 			}
-			_, err := RestoreSnapshot(&buf)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := restoreBytes(cfg, b)
+			runtime.ReadMemStats(&after)
 			if err == nil {
-				t.Fatal("corrupt snapshot restored")
+				t.Fatal("corrupt state restored")
 			}
-			if bytes.ContainsRune([]byte(err.Error()), '\n') {
+			if strings.Contains(err.Error(), "\n") {
 				t.Errorf("error spans lines: %q", err)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+				t.Errorf("restore allocated %d bytes before refusing", grew)
 			}
 		})
 	}
-	// The unmodified snapshot restores, so each case fails on its mutation.
-	if _, err := RestoreFromData(build()); err != nil {
-		t.Fatalf("pristine snapshot: %v", err)
+	// The unmodified state restores, so each case fails on its mutation.
+	if _, err := restoreBytes(cfg, pristine); err != nil {
+		t.Fatalf("pristine state: %v", err)
 	}
 }

@@ -1,7 +1,6 @@
 package ftl
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 
@@ -145,11 +144,7 @@ func TestSnapshotRoundTripsRetiredBlocks(t *testing.T) {
 	if f.Stats().RetiredBlocks == 0 {
 		t.Skip("no block retired at this seed; raise the fault base")
 	}
-	var buf bytes.Buffer
-	if err := f.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := RestoreSnapshot(&buf)
+	back, err := restoreBytes(f.cfg, f.AppendState(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,7 @@
 package ftl
 
 import (
-	"bytes"
-	"encoding/gob"
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -280,11 +279,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var buf bytes.Buffer
-	if err := f.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := RestoreSnapshot(&buf)
+	back, err := restoreBytes(f.cfg, f.AppendState(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,18 +302,15 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
-	if _, err := RestoreSnapshot(bytes.NewReader([]byte("junk"))); err == nil {
+	if _, err := restoreBytes(smallConfig(), []byte("junk")); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	// Valid gob but inconsistent structure: plane count mismatch.
+	// Well-formed state restored under a configuration with fewer planes
+	// leaves bytes unread.
 	f, _ := New(smallConfig())
-	snap := f.SnapshotData()
-	snap.Planes = snap.Planes[:1]
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RestoreSnapshot(&buf); err == nil {
+	cfg := smallConfig()
+	cfg.Geometry.Channels = 1
+	if _, err := restoreBytes(cfg, f.AppendState(nil)); err == nil {
 		t.Fatal("plane-count mismatch accepted")
 	}
 }
@@ -331,5 +323,28 @@ func TestPoolAvgPEAndArtificialWear(t *testing.T) {
 	f.AddArtificialWear(0, 32) // 16 blocks (8 per plane x 2 planes)
 	if got := f.PoolAvgPE(0); got != 2 {
 		t.Fatalf("avg PE %v, want 2", got)
+	}
+}
+
+// TestNoSpaceWriteAllocatesNothing: once a pool is exhausted, every
+// further write fails with the pool's one ErrNoSpace error, formatted on
+// first use, so a replay that keeps hitting it allocates nothing.
+func TestNoSpaceWriteAllocatesNothing(t *testing.T) {
+	f, _ := New(smallConfig())
+	var err error
+	for lpn := int64(0); err == nil; lpn++ {
+		_, _, err = f.Write(0, 0, []int64{lpn})
+	}
+	if !errors.Is(err, ErrNoSpace) {
+		t.Fatalf("filling the pool ended with %v, want ErrNoSpace", err)
+	}
+	lpns := []int64{1 << 20}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, err := f.Write(0, 0, lpns); !errors.Is(err, ErrNoSpace) {
+			t.Fatalf("write into the exhausted pool = %v, want ErrNoSpace", err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a write into an exhausted pool allocates %v times, want 0", allocs)
 	}
 }

@@ -117,13 +117,6 @@ func (t *fwdTable) set(lpn int64, loc Loc) {
 	*e = loc.pack() | mappedBit
 }
 
-// reserve sizes an empty table to hold leaves leaves with the highest
-// directory slot maxDir, so a restore fills it without regrowing.
-func (t *fwdTable) reserve(maxDir, leaves int) {
-	t.dir = make([]int32, 0, maxDir+1)
-	t.chunks = make([]*fwdChunk, 0, (leaves+chunkMask)>>chunkShift)
-}
-
 // clear unmaps lpn, returning where it was mapped.
 func (t *fwdTable) clear(lpn int64) (Loc, bool) {
 	i := t.slot(lpn)
@@ -138,21 +131,4 @@ func (t *fwdTable) clear(lpn int64) (Loc, bool) {
 	*e = 0
 	t.n--
 	return loc, true
-}
-
-// pairs returns every mapping in ascending LPN order.
-func (t *fwdTable) pairs() []fwdPair {
-	out := make([]fwdPair, 0, t.n)
-	for d, li := range t.dir {
-		if li == 0 {
-			continue
-		}
-		_, leaf := t.leaf(int(li - 1))
-		for i, e := range leaf {
-			if e&mappedBit != 0 {
-				out = append(out, fwdPair{LPN: int64(d)<<leafShift | int64(i), Loc: unpack(e)})
-			}
-		}
-	}
-	return out
 }

@@ -1,7 +1,6 @@
 package ftl
 
 import (
-	"slices"
 	"testing"
 
 	"emmcio/internal/rng"
@@ -9,8 +8,7 @@ import (
 
 // TestFwdTableMatchesMap drives the forward table against a plain map
 // across more than two leaf chunks: set, clear, re-set and get in random
-// order, then pairs() order, lookups past the directory, and a
-// reserve-then-refill copy.
+// order, then every mapping and lookups past the directory.
 func TestFwdTableMatchesMap(t *testing.T) {
 	r := rng.New(19)
 	var tab fwdTable
@@ -47,19 +45,10 @@ func TestFwdTableMatchesMap(t *testing.T) {
 		t.Fatalf("table spans %d leaf chunks, want more than 2", len(tab.chunks))
 	}
 
-	// pairs() lists every mapping in ascending LPN order.
-	keys := make([]int64, 0, len(ref))
-	for lpn := range ref {
-		keys = append(keys, lpn)
-	}
-	slices.Sort(keys)
-	pairs := tab.pairs()
-	if len(pairs) != len(keys) {
-		t.Fatalf("pairs() has %d entries, want %d", len(pairs), len(keys))
-	}
-	for i, p := range pairs {
-		if p.LPN != keys[i] || p.Loc != ref[keys[i]] {
-			t.Fatalf("pairs()[%d] = %+v, want {%d %+v}", i, p, keys[i], ref[keys[i]])
+	// Every reference mapping resolves.
+	for lpn, want := range ref {
+		if got := tab.get(lpn); got&mappedBit == 0 || unpack(got) != want {
+			t.Fatalf("get(%d) = %#x, want %+v", lpn, got, want)
 		}
 	}
 
@@ -78,25 +67,5 @@ func TestFwdTableMatchesMap(t *testing.T) {
 		if _, ok := tab.clear(lpn); ok {
 			t.Fatalf("clear(%d) past the directory reported a mapping", lpn)
 		}
-	}
-
-	// A reserved table refilled from pairs() matches without regrowing.
-	var u fwdTable
-	maxDir, leaves := int64(-1), 0
-	for i, p := range pairs {
-		if d := p.LPN >> leafShift; i == 0 || d != pairs[i-1].LPN>>leafShift {
-			leaves, maxDir = leaves+1, d
-		}
-	}
-	u.reserve(int(maxDir), leaves)
-	dirCap, chunkCap := cap(u.dir), cap(u.chunks)
-	for _, p := range pairs {
-		u.set(p.LPN, p.Loc)
-	}
-	if cap(u.dir) != dirCap || cap(u.chunks) != chunkCap {
-		t.Fatalf("refill regrew the table: dir cap %d -> %d, chunk cap %d -> %d", dirCap, cap(u.dir), chunkCap, cap(u.chunks))
-	}
-	if u.n != tab.n || !slices.Equal(u.pairs(), pairs) {
-		t.Fatal("reserved refill differs from the source table")
 	}
 }

@@ -1,242 +1,229 @@
 package ftl
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
-	"io"
 
-	"emmcio/internal/flash"
+	"emmcio/internal/wire"
 )
 
-// Snapshot serialization: the FTL's full state (mapping, block states, free
-// lists, statistics) in one gob stream, so an aged device can be archived
-// and resumed instead of replaying its history. The configuration is
-// embedded and checked on restore.
-
-// PoolSnapshot is the serializable state of one plane-pool.
-type PoolSnapshot struct {
-	Blocks []flash.BlockState
-	Free   []int32
-	Active int32
-}
-
-// PlaneSnapshot is the serializable state of one plane.
-type PlaneSnapshot struct {
-	Pools []PoolSnapshot
-}
-
-// SnapshotData is the serializable state of the whole FTL; callers embed it
-// in their own snapshot structures so one gob stream carries everything.
+// Snapshot encoding: the FTL's dynamic state, appended to a device
+// snapshot in little-endian (the configuration is the device's to store).
+// Each programmed page is stored once, as its live-LPN list in slab order;
+// restore replays the lists through Program, so page and block live counts
+// and the forward map are derived from them rather than read, and then
+// runs CheckConsistency. Blocks never written and never erased cost
+// nothing, so the encoding grows with what was written, not with capacity.
 //
-// Device snapshots are content-addressed — equal state must encode to
-// equal bytes — so the mapping travels as key-sorted pair slices: fwd in
-// ascending LPN order, rev (one entry per page holding live data) in
-// ascending packed-Loc order with each page's LPNs in slab order. The
-// dense tables produce both orders by plain in-order iteration.
-type SnapshotData struct {
-	Config Config
-	Planes []PlaneSnapshot
-	// WireFwd and WireRev are never populated. Before it calls GobEncode,
-	// gob describes the types of a GobEncoder struct's exported fields in
-	// the enclosing stream, so these two map types are part of every
-	// sealed snapshot's bytes and must stay.
-	WireFwd    map[int64]Loc
-	WireRev    map[uint64][]int64
-	Stats      Stats
-	PoolErases []int64
+//	stats        13 int64 (Stats field order, GC in GCWork order)
+//	pool erases  one int64 per pool
+//	per plane, per pool:
+//	  active     int32 (-1: none)
+//	  free list  uint32 run count, then (first block, length) uint32 pairs
+//	  blocks     uint32 count of blocks written or erased, then per block:
+//	             uint32 index (ascending), the flash block header, and per
+//	             programmed page a uint8 live count and that many uint32 LPNs
 
-	fwd []fwdPair
-	rev []revPair
+// Minimum encoded sizes, which bound a claimed count by the bytes left.
+const (
+	minRunBytes   = 8
+	minBlockBytes = 4 + 9
+)
+
+// AppendGCWork appends w's six counters as int64s.
+func AppendGCWork(buf []byte, w GCWork) []byte {
+	return wire.AppendI64(buf, int64(w.PageMoves), w.MoveBytes, int64(w.Erases),
+		int64(w.ProgramFaults), int64(w.EraseFaults), int64(w.Retired))
 }
 
-// fwdPair and revPair are one forward mapping and one page's reverse list.
-type fwdPair struct {
-	LPN int64
-	Loc Loc
+// ReadGCWork reads counters AppendGCWork wrote.
+func ReadGCWork(r *wire.Reader) GCWork {
+	return GCWork{PageMoves: int(r.I64()), MoveBytes: r.I64(), Erases: int(r.I64()),
+		ProgramFaults: int(r.I64()), EraseFaults: int(r.I64()), Retired: int(r.I64())}
 }
 
-type revPair struct {
-	Key  uint64
-	LPNs []int64
-}
-
-// snapshotWire is the gob form of SnapshotData, nested as its GobEncoder
-// payload. Gob sends type and field names, so the names here are part of
-// the sealed bytes too.
-type snapshotWire struct {
-	Config     Config
-	Planes     []PlaneSnapshot
-	Fwd        []fwdPair
-	Rev        []revPair
-	Stats      Stats
-	PoolErases []int64
-}
-
-// GobEncode implements gob.GobEncoder with a deterministic byte form.
-func (s *SnapshotData) GobEncode() ([]byte, error) {
-	w := snapshotWire{Config: s.Config, Planes: s.Planes, Fwd: s.fwd, Rev: s.rev, Stats: s.Stats, PoolErases: s.PoolErases}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&w); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// GobDecode implements gob.GobDecoder for the canonical wire form.
-func (s *SnapshotData) GobDecode(data []byte) error {
-	var w snapshotWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
-		return err
-	}
-	*s = SnapshotData{Config: w.Config, Planes: w.Planes, Stats: w.Stats, PoolErases: w.PoolErases, fwd: w.Fwd, rev: w.Rev}
-	return nil
-}
-
-// SnapshotData exports the FTL state. The mapping pairs are copies; block
-// free lists and wear counters alias the live FTL.
-func (f *FTL) SnapshotData() *SnapshotData {
-	snap := &SnapshotData{
-		Config:     f.cfg,
-		fwd:        f.fwd.pairs(),
-		Stats:      f.stats,
-		PoolErases: f.poolErases,
-	}
-	lpns := make([]int64, 0, f.fwd.n)
+// AppendState appends the FTL's dynamic state in the layout above.
+func (f *FTL) AppendState(buf []byte) []byte {
+	s := f.stats
+	buf = wire.AppendI64(buf, s.HostProgrammedPages, s.HostPayloadBytes, s.HostFootprintBytes)
+	buf = AppendGCWork(buf, s.GC)
+	buf = wire.AppendI64(buf, s.StaticLevelMoves, s.ProgramFaults, s.EraseFaults, s.RetiredBlocks)
+	buf = wire.AppendI64(buf, f.poolErases...)
 	for pi := range f.planes {
-		var ps PlaneSnapshot
 		for qi := range f.planes[pi].pools {
-			pool := &f.planes[pi].pools[qi]
-			q := PoolSnapshot{Free: pool.free, Active: pool.active}
-			for bi := range pool.blocks {
-				blk := &pool.blocks[bi]
-				q.Blocks = append(q.Blocks, blk.Dump())
-				if blk.LiveSectors() == 0 {
-					continue
-				}
-				for page := 0; page < blk.Pages(); page++ {
-					n := blk.PageLive(page)
-					if n == 0 {
-						continue
-					}
-					start := len(lpns)
-					lpns = append(lpns, pool.pageRev(int32(bi), page)[:n]...)
-					loc := Loc{Plane: int32(pi), Pool: int32(qi), Block: int32(bi), Page: int32(page)}
-					snap.rev = append(snap.rev, revPair{Key: loc.pack(), LPNs: lpns[start:len(lpns):len(lpns)]})
+			buf = f.planes[pi].pools[qi].appendState(buf)
+		}
+	}
+	return buf
+}
+
+// appendState appends one plane-pool's active block, free list and
+// written blocks.
+func (ps *poolState) appendState(buf []byte) []byte {
+	le := binary.LittleEndian
+	buf = le.AppendUint32(buf, uint32(ps.active))
+	at, runs := len(buf), 0
+	buf = le.AppendUint32(buf, 0)
+	for i := 0; i < len(ps.free); {
+		j := i + 1
+		for j < len(ps.free) && ps.free[j] == ps.free[j-1]+1 {
+			j++
+		}
+		buf = le.AppendUint32(le.AppendUint32(buf, uint32(ps.free[i])), uint32(j-i))
+		runs, i = runs+1, j
+	}
+	le.PutUint32(buf[at:], uint32(runs))
+	at, written := len(buf), 0
+	buf = le.AppendUint32(buf, 0)
+	for bi := range ps.blocks {
+		blk := &ps.blocks[bi]
+		if blk.NextFreeCount() == 0 && blk.EraseCount() == 0 && !blk.Retired() {
+			continue
+		}
+		written++
+		buf = blk.AppendState(le.AppendUint32(buf, uint32(bi)))
+		for page := 0; page < blk.NextFreeCount(); page++ {
+			n := blk.PageLive(page)
+			buf = append(buf, uint8(n))
+			if n > 0 {
+				for _, lpn := range ps.pageRev(int32(bi), page)[:n] {
+					buf = le.AppendUint32(buf, uint32(lpn))
 				}
 			}
-			ps.Pools = append(ps.Pools, q)
 		}
-		snap.Planes = append(snap.Planes, ps)
 	}
-	return snap
+	le.PutUint32(buf[at:], uint32(written))
+	return buf
 }
 
-// Snapshot writes the FTL state to w as one gob message.
-func (f *FTL) Snapshot(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(f.SnapshotData())
-}
-
-// RestoreSnapshot rebuilds an FTL from a stream written by Snapshot.
-func RestoreSnapshot(r io.Reader) (*FTL, error) {
-	var snap SnapshotData
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("ftl: decoding snapshot: %w", err)
-	}
-	return RestoreFromData(&snap)
-}
-
-// RestoreFromData rebuilds an FTL from exported snapshot data, filling the
-// dense tables directly, and rejects state that is out of range or
-// inconsistent with a one-line error.
-func RestoreFromData(snap *SnapshotData) (*FTL, error) {
-	if err := snap.Config.Validate(); err != nil {
+// Restore rebuilds an FTL of configuration cfg from state AppendState
+// wrote, reading it from r in one pass. Every count and index is checked
+// against cfg's geometry before it sizes or indexes anything, and the
+// result must pass CheckConsistency; a failure is a one-line error.
+func Restore(cfg Config, r *wire.Reader) (*FTL, error) {
+	f, err := New(cfg)
+	if err != nil {
 		return nil, fmt.Errorf("ftl: snapshot config: %w", err)
 	}
-	if len(snap.Planes) != snap.Config.Geometry.Planes() {
-		return nil, fmt.Errorf("ftl: snapshot has %d planes for a %d-plane geometry",
-			len(snap.Planes), snap.Config.Geometry.Planes())
+	s := &f.stats
+	s.HostProgrammedPages, s.HostPayloadBytes, s.HostFootprintBytes = r.I64(), r.I64(), r.I64()
+	s.GC = ReadGCWork(r)
+	s.StaticLevelMoves, s.ProgramFaults, s.EraseFaults, s.RetiredBlocks = r.I64(), r.I64(), r.I64(), r.I64()
+	for i := range f.poolErases {
+		f.poolErases[i] = r.I64()
 	}
-	f := &FTL{
-		cfg:        snap.Config,
-		planes:     make([]planeState, len(snap.Planes)),
-		stats:      snap.Stats,
-		poolErases: snap.PoolErases,
-	}
-	if len(f.poolErases) != len(snap.Config.Pools) {
-		f.poolErases = make([]int64, len(snap.Config.Pools))
-	}
-	for pi, ps := range snap.Planes {
-		if len(ps.Pools) != len(snap.Config.Pools) {
-			return nil, fmt.Errorf("ftl: snapshot plane %d has %d pools, config %d",
-				pi, len(ps.Pools), len(snap.Config.Pools))
-		}
-		pools := make([]poolState, len(ps.Pools))
-		for qi, q := range ps.Pools {
-			spec := snap.Config.Pools[qi]
-			if len(q.Blocks) != spec.BlocksPerPlane {
-				return nil, fmt.Errorf("ftl: snapshot pool %d/%d has %d blocks, spec %d",
-					pi, qi, len(q.Blocks), spec.BlocksPerPlane)
+	for pi := range f.planes {
+		for qi := range f.planes[pi].pools {
+			if r.Err() == nil {
+				f.readPool(int32(pi), int32(qi), r)
 			}
-			for bi, bs := range q.Blocks {
-				if err := bs.Check(spec.PagesPerBlock, spec.SectorsPerPage()); err != nil {
-					return nil, fmt.Errorf("ftl: snapshot block %d/%d/%d: %w", pi, qi, bi, err)
-				}
-			}
-			n := int32(spec.BlocksPerPlane)
-			if q.Active < -1 || q.Active >= n {
-				return nil, fmt.Errorf("ftl: snapshot pool %d/%d active block %d out of range", pi, qi, q.Active)
-			}
-			for _, b := range q.Free {
-				if b < 0 || b >= n {
-					return nil, fmt.Errorf("ftl: snapshot pool %d/%d free block %d out of range", pi, qi, b)
-				}
-			}
-			pool := newPoolState(spec, flash.RestoreBlocks(q.Blocks), q.Free, q.Active)
-			// The per-pool retired counter is derived state; recompute it
-			// from the block flags so pre-fault snapshots restore cleanly.
-			for bi := range pool.blocks {
-				if pool.blocks[bi].Retired() {
-					pool.retired++
-				}
-			}
-			if q.Active >= 0 {
-				pool.attach(q.Active)
-			}
-			pools[qi] = pool
-		}
-		f.planes[pi].pools = pools
-	}
-	for _, p := range snap.rev {
-		loc := unpack(p.Key)
-		if loc.pack() != p.Key || !f.validLoc(loc) {
-			return nil, fmt.Errorf("ftl: snapshot reverse-map key %#x outside the geometry", p.Key)
-		}
-		ps := &f.planes[loc.Plane].pools[loc.Pool]
-		if live := ps.blocks[loc.Block].PageLive(int(loc.Page)); len(p.LPNs) != live || live > ps.spp {
-			return nil, fmt.Errorf("ftl: snapshot page %+v lists %d LPNs for %d live sectors", loc, len(p.LPNs), live)
-		}
-		ps.attach(loc.Block)
-		copy(ps.pageRev(loc.Block, int(loc.Page)), p.LPNs)
-	}
-	maxDir, leaves, prev := int64(-1), 0, int64(-1)
-	for _, p := range snap.fwd {
-		if err := CheckRange(p.LPN, 1); err != nil {
-			return nil, fmt.Errorf("ftl: snapshot mapping: %w", err)
-		}
-		if !f.validLoc(p.Loc) {
-			return nil, fmt.Errorf("ftl: snapshot maps LPN %d outside the geometry at %+v", p.LPN, p.Loc)
-		}
-		if d := p.LPN >> leafShift; d != prev {
-			leaves, prev, maxDir = leaves+1, d, max(maxDir, d)
 		}
 	}
-	f.fwd.reserve(int(maxDir), leaves)
-	for _, p := range snap.fwd {
-		f.fwd.set(p.LPN, p.Loc)
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("ftl: snapshot %w", err)
 	}
 	if err := f.CheckConsistency(); err != nil {
 		return nil, fmt.Errorf("ftl: snapshot inconsistent: %w", err)
 	}
 	return f, nil
+}
+
+// readPool reads one plane-pool's state into a pool fresh from New.
+func (f *FTL) readPool(plane, pool int32, r *wire.Reader) {
+	ps := &f.planes[plane].pools[pool]
+	n := len(ps.blocks)
+	active := int32(r.U32())
+	if r.Err() == nil && (active < -1 || int(active) >= n) {
+		r.Failf("pool %d/%d active block %d outside %d blocks", plane, pool, active, n)
+	}
+	ps.free = ps.free[:0]
+	for range r.Count("free-list run", n, minRunBytes) {
+		first, length := r.U32(), r.U32()
+		if r.Err() != nil {
+			return
+		}
+		if length == 0 || uint64(first)+uint64(length) > uint64(n) || len(ps.free)+int(length) > n {
+			r.Failf("pool %d/%d free run of %d from block %d outside %d blocks", plane, pool, length, first, n)
+			return
+		}
+		for b := int32(first); b < int32(first+length); b++ {
+			ps.free = append(ps.free, b)
+		}
+	}
+	prev := -1
+	for range r.Count("written block", n, minBlockBytes) {
+		b := int(r.U32())
+		if r.Err() == nil && (b <= prev || b >= n) {
+			r.Failf("pool %d/%d block %d out of order or outside %d blocks", plane, pool, b, n)
+		}
+		if r.Err() != nil {
+			return
+		}
+		prev = b
+		f.readBlock(plane, pool, int32(b), r)
+	}
+	if r.Err() != nil {
+		return
+	}
+	ps.active = active
+	if active >= 0 {
+		ps.attach(active)
+	}
+	// A free block is erased, in service, inactive and listed once: New
+	// left every block on the list, so a mark per block fits in its slice.
+	seen := make([]bool, n)
+	for _, b := range ps.free {
+		blk := &ps.blocks[b]
+		if seen[b] || b == active || blk.Retired() || blk.NextFreeCount() > 0 {
+			r.Failf("pool %d/%d free block %d is listed twice, active, retired or written", plane, pool, b)
+			return
+		}
+		seen[b] = true
+	}
+}
+
+// readBlock reads block b's header and programmed pages, replaying each
+// page's LPN list into the reverse slab, the forward map and the block's
+// live counts.
+func (f *FTL) readBlock(plane, pool, b int32, r *wire.Reader) {
+	ps := &f.planes[plane].pools[pool]
+	blk := &ps.blocks[b]
+	ptr, retired := blk.ReadState(r)
+	if ptr > 0 {
+		ps.attachPages(b)
+	}
+	for page := 0; page < ptr; page++ {
+		k := int(r.U8())
+		if r.Err() == nil && k > ps.spp {
+			r.Failf("page %d/%d/%d/%d lists %d LPNs on a %d-sector page", plane, pool, b, page, k, ps.spp)
+		}
+		if r.Err() != nil {
+			return
+		}
+		if k > 0 {
+			ps.attach(b)
+			loc := Loc{Plane: plane, Pool: pool, Block: b, Page: int32(page)}
+			lpns := ps.pageRev(b, page)[:k]
+			for i := range lpns {
+				lpn := int64(r.U32())
+				if r.Err() == nil && lpn >= MaxLPN {
+					r.Failf("page %d/%d/%d/%d maps LPN %d past the %d-LPN address space", plane, pool, b, page, lpn, int64(MaxLPN))
+				}
+				if r.Err() != nil {
+					return
+				}
+				lpns[i] = lpn
+				f.fwd.set(lpn, loc)
+			}
+		}
+		blk.Program(k)
+	}
+	if retired {
+		if blk.LiveSectors() > 0 {
+			r.Failf("retired block %d/%d/%d holds %d live sectors", plane, pool, b, blk.LiveSectors())
+			return
+		}
+		blk.Retire()
+		ps.retired++
+	}
 }

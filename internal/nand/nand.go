@@ -132,12 +132,7 @@ type Backend struct {
 
 // New builds a fresh back end.
 func New(p Params) (Backend, error) {
-	f, err := ftl.New(ftl.Config{
-		Geometry:     p.Geometry,
-		Pools:        p.Pools,
-		GCFreeBlocks: p.GCFreeBlocks,
-		Wear:         p.Wear,
-	})
+	f, err := ftl.New(p.ftlConfig())
 	if err != nil {
 		return Backend{}, err
 	}
@@ -146,6 +141,11 @@ func New(p Params) (Backend, error) {
 		return Backend{}, err
 	}
 	return build(p, f, inj), nil
+}
+
+// ftlConfig is the FTL configuration of the flash array p describes.
+func (p Params) ftlConfig() ftl.Config {
+	return ftl.Config{Geometry: p.Geometry, Pools: p.Pools, GCFreeBlocks: p.GCFreeBlocks, Wear: p.Wear}
 }
 
 // build assembles a back end around an FTL and the injector it shares.

@@ -23,8 +23,8 @@ import (
 // snapshots. A device is aged once — an "age" job replays a prep workload
 // onto fresh flash and seals the result into the store — and every replay
 // or sweep that wants a worn device forks the archived snapshot via
-// from_device instead of re-aging (restore is a gob decode; re-aging is a
-// full replay).
+// from_device instead of re-aging (restore is one linear scan of the
+// snapshot; re-aging is a full replay).
 //
 //	POST   /v1/devices               age (JSON AgeSpec) or import (octet-stream)
 //	GET    /v1/devices               list archived snapshots, most recent first

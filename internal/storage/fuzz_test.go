@@ -3,8 +3,10 @@ package storage_test
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"io"
+	"os"
 	"runtime"
 	"testing"
 
@@ -51,6 +53,19 @@ func FuzzReadSeal(f *testing.F) {
 		f.Add(bad)
 	}
 	f.Add([]byte{})
+	// A version-1 (gob) seal, and headers claiming a 2^31-byte payload or
+	// an unknown version.
+	v1, err := os.ReadFile("../core/testdata/v1-ufs.seal")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1)
+	huge := append([]byte(nil), sealed...)
+	binary.BigEndian.PutUint64(huge[10+len(storage.BackendEMMC):], 1<<31)
+	f.Add(huge)
+	v3 := append([]byte(nil), sealed...)
+	v3[8] = 3
+	f.Add(v3)
 	f.Fuzz(func(t *testing.T, in []byte) {
 		info, payload, err := storage.ReadSeal(bytes.NewReader(in), "fuzz")
 		// A reader that cannot report its length takes the grow-as-bytes-
@@ -70,6 +85,7 @@ func FuzzReadSeal(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted payload does not re-seal: %v", err)
 		}
+		again[8] = byte(info.Version) // SealPayload writes the current version
 		if !bytes.HasPrefix(in, again) {
 			t.Fatal("accepted seal does not re-seal to the bytes read")
 		}

@@ -35,8 +35,9 @@ func sealTestDevice(t *testing.T, backend storage.Backend) storage.Device {
 }
 
 // TestSealRoundTrip: a sealed snapshot restores to a device whose state —
-// metrics, wear, injector position — matches the original, on both gob
-// layouts (eMMC and UFS), and the envelope self-describes the backend.
+// metrics, wear, injector position — matches the original, on both
+// layouts (eMMC and UFS), and the envelope self-describes the backend and
+// the payload version.
 func TestSealRoundTrip(t *testing.T) {
 	for _, backend := range []storage.Backend{storage.BackendEMMC, storage.BackendUFS} {
 		t.Run(string(backend), func(t *testing.T) {
@@ -45,8 +46,8 @@ func TestSealRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Seal: %v", err)
 			}
-			if info.Backend != backend {
-				t.Errorf("sealed backend = %q, want %q", info.Backend, backend)
+			if info.Backend != backend || info.Version != 2 {
+				t.Errorf("sealed backend %q version %d, want %q version 2", info.Backend, info.Version, backend)
 			}
 			if len(info.Digest) != 64 {
 				t.Errorf("digest %q is not hex sha256", info.Digest)
@@ -104,7 +105,7 @@ func TestSealDeterministic(t *testing.T) {
 // TestSealDiagnostics pins the one-line failure contract: truncation names
 // the device id and the byte offset, corruption names the payload range and
 // both digests, and a bad backend name lists the valid ones — all before
-// any gob decoding.
+// any payload decoding.
 func TestSealDiagnostics(t *testing.T) {
 	dev := sealTestDevice(t, storage.BackendEMMC)
 	sealed, _, err := storage.Seal(dev)

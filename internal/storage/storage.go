@@ -24,6 +24,7 @@ import (
 	"emmcio/internal/ftl"
 	"emmcio/internal/telemetry"
 	"emmcio/internal/trace"
+	"emmcio/internal/wire"
 )
 
 // Backend names a device implementation selectable via -device or the
@@ -133,6 +134,29 @@ type Metrics struct {
 	DestageStallNs int64 // destage time charged to waiting requests
 }
 
+// AppendMetrics appends m to a device snapshot as little-endian int64s,
+// in field order.
+func AppendMetrics(buf []byte, m Metrics) []byte {
+	buf = wire.AppendI64(buf, m.Served, m.NoWait, m.SumServiceNs, m.SumResponseNs, m.SumWaitNs)
+	buf = ftl.AppendGCWork(buf, m.ForegroundGC)
+	buf = ftl.AppendGCWork(buf, m.IdleGC)
+	return wire.AppendI64(buf, m.GCStallNs, m.IdleGCNs, m.LightWakes, m.DeepWakes, m.WakeNs,
+		m.MapReads, m.MapWrites, m.MapNs, m.Flushes, m.FlushNs, m.ReadFaults, m.RecoveryNs,
+		m.BufferedWrites, m.DestageIdleNs, m.DestageStallNs)
+}
+
+// ReadMetrics reads metrics AppendMetrics wrote.
+func ReadMetrics(r *wire.Reader) Metrics {
+	m := Metrics{Served: r.I64(), NoWait: r.I64(), SumServiceNs: r.I64(), SumResponseNs: r.I64(), SumWaitNs: r.I64()}
+	m.ForegroundGC, m.IdleGC = ftl.ReadGCWork(r), ftl.ReadGCWork(r)
+	for _, v := range []*int64{&m.GCStallNs, &m.IdleGCNs, &m.LightWakes, &m.DeepWakes, &m.WakeNs,
+		&m.MapReads, &m.MapWrites, &m.MapNs, &m.Flushes, &m.FlushNs, &m.ReadFaults, &m.RecoveryNs,
+		&m.BufferedWrites, &m.DestageIdleNs, &m.DestageStallNs} {
+		*v = r.I64()
+	}
+	return m
+}
+
 // NoWaitRatio returns the fraction of requests served immediately.
 func (m Metrics) NoWaitRatio() float64 {
 	if m.Served == 0 {
@@ -224,9 +248,10 @@ type Device interface {
 	// SetTelemetry attaches metrics and span tracing (nil values detach).
 	SetTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer)
 
-	// Snapshot archives the device's full dynamic state as gob, so an aged
-	// device can be resumed later without replaying its history. Restore
-	// is backend-specific (emmc.RestoreSnapshot, ufs.RestoreSnapshot);
-	// core.RestoreDevice dispatches on a Backend.
+	// Snapshot archives the device's configuration and full dynamic state
+	// in the little-endian layout of sealed snapshot version 2 (see
+	// seal.go), so an aged device can be resumed later without replaying
+	// its history. Restore is backend-specific (emmc.RestoreSnapshot,
+	// ufs.RestoreSnapshot); core.RestoreDevice dispatches on a Backend.
 	Snapshot(w io.Writer) error
 }

@@ -192,8 +192,8 @@ func TestFlushDrainsBooster(t *testing.T) {
 	if _, err := d.Flush(0); err != nil {
 		t.Fatal(err)
 	}
-	if n, b := len(d.State().Staged), d.StagedBytes(); n != 0 || b != 0 {
-		t.Fatalf("booster not drained by flush: %d chunks, %d bytes", n, b)
+	if b := d.StagedBytes(); b != 0 {
+		t.Fatalf("booster not drained by flush: %d bytes", b)
 	}
 	if d.Metrics().DestageStallNs == 0 {
 		t.Fatalf("flush drain charged no stall time")
@@ -228,9 +228,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(r.slots, d.slots) {
 		t.Fatalf("command slots not restored: %v vs %v", r.slots, d.slots)
 	}
-	rs, ds := r.State(), d.State()
-	if !reflect.DeepEqual(rs.Staged, ds.Staged) || rs.StageHits != ds.StageHits || rs.StageMisses != ds.StageMisses {
-		t.Fatalf("booster queue not restored")
+	if !bytes.Equal(r.AppendState(nil), d.AppendState(nil)) {
+		t.Fatalf("back end state (booster queue, cursors, FTL) not restored")
 	}
 	if r.StagedBytes() != d.StagedBytes() {
 		t.Fatalf("booster occupancy: restored %d, want %d", r.StagedBytes(), d.StagedBytes())
