@@ -68,22 +68,27 @@ func Resume(dev storage.Device, st trace.Stream) trace.Stream {
 }
 
 // observer is the per-request step both replay loops share: the core_*
-// series, the request/service spans, and the sink. The series are indexed
-// by operation: 0 for reads, 1 for writes.
+// series, the request/service spans, and the sink. The series and span
+// keys are indexed by operation: 0 for reads, 1 for writes.
 type observer struct {
 	reqs             [2]*telemetry.Counter
 	resp, serv, wait [2]*telemetry.Histogram
 	tc               *telemetry.Tracer
+	request, service [2]telemetry.SpanKey
 	sink             func(trace.Request) error
 }
 
 // newObserver attaches o's telemetry to dev (nil values leave it off) and
-// resolves the metric handles once.
+// resolves the metric handles and span keys once.
 func newObserver(dev storage.Device, o ReplayOpts) observer {
 	if o.Registry != nil || o.Tracer != nil {
 		dev.SetTelemetry(o.Registry, o.Tracer)
 	}
 	ob := observer{tc: o.Tracer, sink: o.Sink}
+	for op, track := range [2]string{"requests/read", "requests/write"} {
+		ob.request[op] = o.Tracer.Key("core", track, "request")
+		ob.service[op] = o.Tracer.Key("core", track, "service")
+	}
 	if reg := o.Registry; reg != nil {
 		for op, name := range [2]string{"read", "write"} {
 			l := telemetry.L("op", name)
@@ -110,9 +115,8 @@ func (ob *observer) served(req trace.Request, res storage.Result) error {
 		ob.wait[op].Observe(res.ServiceStart - req.Arrival)
 	}
 	if ob.tc != nil {
-		track := [2]string{"requests/read", "requests/write"}[op]
-		ob.tc.Span("core", track, "request", req.Arrival, res.Finish)
-		ob.tc.Span("core", track, "service", res.ServiceStart, res.Finish)
+		ob.tc.Span(ob.request[op], req.Arrival, res.Finish)
+		ob.tc.Span(ob.service[op], res.ServiceStart, res.Finish)
 	}
 	if ob.sink == nil {
 		return nil

@@ -5,8 +5,11 @@ import (
 	"runtime"
 	"testing"
 
+	"emmcio/internal/paper"
 	"emmcio/internal/storage"
+	"emmcio/internal/telemetry"
 	"emmcio/internal/trace"
+	"emmcio/internal/workload"
 )
 
 // synthStream procedurally generates a deterministic workload of n requests
@@ -137,6 +140,43 @@ func TestStreamReplayAllocationBudgetUFS(t *testing.T) {
 		perReq, float64(after.TotalAlloc-before.TotalAlloc)/(1<<20))
 	if perReq > 2 {
 		t.Errorf("UFS replay allocated %.2f objects/request, budget 2 — pooled replay pipeline regressed", perReq)
+	}
+}
+
+// TestTracedReplayAllocationBudget extends the allocation discipline to
+// telemetry: attaching a registry and a span tracer resolves metric
+// handles and span keys once, so a traced Twitter replay may allocate only
+// a constant number of objects more than an untraced one, however many
+// requests it replays. A tracer that formats a track name or builds a
+// label slice per span (about 8 allocations per request) fails by two
+// orders of magnitude.
+func TestTracedReplayAllocationBudget(t *testing.T) {
+	tr := workload.DefaultRegistry().Lookup(paper.Twitter).Generate(workload.DefaultSeed)
+	mallocs := func(o ReplayOpts) int64 {
+		dev, err := NewDevice(SchemeHPS, CaseStudyOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, err := Replay(context.Background(), dev, SchemeHPS, trace.FromSlice(tr), o); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return int64(after.Mallocs - before.Mallocs)
+	}
+	off := mallocs(ReplayOpts{})
+	on := mallocs(ReplayOpts{Registry: telemetry.NewRegistry(), Tracer: telemetry.NewTracer(0)})
+	extra := on - off
+	t.Logf("%d requests: %d allocations untraced, %d traced (+%d)", len(tr.Reqs), off, on, extra)
+	// Attaching costs a few hundred allocations (handles, keys, track
+	// names); the budget leaves room for that while staying far below one
+	// allocation per request.
+	const budget = 1500
+	if extra > budget {
+		t.Errorf("traced replay allocated %d objects more than untraced, budget %d (%.2f per request)",
+			extra, budget, float64(extra)/float64(len(tr.Reqs)))
 	}
 }
 

@@ -142,8 +142,9 @@ type Device struct {
 	freeAt int64
 
 	// Power-model telemetry; the back end owns the rest.
-	lightWakes, deepWakes *telemetry.Counter
-	tracer                *telemetry.Tracer
+	lightWakes, deepWakes       *telemetry.Counter
+	tracer                      *telemetry.Tracer
+	lightWakeSpan, deepWakeSpan telemetry.SpanKey
 }
 
 // params maps the configuration onto the back end's.
@@ -185,6 +186,8 @@ func New(cfg Config) (*Device, error) {
 func (d *Device) SetTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer) {
 	d.Backend.SetTelemetry(reg, tr)
 	d.tracer = tr
+	d.lightWakeSpan = tr.Key("emmc", "device", "light-wake")
+	d.deepWakeSpan = tr.Key("emmc", "device", "deep-wake")
 	d.lightWakes = reg.Counter("emmc_wakes_total", telemetry.L("level", "light"))
 	d.deepWakes = reg.Counter("emmc_wakes_total", telemetry.L("level", "deep"))
 }
@@ -293,13 +296,13 @@ func (d *Device) beginCommand(dispatchAt int64) (serviceStart, opsStart int64, w
 			d.Counters.DeepWakes++
 			d.Counters.WakeNs += d.cfg.DeepWake
 			d.deepWakes.Inc()
-			d.tracer.Instant("emmc", "device", "deep-wake", serviceStart)
+			d.tracer.Instant(d.deepWakeSpan, serviceStart)
 		case d.cfg.LightSleepAfter > 0 && idle >= d.cfg.LightSleepAfter:
 			opsStart += d.cfg.LightWake
 			d.Counters.LightWakes++
 			d.Counters.WakeNs += d.cfg.LightWake
 			d.lightWakes.Inc()
-			d.tracer.Instant("emmc", "device", "light-wake", serviceStart)
+			d.tracer.Instant(d.lightWakeSpan, serviceStart)
 		}
 	}
 	opsStart += d.cfg.Timing.RequestOverheadNs
@@ -357,7 +360,7 @@ func (d *Device) serveWrite(opsStart int64, lpns []int64) (int64, error) {
 	finish := opsStart
 	for _, c := range chunks {
 		d.Stage(c)
-		if end := d.HostTransfer(opsStart, len(c.LPNs)*flash.SectorBytes, "wb-ack", c.PageBytes); end > finish {
+		if end := d.HostTransfer(opsStart, len(c.LPNs)*flash.SectorBytes, nand.WriteAckXfer, c.PageBytes); end > finish {
 			finish = end
 		}
 	}

@@ -117,8 +117,8 @@ type Backend struct {
 	prefetches  int64
 	prefetchHit int64
 
-	tel    *backTel
-	tracer *telemetry.Tracer
+	tel   *backTel
+	spans *backSpans
 
 	// Per-request scratch, reused across submissions. Contents are only
 	// meaningful within one submit call; every consumer that outlives the
@@ -382,7 +382,9 @@ func (b *Backend) Barrier(start, cost int64, waited bool) storage.Result {
 		b.tel.flushes.Inc()
 		b.publish()
 	}
-	b.tracer.Span(b.p.Name, "device", "flush", serviceStart, finish)
+	if s := b.spans; s != nil {
+		s.tr.Span(s.flush, serviceStart, finish)
+	}
 	return storage.Result{ServiceStart: serviceStart, Finish: finish, Waited: waited}
 }
 
@@ -416,7 +418,10 @@ type backTel struct {
 // plane track, GC instants, read-recovery markers and flush barriers. The
 // FTL, mapping cache and fault injector wire through the same registry.
 func (b *Backend) SetTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer) {
-	b.tracer = tr
+	b.spans = nil
+	if tr != nil {
+		b.spans = b.newBackSpans(tr)
+	}
 	b.ftl.SetTelemetry(reg)
 	b.mapCache.SetTelemetry(reg)
 	b.inj.SetTelemetry(reg)
@@ -472,16 +477,3 @@ func (b *Backend) observeSub(pageBytes int) {
 		b.tel.sub4K.Inc()
 	}
 }
-
-// pageLabel names the pool size in span labels.
-func pageLabel(pageBytes int) string {
-	if pageBytes >= 8192 {
-		return "8K"
-	}
-	return "4K"
-}
-
-// trackChannel/trackPlane format Perfetto track names; only reached when a
-// tracer is attached.
-func trackChannel(ch int) string { return fmt.Sprintf("channel/%d", ch) }
-func trackPlane(pl int) string   { return fmt.Sprintf("plane/%d", pl) }

@@ -5,7 +5,6 @@ import (
 
 	"emmcio/internal/flash"
 	"emmcio/internal/ftl"
-	"emmcio/internal/telemetry"
 )
 
 // Chunk is one physical page operation derived from a host write: the
@@ -127,10 +126,10 @@ func (b *Backend) scheduleWrite(opsStart int64, plane int, transfer, opNs int64,
 		// Channel frees after the transfer; the plane runs the program.
 		chStart, chEnd := ch.Reserve(opsStart, transfer)
 		plStart, plEnd := pl.Reserve(chEnd, opNs)
-		if b.tracer != nil {
-			pg := telemetry.L("page", pageLabel(pageBytes))
-			b.tracer.Span(b.p.Name, trackChannel(chIdx), "xfer-in", chStart, chEnd, pg)
-			b.tracer.Span(b.p.Name, trackPlane(plane), "program", plStart, plEnd, pg)
+		if s := b.spans; s != nil {
+			pg := pageIdx(pageBytes)
+			s.tr.Span(s.channel[chIdx][opWrite][pg], chStart, chEnd)
+			s.tr.Span(s.plane[plane][opWrite][pg], plStart, plEnd)
 		}
 		return plEnd
 	}
@@ -144,10 +143,10 @@ func (b *Backend) scheduleWrite(opsStart int64, plane int, transfer, opNs int64,
 	}
 	ch.ReserveWindow(start, transfer+opNs)
 	pl.ReserveWindow(start+transfer, opNs)
-	if b.tracer != nil {
-		pg := telemetry.L("page", pageLabel(pageBytes))
-		b.tracer.Span(b.p.Name, trackChannel(chIdx), "xfer+program", start, start+transfer+opNs, pg)
-		b.tracer.Span(b.p.Name, trackPlane(plane), "program", start+transfer, start+transfer+opNs, pg)
+	if s := b.spans; s != nil {
+		pg := pageIdx(pageBytes)
+		s.tr.Span(s.channel[chIdx][opWrite][pg], start, start+transfer+opNs)
+		s.tr.Span(s.plane[plane][opWrite][pg], start+transfer, start+transfer+opNs)
 	}
 	return start + transfer + opNs
 }
@@ -162,10 +161,10 @@ func (b *Backend) scheduleRead(opsStart int64, plane int, opNs, transfer int64, 
 	if b.p.Interleave {
 		plStart, plEnd := pl.Reserve(opsStart, opNs)
 		chStart, chEnd := ch.Reserve(plEnd, transfer)
-		if b.tracer != nil {
-			pg := telemetry.L("page", pageLabel(pageBytes))
-			b.tracer.Span(b.p.Name, trackPlane(plane), "read", plStart, plEnd, pg)
-			b.tracer.Span(b.p.Name, trackChannel(chIdx), "xfer-out", chStart, chEnd, pg)
+		if s := b.spans; s != nil {
+			pg := pageIdx(pageBytes)
+			s.tr.Span(s.plane[plane][opRead][pg], plStart, plEnd)
+			s.tr.Span(s.channel[chIdx][opRead][pg], chStart, chEnd)
 		}
 		return chEnd
 	}
@@ -178,10 +177,10 @@ func (b *Backend) scheduleRead(opsStart int64, plane int, opNs, transfer int64, 
 	}
 	ch.ReserveWindow(start, opNs+transfer)
 	pl.ReserveWindow(start, opNs)
-	if b.tracer != nil {
-		pg := telemetry.L("page", pageLabel(pageBytes))
-		b.tracer.Span(b.p.Name, trackChannel(chIdx), "read+xfer", start, start+opNs+transfer, pg)
-		b.tracer.Span(b.p.Name, trackPlane(plane), "read", start, start+opNs, pg)
+	if s := b.spans; s != nil {
+		pg := pageIdx(pageBytes)
+		s.tr.Span(s.channel[chIdx][opRead][pg], start, start+opNs+transfer)
+		s.tr.Span(s.plane[plane][opRead][pg], start, start+opNs)
 	}
 	return start + opNs + transfer
 }
@@ -190,15 +189,15 @@ func (b *Backend) scheduleRead(opsStart int64, plane int, opNs, transfer int64, 
 // the channel the stripe cursor points at, without advancing the cursor,
 // and returns when the transfer ends. pageBytes > 0 counts it as a
 // sub-request of that page size and labels its span.
-func (b *Backend) HostTransfer(at int64, payload int, span string, pageBytes int) int64 {
+func (b *Backend) HostTransfer(at int64, payload int, x HostXfer, pageBytes int) int64 {
 	ch := b.rrPlane % b.p.Geometry.Channels
 	chStart, chEnd := b.channels[ch].Reserve(at, b.p.Timing.Transfer(payload))
-	if b.tracer != nil {
+	if s := b.spans; s != nil {
+		label := 0
 		if pageBytes > 0 {
-			b.tracer.Span(b.p.Name, trackChannel(ch), span, chStart, chEnd, telemetry.L("page", pageLabel(pageBytes)))
-		} else {
-			b.tracer.Span(b.p.Name, trackChannel(ch), span, chStart, chEnd)
+			label = 1 + pageIdx(pageBytes)
 		}
+		s.tr.Span(s.host[ch][x][label], chStart, chEnd)
 	}
 	if pageBytes > 0 {
 		b.observeSub(pageBytes)
@@ -239,8 +238,8 @@ func (b *Backend) WriteFTL(opsStart int64, chunks []Chunk) (int64, error) {
 			if b.tel != nil {
 				b.tel.gcStallNs.Add(gcNs)
 			}
-			if b.tracer != nil {
-				b.tracer.Instant("ftl", "gc", "foreground-gc", opsStart, telemetry.L("page", pageLabel(c.PageBytes)))
+			if s := b.spans; s != nil {
+				s.tr.Instant(s.fgGC[pageIdx(c.PageBytes)], opsStart)
 			}
 		}
 		if b.ram != nil {
@@ -350,7 +349,7 @@ func (b *Backend) Read(opsStart int64, lpns []int64) (int64, error) {
 	b.BeginOps()
 	finish := opsStart
 	if hitSectors > 0 {
-		if end := b.HostTransfer(opsStart, hitSectors*flash.SectorBytes, "ram-hit-xfer", 0); end > finish {
+		if end := b.HostTransfer(opsStart, hitSectors*flash.SectorBytes, RAMHitXfer, 0); end > finish {
 			finish = end
 		}
 	}
@@ -383,7 +382,9 @@ func (b *Backend) Read(opsStart int64, lpns []int64) (int64, error) {
 				b.tel.recoveryNs.Add(extra)
 				b.tel.recoveryHist.Observe(extra)
 			}
-			b.tracer.Instant(b.p.Name, "device", "read-recovery", opsStart)
+			if s := b.spans; s != nil {
+				s.tr.Instant(s.recovery, opsStart)
+			}
 			if rerr != nil {
 				return 0, fmt.Errorf("%s: read-scrub recovery: %w (after %w)", b.p.Name, rerr, flash.ErrUncorrectable)
 			}
@@ -444,8 +445,8 @@ func (b *Backend) RunIdleGC(arrival int64) (int64, error) {
 			}
 			ns := b.gcTime(work, b.p.Pools[pool].PageBytes)
 			b.Counters.IdleGC.Add(work)
-			if b.tracer != nil {
-				b.tracer.Instant("ftl", "gc", "idle-gc", arrival, telemetry.L("page", pageLabel(b.p.Pools[pool].PageBytes)))
+			if s := b.spans; s != nil {
+				s.tr.Instant(s.idleGC[pageIdx(b.p.Pools[pool].PageBytes)], arrival)
 			}
 			if ns <= budget {
 				budget -= ns

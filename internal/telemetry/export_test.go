@@ -44,9 +44,9 @@ func exportFixture() (*Registry, *Tracer) {
 		h.Observe(v)
 	}
 	tr := NewTracer(16)
-	tr.Span("core", "requests/read", "request", 1_000, 161_000, L("lba", "8"), L("bytes", "4096"))
-	tr.Span("emmc", "channel/0", "xfer", 1_500, 50_000)
-	tr.Instant("ftl", "gc", "erase", 80_000, L("moves", "3"))
+	tr.Span(tr.Key("core", "requests/read", "request", L("lba", "8"), L("bytes", "4096")), 1_000, 161_000)
+	tr.Span(tr.Key("emmc", "channel/0", "xfer"), 1_500, 50_000)
+	tr.Instant(tr.Key("ftl", "gc", "erase", L("moves", "3")), 80_000)
 	return r, tr
 }
 

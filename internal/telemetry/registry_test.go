@@ -43,6 +43,7 @@ func TestNilRegistryIsInert(t *testing.T) {
 func TestConcurrentIncrements(t *testing.T) {
 	r := NewRegistry()
 	tr := NewTracer(128)
+	op := tr.Key("test", "w", "op")
 	const workers = 16
 	const perWorker = 1000
 	var wg sync.WaitGroup
@@ -59,7 +60,7 @@ func TestConcurrentIncrements(t *testing.T) {
 				g.Add(-1)
 				h.Observe(int64(i % 1500))
 				if i%100 == 0 {
-					tr.Span("test", "w", "op", int64(i), int64(i+1))
+					tr.Span(op, int64(i), int64(i+1))
 				}
 			}
 		}(w)

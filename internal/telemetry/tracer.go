@@ -1,6 +1,9 @@
 package telemetry
 
-import "sync"
+import (
+	"strings"
+	"sync"
+)
 
 // EventKind distinguishes span records from instantaneous markers.
 type EventKind uint8
@@ -12,9 +15,11 @@ const (
 	InstantEvent
 )
 
-// Event is one trace record. Layer attributes the event to a subsystem
-// (core, emmc, ftl, sim); Track is the timeline it renders on in Perfetto
-// (one "thread" per track, e.g. "requests/read" or "channel/0").
+// Event is one trace record as the read side sees it. Layer attributes the
+// event to a subsystem (core, emmc, ftl, sim); Track is the timeline it
+// renders on in Perfetto (one "thread" per track, e.g. "requests/read" or
+// "channel/0"). Labels is shared by every event of the same SpanKey and
+// must not be modified.
 type Event struct {
 	Kind   EventKind
 	Layer  string
@@ -25,20 +30,51 @@ type Event struct {
 	Labels []Label
 }
 
-// DefaultTracerCapacity bounds the ring buffer at 4096 events — the same
-// order of memory as BIOtracer's 32 KB in-RAM record log (§II), and for the
-// same reason: the instrument must not grow without bound under load.
+// SpanKey names what a record is: a (layer, track, name, labels) tuple
+// interned by Tracer.Key. Instrumented code resolves its keys once, when
+// telemetry is attached, so recording a span copies two timestamps and a
+// key and never formats or allocates. A key is only meaningful to the
+// tracer that issued it.
+type SpanKey uint32
+
+// spanMeta is what a SpanKey stands for.
+type spanMeta struct {
+	layer, track, name string
+	labels             []Label
+}
+
+// keyID indexes interned keys; labels is the tuple's labels joined into
+// one comparable string.
+type keyID struct {
+	layer, track, name, labels string
+}
+
+// entry is one ring record: 24 bytes and no pointers, so a ring costs the
+// garbage collector nothing to scan. The kind rides in the key's padding.
+type entry struct {
+	key        SpanKey
+	kind       EventKind
+	begin, end int64
+}
+
+// DefaultTracerCapacity bounds the ring buffer at 4096 events — 96 KB of
+// 24-byte entries, the same order of memory as BIOtracer's 32 KB in-RAM
+// record log (§II), and for the same reason: the instrument must not grow
+// without bound under load.
 const DefaultTracerCapacity = 4096
 
 // Tracer records spans and instant events into a bounded ring buffer.
 // When full, the oldest events are overwritten first, exactly like
-// BIOtracer's circular log. A nil Tracer is a no-op.
+// BIOtracer's circular log. A nil Tracer is a no-op. All methods are safe
+// for concurrent use, so a live ring can be read while a replay records.
 type Tracer struct {
 	mu      sync.Mutex
-	buf     []Event
+	buf     []entry
 	start   int // index of the oldest event
 	n       int // live events
 	dropped int64
+	keys    []spanMeta // indexed by SpanKey
+	ids     map[keyID]SpanKey
 }
 
 // NewTracer builds a tracer holding up to capacity events
@@ -47,45 +83,94 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTracerCapacity
 	}
-	return &Tracer{buf: make([]Event, capacity)}
+	return &Tracer{buf: make([]entry, capacity), ids: map[keyID]SpanKey{}}
 }
 
-func (t *Tracer) record(ev Event) {
+// Key interns the (layer, track, name, labels) tuple and returns its key;
+// the same tuple always maps to the same key. labels are fixed for the
+// key: every event recorded under it carries them. Call Key when
+// telemetry is attached, not per event. A nil Tracer returns 0.
+func (t *Tracer) Key(layer, track, name string, labels ...Label) SpanKey {
+	if t == nil {
+		return 0
+	}
+	id := keyID{layer: layer, track: track, name: name}
+	if len(labels) > 0 {
+		var b strings.Builder
+		for _, l := range labels {
+			b.WriteString(l.Key)
+			b.WriteByte(0)
+			b.WriteString(l.Value)
+			b.WriteByte(0)
+		}
+		id.labels = b.String()
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.n < len(t.buf) {
-		t.buf[(t.start+t.n)%len(t.buf)] = ev
-		t.n++
-		return
+	if k, ok := t.ids[id]; ok {
+		return k
 	}
-	// Full: overwrite the oldest slot.
-	t.buf[t.start] = ev
-	t.start = (t.start + 1) % len(t.buf)
-	t.dropped++
+	k := SpanKey(len(t.keys))
+	meta := spanMeta{layer: layer, track: track, name: name}
+	if len(labels) > 0 {
+		meta.labels = append([]Label(nil), labels...)
+	}
+	t.keys = append(t.keys, meta)
+	t.ids[id] = k
+	return k
 }
 
-// Span records a [begin, end] interval on the given layer/track.
-func (t *Tracer) Span(layer, track, name string, begin, end int64, labels ...Label) {
+func (t *Tracer) record(e entry) {
+	t.mu.Lock()
+	if t.n < len(t.buf) {
+		i := t.start + t.n
+		if i >= len(t.buf) {
+			i -= len(t.buf)
+		}
+		t.buf[i] = e
+		t.n++
+	} else {
+		// Full: overwrite the oldest slot.
+		t.buf[t.start] = e
+		t.start++
+		if t.start == len(t.buf) {
+			t.start = 0
+		}
+		t.dropped++
+	}
+	t.mu.Unlock()
+}
+
+// Span records a [begin, end] interval under key k.
+func (t *Tracer) Span(k SpanKey, begin, end int64) {
 	if t == nil {
 		return
 	}
 	if end < begin {
 		end = begin
 	}
-	t.record(Event{Kind: SpanEvent, Layer: layer, Track: track, Name: name,
-		Begin: begin, End: end, Labels: labels})
+	t.record(entry{key: k, kind: SpanEvent, begin: begin, end: end})
 }
 
-// Instant records a point event.
-func (t *Tracer) Instant(layer, track, name string, at int64, labels ...Label) {
+// Instant records a point event under key k.
+func (t *Tracer) Instant(k SpanKey, at int64) {
 	if t == nil {
 		return
 	}
-	t.record(Event{Kind: InstantEvent, Layer: layer, Track: track, Name: name,
-		Begin: at, End: at, Labels: labels})
+	t.record(entry{key: k, kind: InstantEvent, begin: at, end: at})
 }
 
-// Events returns the buffered events, oldest first.
+// at returns the i-th live entry, oldest first; the caller holds mu.
+func (t *Tracer) at(i int) entry {
+	i += t.start
+	if i >= len(t.buf) {
+		i -= len(t.buf)
+	}
+	return t.buf[i]
+}
+
+// Events returns the buffered events, oldest first, with each key expanded
+// back to its layer, track, name and labels.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
@@ -93,8 +178,11 @@ func (t *Tracer) Events() []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make([]Event, t.n)
-	for i := 0; i < t.n; i++ {
-		out[i] = t.buf[(t.start+i)%len(t.buf)]
+	for i := range out {
+		e := t.at(i)
+		m := &t.keys[e.key]
+		out[i] = Event{Kind: e.kind, Layer: m.layer, Track: m.track, Name: m.name,
+			Begin: e.begin, End: e.end, Labels: m.labels}
 	}
 	return out
 }
@@ -139,11 +227,12 @@ func (t *Tracer) CountSpans(layer, name string) int64 {
 	defer t.mu.Unlock()
 	var n int64
 	for i := 0; i < t.n; i++ {
-		ev := &t.buf[(t.start+i)%len(t.buf)]
-		if ev.Kind != SpanEvent {
+		e := t.at(i)
+		if e.kind != SpanEvent {
 			continue
 		}
-		if (layer == "" || ev.Layer == layer) && (name == "" || ev.Name == name) {
+		m := &t.keys[e.key]
+		if (layer == "" || m.layer == layer) && (name == "" || m.name == name) {
 			n++
 		}
 	}

@@ -3,12 +3,13 @@ package telemetry
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 )
 
 func TestTracerRecordsInOrder(t *testing.T) {
 	tr := NewTracer(8)
-	tr.Span("core", "requests/read", "request", 100, 200, L("lba", "8"))
-	tr.Instant("ftl", "gc", "erase", 150)
+	tr.Span(tr.Key("core", "requests/read", "request", L("lba", "8")), 100, 200)
+	tr.Instant(tr.Key("ftl", "gc", "erase"), 150)
 	evs := tr.Events()
 	if len(evs) != 2 {
 		t.Fatalf("got %d events", len(evs))
@@ -16,7 +17,11 @@ func TestTracerRecordsInOrder(t *testing.T) {
 	if evs[0].Kind != SpanEvent || evs[0].Begin != 100 || evs[0].End != 200 {
 		t.Fatalf("span event %+v", evs[0])
 	}
-	if evs[1].Kind != InstantEvent || evs[1].Begin != 150 || evs[1].End != 150 {
+	if evs[0].Layer != "core" || evs[0].Track != "requests/read" || evs[0].Name != "request" ||
+		len(evs[0].Labels) != 1 || evs[0].Labels[0] != L("lba", "8") {
+		t.Fatalf("span event %+v lost its key", evs[0])
+	}
+	if evs[1].Kind != InstantEvent || evs[1].Begin != 150 || evs[1].End != 150 || evs[1].Labels != nil {
 		t.Fatalf("instant event %+v", evs[1])
 	}
 	if tr.Dropped() != 0 || tr.Len() != 2 || tr.Cap() != 8 {
@@ -27,7 +32,7 @@ func TestTracerRecordsInOrder(t *testing.T) {
 func TestTracerWraparoundDropsOldestFirst(t *testing.T) {
 	tr := NewTracer(4)
 	for i := 0; i < 10; i++ {
-		tr.Span("core", "t", fmt.Sprintf("ev%d", i), int64(i), int64(i+1))
+		tr.Span(tr.Key("core", "t", fmt.Sprintf("ev%d", i)), int64(i), int64(i+1))
 	}
 	evs := tr.Events()
 	if len(evs) != 4 {
@@ -47,10 +52,11 @@ func TestTracerWraparoundDropsOldestFirst(t *testing.T) {
 
 func TestTracerCountSpans(t *testing.T) {
 	tr := NewTracer(16)
-	tr.Span("core", "requests/read", "request", 0, 1)
-	tr.Span("core", "requests/write", "request", 1, 2)
-	tr.Span("emmc", "channel/0", "xfer", 0, 1)
-	tr.Instant("core", "requests/read", "request", 5) // instants do not count
+	read := tr.Key("core", "requests/read", "request")
+	tr.Span(read, 0, 1)
+	tr.Span(tr.Key("core", "requests/write", "request"), 1, 2)
+	tr.Span(tr.Key("emmc", "channel/0", "xfer"), 0, 1)
+	tr.Instant(read, 5) // instants do not count
 	if n := tr.CountSpans("core", "request"); n != 2 {
 		t.Fatalf("CountSpans(core, request) = %d", n)
 	}
@@ -61,13 +67,14 @@ func TestTracerCountSpans(t *testing.T) {
 
 func TestTracerNilAndBackwardSpan(t *testing.T) {
 	var tr *Tracer
-	tr.Span("a", "b", "c", 0, 1) // no panic
-	tr.Instant("a", "b", "c", 0)
+	k := tr.Key("a", "b", "c")
+	tr.Span(k, 0, 1) // no panic
+	tr.Instant(k, 0)
 	if tr.Events() != nil || tr.Len() != 0 || tr.Dropped() != 0 || tr.Cap() != 0 {
 		t.Fatal("nil tracer should be inert")
 	}
 	real := NewTracer(2)
-	real.Span("a", "b", "c", 10, 5) // end before begin clamps
+	real.Span(real.Key("a", "b", "c"), 10, 5) // end before begin clamps
 	if ev := real.Events()[0]; ev.End != 10 {
 		t.Fatalf("backward span end = %d, want clamp to 10", ev.End)
 	}
@@ -76,5 +83,51 @@ func TestTracerNilAndBackwardSpan(t *testing.T) {
 func TestTracerDefaultCapacity(t *testing.T) {
 	if NewTracer(0).Cap() != DefaultTracerCapacity {
 		t.Fatal("default capacity not applied")
+	}
+}
+
+// TestTracerKeyInterning checks that a tuple maps to one key however often
+// it is resolved, and that any difference in the tuple, labels included,
+// gives a new key.
+func TestTracerKeyInterning(t *testing.T) {
+	tr := NewTracer(4)
+	a := tr.Key("nand", "channel/0", "read+xfer", L("page", "4K"))
+	if b := tr.Key("nand", "channel/0", "read+xfer", L("page", "4K")); b != a {
+		t.Fatalf("same tuple interned twice: %d, %d", a, b)
+	}
+	distinct := []SpanKey{
+		a,
+		tr.Key("nand", "channel/0", "read+xfer", L("page", "8K")),
+		tr.Key("nand", "channel/0", "read+xfer"),
+		tr.Key("nand", "channel/1", "read+xfer", L("page", "4K")),
+		tr.Key("nand", "channel/0", "xfer-out", L("page", "4K")),
+		tr.Key("ftl", "channel/0", "read+xfer", L("page", "4K")),
+		tr.Key("nand", "channel/0", "read+xfer", L("page", "4K"), L("op", "r")),
+	}
+	seen := map[SpanKey]bool{}
+	for _, k := range distinct {
+		if seen[k] {
+			t.Fatalf("key %d issued for two tuples: %v", k, distinct)
+		}
+		seen[k] = true
+	}
+}
+
+// TestTracerRecordIsAllocationFree holds the hot path to its contract:
+// recording a span or an instant allocates nothing, and a ring entry is
+// 24 bytes.
+func TestTracerRecordIsAllocationFree(t *testing.T) {
+	if size := unsafe.Sizeof(entry{}); size != 24 {
+		t.Fatalf("ring entry is %d bytes, want 24", size)
+	}
+	tr := NewTracer(64)
+	k := tr.Key("nand", "plane/3", "program", L("page", "8K"))
+	var at int64
+	if n := testing.AllocsPerRun(1000, func() {
+		tr.Span(k, at, at+10)
+		tr.Instant(k, at)
+		at++
+	}); n != 0 {
+		t.Fatalf("recording allocates %.1f objects per span+instant, want 0", n)
 	}
 }
