@@ -97,3 +97,34 @@ func TestDefaultLatencyBucketsCoverFlashOps(t *testing.T) {
 		}
 	}
 }
+
+// TestHistogramRepeatedEqualValues holds min, max and merge exact when the
+// same value is observed over and over (the case where an observation
+// equal to the current minimum must leave the stored minimum alone).
+func TestHistogramRepeatedEqualValues(t *testing.T) {
+	for _, v := range []int64{0, 1, 7, 4_000} {
+		a := NewHistogram([]int64{10, 100})
+		b := NewHistogram([]int64{10, 100})
+		for i := 0; i < 50; i++ {
+			a.Observe(v)
+			b.Observe(v)
+		}
+		if a.Min() != v || a.Max() != v || a.Count() != 50 || a.Sum() != 50*v {
+			t.Fatalf("v=%d: min=%d max=%d count=%d sum=%d", v, a.Min(), a.Max(), a.Count(), a.Sum())
+		}
+		a.merge(b)
+		a.merge(b)
+		if a.Min() != v || a.Max() != v || a.Count() != 150 {
+			t.Fatalf("v=%d after merge: min=%d max=%d count=%d", v, a.Min(), a.Max(), a.Count())
+		}
+		empty := NewHistogram([]int64{10, 100})
+		empty.merge(a)
+		if empty.Min() != v || empty.Max() != v {
+			t.Fatalf("v=%d merged into empty: min=%d max=%d", v, empty.Min(), empty.Max())
+		}
+		a.Observe(v + 1)
+		if a.Min() != v || a.Max() != v+1 {
+			t.Fatalf("v=%d then v+1: min=%d max=%d", v, a.Min(), a.Max())
+		}
+	}
+}
