@@ -184,7 +184,7 @@ func (s *Server) importDevice(w http.ResponseWriter, r *http.Request) {
 // store's idempotent Put resolves that case without a rejection.
 func (s *Server) ageDevice(w http.ResponseWriter, r *http.Request) {
 	var spec AgeSpec
-	if err := decodeStrict(r, &spec); err != nil {
+	if err := decodeStrict(w, r, &spec); err != nil {
 		writeError(w, http.StatusBadRequest, ErrKindValidation, err)
 		return
 	}

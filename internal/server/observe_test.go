@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -317,4 +318,51 @@ func TestBuildInfoGauge(t *testing.T) {
 	if !strings.HasSuffix(line, " 1") {
 		t.Errorf("build info gauge value not 1: %s", line)
 	}
+}
+
+// TestJobTraceWhileRunning reads a running job's trace over and over while
+// the replay records into the same ring. Every read must be a well-formed
+// Chrome trace, and the job must still be running after the last one, so
+// the reads overlapped recording; `make server-race` runs this as the
+// tracer's concurrent record/read check.
+func TestJobTraceWhileRunning(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	// Twitter repeated 1000 sessions runs far longer than the reads below.
+	id := submitReplay(t, ts, fmt.Sprintf(`{"app":%q,"scheme":"4PS","sessions":1000}`, paper.Twitter))
+	waitState(t, ts, id, JobRunning, 10*time.Second)
+	// Read until 20 reads have seen spans (the first reads may precede the
+	// replay's first request).
+	deadline := time.Now().Add(30 * time.Second)
+	for i, withSpans := 0, 0; withSpans < 20; i++ {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d trace reads held spans", withSpans, i)
+		}
+		code, _, b := getBody(t, ts, "/v1/jobs/"+id+"/trace")
+		if code != http.StatusOK {
+			t.Fatalf("GET trace of running job = %d: %s", code, b)
+		}
+		var doc struct {
+			TraceEvents []json.RawMessage `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(b, &doc); err != nil {
+			t.Fatalf("read %d: trace of running job is not JSON: %v", i, err)
+		}
+		if len(doc.TraceEvents) > 1 { // more than the process_name record
+			withSpans++
+		}
+	}
+	var st JobStatus
+	if code := getJSON(t, ts, "/v1/jobs/"+id, &st); code != http.StatusOK || st.State != JobRunning {
+		t.Fatalf("job state after reads = %q (code %d), want %q", st.State, code, JobRunning)
+	}
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+id, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("DELETE: %v", err)
+	}
+	resp.Body.Close()
+	waitState(t, ts, id, JobCanceled, 5*time.Second)
 }

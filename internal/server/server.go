@@ -505,12 +505,21 @@ func (s *Server) submitError(w http.ResponseWriter, err error) {
 	}
 }
 
+// maxBodyBytes bounds a POSTed spec. Replay, sweep, trace and age specs
+// are a few hundred bytes; a body past this is not a spec.
+const maxBodyBytes = 1 << 20
+
 // decodeStrict rejects unknown fields, so a typo'd option is a 400 instead
-// of a silently defaulted replay.
-func decodeStrict(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// of a silently defaulted replay, and stops reading a body past
+// maxBodyBytes.
+func decodeStrict(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit)
+		}
 		return fmt.Errorf("decoding request body: %w", err)
 	}
 	return nil
@@ -525,7 +534,7 @@ type submitted struct {
 
 func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	var spec cliutil.ReplaySpec
-	if err := decodeStrict(r, &spec); err != nil {
+	if err := decodeStrict(w, r, &spec); err != nil {
 		writeError(w, http.StatusBadRequest, ErrKindValidation, err)
 		return
 	}
@@ -564,7 +573,7 @@ type SweepOutput = cliutil.SweepResult
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var spec cliutil.SweepSpec
-	if err := decodeStrict(r, &spec); err != nil {
+	if err := decodeStrict(w, r, &spec); err != nil {
 		writeError(w, http.StatusBadRequest, ErrKindValidation, err)
 		return
 	}
@@ -614,7 +623,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req TraceRequest
-	if err := decodeStrict(r, &req); err != nil {
+	if err := decodeStrict(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, ErrKindValidation, err)
 		return
 	}

@@ -182,6 +182,24 @@ func TestBadRequestsGet400(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyGets400 sends a 2 MiB replay spec: the server stops
+// reading at 1 MiB and answers with a one-line validation error.
+func TestOversizedBodyGets400(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	body := `{"app":"` + strings.Repeat("a", 2<<20) + `"}`
+	code, b := postJSON(t, ts, "/v1/replays", body)
+	if code != http.StatusBadRequest {
+		t.Fatalf("POST 2 MiB body = %d, want 400; body %.200s", code, b)
+	}
+	var e ErrorBody
+	if err := json.Unmarshal(b, &e); err != nil {
+		t.Fatalf("bad error body %q: %v", b, err)
+	}
+	if e.ErrorKind != ErrKindValidation || !strings.Contains(e.Error, "exceeds") || strings.Contains(e.Error, "\n") {
+		t.Errorf("oversized body error = %+v, want a one-line validation error", e)
+	}
+}
+
 // gateServer builds a 1-worker server whose worker blocks at a gate before
 // running each job, so tests can fill the queue deterministically.
 func gateServer(t *testing.T, cfg Config) (*Server, *httptest.Server, chan struct{}) {
