@@ -42,7 +42,10 @@ import (
 func BenchmarkTableIII(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		env := experiments.NewEnv(workload.DefaultSeed)
-		res := experiments.TableIII(env)
+		res, err := experiments.TableIII(env)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if len(res.Measured) != 25 {
 			b.Fatal("short table")
 		}
@@ -87,7 +90,10 @@ func BenchmarkFig4SizeDist(b *testing.B) {
 	var inBand float64
 	for i := 0; i < b.N; i++ {
 		env := experiments.NewEnv(workload.DefaultSeed)
-		res := experiments.Fig4(env)
+		res, err := experiments.Fig4(env)
+		if err != nil {
+			b.Fatal(err)
+		}
 		n := 0
 		for j, name := range res.Names {
 			if paper.NotP4Majority[name] {
@@ -125,7 +131,10 @@ func BenchmarkFig6Interarrival(b *testing.B) {
 	var fatTail float64
 	for i := 0; i < b.N; i++ {
 		env := experiments.NewEnv(workload.DefaultSeed)
-		res := experiments.Fig6(env)
+		res, err := experiments.Fig6(env)
+		if err != nil {
+			b.Fatal(err)
+		}
 		n := 0
 		for _, d := range res.Dists {
 			fr := d.Interarrival.Fractions()

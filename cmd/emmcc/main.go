@@ -21,10 +21,8 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -38,7 +36,7 @@ func main() {
 	spec.BindFlags(flag.CommandLine)
 
 	var workerURLs []string
-	flag.CommandLine.Var(csv{&workerURLs}, "workers",
+	flag.CommandLine.Var(cliutil.CSVList{Dst: &workerURLs}, "workers",
 		"comma-separated emmcd worker base URLs (empty = run every shard locally)")
 	tracesPerShard := flag.Int("traces-per-shard", 1, "traces per shard for per-trace sweeps (finer = better re-routing)")
 	attempts := flag.Int("attempts", 3, "remote attempts per shard before degrading to local execution")
@@ -58,7 +56,7 @@ func main() {
 		return
 	}
 
-	logger, err := newLogger(*logLevel, *logJSON)
+	logger, err := cliutil.NewLogger(*logLevel, *logJSON)
 	if err != nil {
 		fatal(err)
 	}
@@ -116,15 +114,7 @@ func main() {
 	}
 
 	if *metricsPath != "" {
-		f, err := os.Create(*metricsPath)
-		if err != nil {
-			fatal(err)
-		}
-		if err := c.Telemetry().WritePrometheus(f); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := cliutil.WriteFile(*metricsPath, c.Telemetry().WritePrometheus); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "metrics written to %s\n", *metricsPath)
@@ -139,39 +129,6 @@ func main() {
 		stats["coord_shard_attempts_total"], stats["coord_shard_retries_total"],
 		stats["coord_shard_reroutes_total"], stats["coord_local_runs_total"],
 		stats["coord_breaker_trips_total"])
-}
-
-// csv adapts a []string flag as a comma-separated list.
-type csv struct{ dst *[]string }
-
-func (v csv) String() string {
-	if v.dst == nil {
-		return ""
-	}
-	return strings.Join(*v.dst, ",")
-}
-
-func (v csv) Set(s string) error {
-	*v.dst = nil
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			*v.dst = append(*v.dst, part)
-		}
-	}
-	return nil
-}
-
-// newLogger builds the stderr slog handler the whole process shares.
-func newLogger(level string, asJSON bool) (*slog.Logger, error) {
-	var lvl slog.Level
-	if err := lvl.UnmarshalText([]byte(level)); err != nil {
-		return nil, fmt.Errorf("bad -log-level %q (debug, info, warn, error)", level)
-	}
-	opts := &slog.HandlerOptions{Level: lvl}
-	if asJSON {
-		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
-	}
-	return slog.New(slog.NewTextHandler(os.Stderr, opts)), nil
 }
 
 func fatal(err error) { cliutil.Fatal("emmcc", err) }

@@ -6,7 +6,7 @@
 //	curl localhost:8080/v1/jobs/j1
 //	curl localhost:8080/v1/jobs/j1/metrics   # that job's own Prometheus text
 //	curl localhost:8080/v1/jobs/j1/trace     # that job's Chrome-trace JSON
-//	curl -d '{"sweeps":["casestudy"]}'        localhost:8080/v1/sweeps
+//	curl -d '{"sweeps":["casestudy","cq"]}'   localhost:8080/v1/sweeps
 //	curl -d '{"app":"Movie","format":"text"}' localhost:8080/v1/traces
 //	curl localhost:8080/metrics
 //
@@ -17,7 +17,8 @@
 //
 // Replay and sweep submissions are asynchronous jobs on a bounded queue
 // (full queue = 429) executed by a fixed worker pool; results are
-// bit-identical to the equivalent emmcsim/experiments invocation. Every
+// bit-identical to the equivalent emmcsim/experiments invocation. A sweep
+// names studies from the same list `experiments -exp` selects from. Every
 // job observes into its own telemetry registry and span tracer, queryable
 // per job; the server-wide /metrics carries the merged fleet totals.
 // SIGINT/SIGTERM stops admissions (healthz flips to 503 draining), cancels
@@ -30,7 +31,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -65,7 +65,7 @@ func main() {
 		return
 	}
 
-	logger, err := newLogger(*logLevel, *logJSON)
+	logger, err := cliutil.NewLogger(*logLevel, *logJSON)
 	if err != nil {
 		fatal(err)
 	}
@@ -146,19 +146,6 @@ func main() {
 		logger.Warn("http shutdown", "error", err)
 	}
 	logger.Info("bye")
-}
-
-// newLogger builds the stderr slog handler the whole process shares.
-func newLogger(level string, asJSON bool) (*slog.Logger, error) {
-	var lvl slog.Level
-	if err := lvl.UnmarshalText([]byte(level)); err != nil {
-		return nil, fmt.Errorf("bad -log-level %q (debug, info, warn, error)", level)
-	}
-	opts := &slog.HandlerOptions{Level: lvl}
-	if asJSON {
-		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
-	}
-	return slog.New(slog.NewTextHandler(os.Stderr, opts)), nil
 }
 
 func fatal(err error) { cliutil.Fatal("emmcd", err) }

@@ -1,40 +1,37 @@
-// Command experiments regenerates every table and figure of the paper:
+// Command experiments regenerates the paper's tables and figures. Each
+// result is a named study from the one list in internal/experiments, the
+// same list the emmcd server and the emmcc coordinator run:
 //
-//	experiments -exp all            # everything
-//	experiments -exp fig8           # one experiment
-//	experiments -exp fig8,aging     # several, sharing one worker pool
-//	experiments -exp tableIII -csv  # CSV instead of aligned text
-//	experiments -exp all -j 1       # serial replays (same results, slower)
+//	experiments                    # every study except the seed ensemble
+//	experiments -exp a,b           # the named studies, in list order
+//	experiments -exp a -csv        # CSV instead of aligned text
+//	experiments -exp a -svg figs   # also write the studies' figures as SVG
+//	experiments -j 1               # serial replays (same results, slower)
 //
-// Every sweep runs on a shared bounded worker pool (-j, default GOMAXPROCS);
-// results are bit-identical at any width.
-//
-// Experiments: tableI, tableII, fig3, tableIII, fig4, tableIV, fig5, fig6, fig7,
-// tableV, fig8, fig9, overhead, characteristics, ablations, lifetime,
-// ratesweep, aging, utilization, profiles, gcsweep, poolratio, cq,
-// geometry, writebuffer, readahead, faultsweep, ensemble, validate, all.
+// -h lists the study names. Every sweep runs on a shared bounded worker
+// pool (-j, default GOMAXPROCS); results are bit-identical at any width.
+// A failed reproduction check makes the run exit 1 after its table.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
 
 	"emmcio/internal/cliutil"
 	"emmcio/internal/experiments"
-	"emmcio/internal/report"
 	"emmcio/internal/workload"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (see package comment)")
+	exp := flag.String("exp", experiments.DefaultStudy,
+		"comma-separated studies to run: "+strings.Join(experiments.StudyNames(), ", "))
 	seed := flag.Uint64("seed", workload.DefaultSeed, "workload generation seed")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned text")
 	md := flag.Bool("md", false, "emit Markdown tables instead of aligned text")
-	fig3Reqs := flag.Int("fig3-reqs", 8, "requests per Fig. 3 sweep point")
 	svgDir := flag.String("svg", "", "also write the figures as SVG files into this directory")
 	var obs cliutil.Observability
 	obs.Bind(flag.CommandLine)
@@ -49,31 +46,20 @@ func main() {
 		return
 	}
 
+	selected, err := experiments.Select(strings.Split(*exp, ","))
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(2)
+	}
 	faultCfg, err := faultFlags.Config()
 	if err != nil {
 		fatal(err)
 	}
-
 	if *svgDir != "" {
 		if err := os.MkdirAll(*svgDir, 0o755); err != nil {
 			fatal(err)
 		}
 	}
-	writeSVG := func(name string, render func(io.Writer) error) {
-		if *svgDir == "" {
-			return
-		}
-		f, err := os.Create(filepath.Join(*svgDir, name))
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := render(f); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", filepath.Join(*svgDir, name))
-	}
-	_ = writeSVG
 
 	env := experiments.NewEnv(*seed)
 	env.Workers = obs.Workers
@@ -85,289 +71,50 @@ func main() {
 	env.Tracer = obs.Tracer()
 	out := os.Stdout
 
-	known := map[string]bool{}
-	for _, name := range []string{"all", "tablei", "tableii", "utilization", "fig3",
-		"tableiii", "fig4", "tableiv", "fig5", "fig6", "fig7", "tablev", "fig8",
-		"fig9", "overhead", "characteristics", "ablations", "profiles", "gcsweep",
-		"poolratio", "writebuffer", "readahead", "cq", "geometry", "ratesweep",
-		"aging", "lifetime", "ensemble", "validate", "faultsweep"} {
-		known[name] = true
-	}
-	want := map[string]bool{}
-	for _, name := range strings.Split(*exp, ",") {
-		name = strings.TrimSpace(strings.ToLower(name))
-		if !known[name] {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; see -h\n", name)
-			os.Exit(2)
-		}
-		want[name] = true
-	}
-	all := want["all"]
-
-	emit := func(t *report.Table) {
+	emit := func(o experiments.Output) {
 		var err error
 		switch {
 		case *csv:
-			fmt.Fprintf(out, "# %s\n", t.Title)
-			err = t.WriteCSV(out)
+			fmt.Fprintf(out, "# %s\n", o.Table.Title)
+			err = o.Table.WriteCSV(out)
 		case *md:
-			err = t.WriteMarkdown(out)
+			err = o.Table.WriteMarkdown(out)
 		default:
-			err = t.WriteText(out)
+			err = o.Table.WriteText(out)
 		}
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Fprintln(out)
-	}
-
-	if all || want["tablei"] {
-		emit(experiments.TableI())
-	}
-	if all || want["tableii"] {
-		emit(experiments.TableII())
-	}
-	if all || want["utilization"] {
-		rows, err := experiments.DeviceUtilization(env)
-		if err != nil {
-			fatal(err)
-		}
-		emit(experiments.RenderUtilization(rows))
-	}
-	if all || want["fig3"] {
-		res, err := experiments.Fig3(env, *fig3Reqs)
-		if err != nil {
-			fatal(err)
-		}
-		emit(res.Render())
-		writeSVG("fig3.svg", res.Figure().WriteLineSVG)
-	}
-	if all || want["tableiii"] {
-		emit(experiments.TableIII(env).Render())
-	}
-	if all || want["fig4"] {
-		res := experiments.Fig4(env)
-		emit(res.RenderSizes())
-		writeSVG("fig4.svg", res.SizeFigure("Fig. 4: Request size distributions").WriteStackedSVG)
-	}
-	if all || want["tableiv"] {
-		res, err := experiments.TableIV(env)
-		if err != nil {
-			fatal(err)
-		}
-		emit(res.Render())
-	}
-	if all || want["fig5"] {
-		res, err := experiments.Fig5(env)
-		if err != nil {
-			fatal(err)
-		}
-		emit(res.RenderResponses())
-		writeSVG("fig5.svg", res.ResponseFigure("Fig. 5: Response time distributions").WriteStackedSVG)
-	}
-	if all || want["fig6"] {
-		res := experiments.Fig6(env)
-		emit(res.RenderInterarrivals())
-		writeSVG("fig6.svg", res.InterarrivalFigure("Fig. 6: Inter-arrival time distributions").WriteStackedSVG)
-	}
-	if all || want["fig7"] {
-		res, err := experiments.Fig7(env)
-		if err != nil {
-			fatal(err)
-		}
-		emit(res.RenderSizes())
-		emit(res.RenderResponses())
-		emit(res.RenderInterarrivals())
-		writeSVG("fig7a.svg", res.SizeFigure("Fig. 7a: Combo request sizes").WriteStackedSVG)
-		writeSVG("fig7b.svg", res.ResponseFigure("Fig. 7b: Combo response times").WriteStackedSVG)
-		writeSVG("fig7c.svg", res.InterarrivalFigure("Fig. 7c: Combo inter-arrivals").WriteStackedSVG)
-	}
-	if all || want["tablev"] {
-		emit(experiments.TableV())
-	}
-	if all || want["fig8"] || want["fig9"] {
-		res, err := experiments.CaseStudy(env)
-		if err != nil {
-			fatal(err)
-		}
-		if all || want["fig8"] {
-			emit(res.RenderFig8())
-			writeSVG("fig8.svg", res.Fig8Figure().WriteBarSVG)
-			fmt.Fprintf(out, "HPS vs 4PS: best -%.1f%% (%s), worst -%.1f%% (%s), average -%.1f%% (paper: 86%%, 24%%, 61.9%%)\n\n",
-				res.Best().MRTReductionVs4PS()*100, res.Best().Name,
-				res.Worst().MRTReductionVs4PS()*100, res.Worst().Name,
-				res.AverageReduction()*100)
-		}
-		if all || want["fig9"] {
-			emit(res.RenderFig9())
-			writeSVG("fig9.svg", res.Fig9Figure().WriteBarSVG)
-			fmt.Fprintf(out, "HPS vs 8PS space utilization: average +%.1f%% (paper: 13.1%%)\n\n",
-				res.AverageUtilGain()*100)
-		}
-	}
-	if all || want["overhead"] {
-		res, err := experiments.TracerOverhead(env)
-		if err != nil {
-			fatal(err)
-		}
-		emit(res.Render())
-	}
-	if all || want["characteristics"] {
-		findings, err := experiments.Characteristics(env)
-		if err != nil {
-			fatal(err)
-		}
-		emit(experiments.RenderFindings(findings))
-	}
-	if all || want["ablations"] {
-		if err := runAblations(env, emit); err != nil {
-			fatal(err)
-		}
-	}
-	if all || want["profiles"] {
-		emit(experiments.ProfilesTable())
-	}
-	if all || want["gcsweep"] {
-		rows, err := experiments.GCThresholdSweep(env, "Twitter", nil)
-		if err != nil {
-			fatal(err)
-		}
-		emit(experiments.RenderGCThreshold("Twitter", rows))
-	}
-	if all || want["poolratio"] {
-		rows, err := experiments.HPSPoolRatioSweep(env, "Twitter", nil)
-		if err != nil {
-			fatal(err)
-		}
-		emit(experiments.RenderPoolRatio("Twitter", rows))
-	}
-	if all || want["writebuffer"] {
-		rows, err := experiments.WriteBufferStudy(env)
-		if err != nil {
-			fatal(err)
-		}
-		emit(experiments.RenderWriteBuffer(rows))
-	}
-	if all || want["readahead"] {
-		rows, err := experiments.ReadAheadStudy(env)
-		if err != nil {
-			fatal(err)
-		}
-		emit(experiments.RenderReadAhead(rows))
-	}
-	if all || want["cq"] {
-		rows, err := experiments.CommandQueueStudy(env)
-		if err != nil {
-			fatal(err)
-		}
-		emit(experiments.RenderCQ(rows))
-	}
-	if all || want["geometry"] {
-		rows, err := experiments.GeometrySweep(env, "Twitter", nil)
-		if err != nil {
-			fatal(err)
-		}
-		emit(experiments.RenderGeometry("Twitter", rows))
-	}
-	if all || want["ratesweep"] {
-		pts, err := experiments.RateSweep(env, "Twitter", nil)
-		if err != nil {
-			fatal(err)
-		}
-		emit(experiments.RenderRateSweep("Twitter", pts))
-	}
-	if all || want["aging"] {
-		pts, err := experiments.Aging(env, "", nil)
-		if err != nil {
-			fatal(err)
-		}
-		emit(experiments.RenderAging("Movie", pts))
-	}
-	if all || want["faultsweep"] {
-		pts, err := experiments.FaultSweep(env, "", *seed, nil)
-		if err != nil {
-			fatal(err)
-		}
-		emit(experiments.RenderFaultSweep("Twitter", pts))
-	}
-	if all || want["lifetime"] {
-		rows, err := experiments.Lifetime(env)
-		if err != nil {
-			fatal(err)
-		}
-		emit(experiments.RenderLifetime(rows))
-	}
-	if want["ensemble"] { // not in "all": runs the case study n times
-		res, err := experiments.Fig8Ensemble(env, 5)
-		if err != nil {
-			fatal(err)
-		}
-		emit(experiments.RenderEnsemble(res))
-	}
-	if all || want["validate"] {
-		checks, err := experiments.Validate(env)
-		if err != nil {
-			fatal(err)
-		}
-		emit(experiments.RenderChecks(checks))
-		for _, c := range checks {
-			if !c.Pass {
-				os.Exit(1)
+		if o.SVG != nil && *svgDir != "" {
+			path := filepath.Join(*svgDir, o.SVGName)
+			if err := cliutil.WriteFile(path, o.SVG); err != nil {
+				fatal(err)
 			}
+			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+		}
+		if o.Note != "" {
+			fmt.Fprintf(out, "%s\n\n", o.Note)
 		}
 	}
 
+	failed := false
+	for _, s := range selected {
+		outs, err := s.Run(env, nil)
+		if err != nil && !errors.Is(err, experiments.ErrValidationFailed) {
+			fatal(err)
+		}
+		for _, o := range outs {
+			emit(o)
+		}
+		failed = failed || err != nil
+	}
 	if err := obs.Flush(out); err != nil {
 		fatal(err)
 	}
-}
-
-func runAblations(env *experiments.Env, emit func(*report.Table)) error {
-	p1, err := experiments.Implication1Parallelism(env)
-	if err != nil {
-		return err
+	if failed {
+		os.Exit(1)
 	}
-	p2, err := experiments.Implication2IdleGC(env)
-	if err != nil {
-		return err
-	}
-	p3, err := experiments.Implication3Buffer(env, nil)
-	if err != nil {
-		return err
-	}
-	p4, err := experiments.Implication4Wear(env)
-	if err != nil {
-		return err
-	}
-	p5, err := experiments.Implication5SLC(env)
-	if err != nil {
-		return err
-	}
-	for _, t := range experiments.RenderAblations(p1, p2, p3, p4, p5) {
-		emit(t)
-	}
-	mc, err := experiments.Implication3MapCache(env, nil)
-	if err != nil {
-		return err
-	}
-	emit(experiments.RenderMapCache(mc))
-	sd, err := experiments.Implication1SDCard(env)
-	if err != nil {
-		return err
-	}
-	emit(experiments.RenderSDCard(sd))
-	slc, err := experiments.Implication5SLCCache(env)
-	if err != nil {
-		return err
-	}
-	t := report.NewTable("Extension: HPS with an SLC-mode 4KB pool (Implications 1+5)",
-		"Trace", "HPS MRT(ms)", "HPS+SLC MRT(ms)", "Capacity GB")
-	for _, r := range slc {
-		t.AddRow(r.Name, fmt.Sprintf("%.2f", r.HPSMRTMs), fmt.Sprintf("%.2f", r.HPSSLCMRTMs),
-			fmt.Sprintf("%.0f vs %.0f", r.HPSCapacityGB, r.HPSSLCCapacityGB))
-	}
-	emit(t)
-	return nil
 }
 
 func fatal(err error) { cliutil.Fatal("experiments", err) }

@@ -323,14 +323,17 @@ func NewExperimentEnv(seed uint64) *ExperimentEnv { return experiments.NewEnv(se
 // later sweeps.
 func RunCaseStudyContext(ctx context.Context, env *ExperimentEnv, w io.Writer) error {
 	env.Ctx = ctx
-	res, err := experiments.CaseStudy(env)
+	study, _ := experiments.Lookup("casestudy")
+	outs, err := study.Run(env, nil)
 	if err != nil {
 		return err
 	}
-	if err := res.RenderFig8().WriteText(w); err != nil {
-		return err
+	for _, o := range outs {
+		if err := o.Table.WriteText(w); err != nil {
+			return err
+		}
 	}
-	return res.RenderFig9().WriteText(w)
+	return nil
 }
 
 // Reliability exposes the wear-dependent read-retry model.

@@ -119,7 +119,7 @@ func (q *Queue) insert(r trace.Request) {
 		if r.EndLBA() == p.LBA && int(p.Size)+int(r.Size) <= MaxRequestBytes {
 			p.LBA = r.LBA
 			p.Size += r.Size
-			p.Arrival = min64(p.Arrival, r.Arrival)
+			p.Arrival = min(p.Arrival, r.Arrival)
 			q.frontMerges++
 			return
 		}
@@ -156,13 +156,6 @@ func (q *Queue) Flush() []trace.Request {
 
 // Pending reports queued request count.
 func (q *Queue) Pending() int { return len(q.pending) }
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
 
 // PackedCommand is one eMMC command: either a single request or several
 // write requests packed together (Fig. 2's packing function).

@@ -8,6 +8,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"strings"
 
@@ -79,13 +80,13 @@ func (o *Observability) Tracer() *telemetry.Tracer {
 // export flag was passed.
 func (o *Observability) Flush(out io.Writer) error {
 	if o.MetricsPath != "" {
-		if err := writeFile(o.MetricsPath, o.Registry().WritePrometheus); err != nil {
+		if err := WriteFile(o.MetricsPath, o.Registry().WritePrometheus); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "metrics written to %s\n", o.MetricsPath)
 	}
 	if o.TracePath != "" {
-		if err := writeFile(o.TracePath, o.Tracer().WriteChromeTrace); err != nil {
+		if err := WriteFile(o.TracePath, o.Tracer().WriteChromeTrace); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "chrome trace written to %s (open in ui.perfetto.dev)\n", o.TracePath)
@@ -96,7 +97,8 @@ func (o *Observability) Flush(out io.Writer) error {
 	return nil
 }
 
-func writeFile(path string, write func(io.Writer) error) error {
+// WriteFile creates path and fills it with write.
+func WriteFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -106,6 +108,20 @@ func writeFile(path string, write func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
+}
+
+// NewLogger builds the stderr slog handler a long-running command shares
+// (-log-level, -log-json).
+func NewLogger(level string, asJSON bool) (*slog.Logger, error) {
+	var lvl slog.Level
+	if err := lvl.UnmarshalText([]byte(level)); err != nil {
+		return nil, fmt.Errorf("bad -log-level %q (debug, info, warn, error)", level)
+	}
+	opts := &slog.HandlerOptions{Level: lvl}
+	if asJSON {
+		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
+	}
+	return slog.New(slog.NewTextHandler(os.Stderr, opts)), nil
 }
 
 // FaultFlags is the shared fault-injection flag pair (-faults,

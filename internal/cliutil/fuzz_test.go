@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"strings"
 	"testing"
 
+	"emmcio/internal/paper"
 	"emmcio/internal/trace"
 )
 
@@ -115,6 +117,83 @@ func FuzzSweepSpec(f *testing.F) {
 		// any other valid spec must yield an env.
 		if _, err := s.Env(context.Background()); err != nil && s.FromDevice == "" {
 			t.Fatalf("Env failed after Validate passed: %v", err)
+		}
+	})
+}
+
+// FuzzMergeShardResults feeds hostile worker bodies through the
+// coordinator's decode (report.Table.UnmarshalJSON) and merge for a
+// two-shard casestudy plan. Whatever the workers return, the merge either
+// fails with an error or yields tables that re-marshal, decode again, and
+// hold exactly the shards' rows.
+func FuzzMergeShardResults(f *testing.F) {
+	shards, err := ShardSweep(SweepSpec{Sweeps: []string{"casestudy"}, Traces: []string{paper.Idle, paper.CallIn}}, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	table := func(title, rows string) string {
+		return `{"title":"` + title + `","columns":["App","MRT"],"rows":` + rows + `}`
+	}
+	body := func(name string, tables ...string) string {
+		return `[{"name":"` + name + `","tables":[` + strings.Join(tables, ",") + `]}]`
+	}
+	good := body("casestudy", table("Fig. 8", `[["Idle","1.0"]]`), table("Fig. 9", `[["Idle","1.0"]]`))
+	for _, pair := range [][2]string{
+		{good, good},
+		{good, body("casestudy", "null", "null")},
+		{body("casestudy", "null"), good},
+		{good, body("casestudy", table("Fig. 8", `[["CallIn"]]`), table("Fig. 9", `[]`))},
+		{good, body("casestudy", table("Fig. 10", `[]`), table("Fig. 9", `[]`))},
+		{good, body("casestudy", `{"title":"Fig. 8","columns":["App"],"rows":[["x"]]}`, table("Fig. 9", `[]`))},
+		{good, body("casestudy", table("Fig. 8", `null`))},
+		{good, body("tables", table("Fig. 8", `[]`), table("Fig. 9", `[]`))},
+		{good, good[:len(good)-1] + `,` + good[1:]},
+		{good, `[]`},
+		{`null`, `null`},
+		{good, `{"name":"casestudy"}`},
+	} {
+		f.Add([]byte(pair[0]), []byte(pair[1]))
+	}
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		results := make([][]SweepResult, 2)
+		for i, wire := range [][]byte{a, b} {
+			if json.Unmarshal(wire, &results[i]) != nil {
+				return
+			}
+		}
+		// The merge appends into the first shard's tables, so count first.
+		var want []int
+		if len(results[0]) == 1 {
+			for ti, tbl := range results[0][0].Tables {
+				n := 0
+				if tbl != nil {
+					n = tbl.Rows()
+				}
+				if len(results[1]) == 1 && ti < len(results[1][0].Tables) && results[1][0].Tables[ti] != nil {
+					n += results[1][0].Tables[ti].Rows()
+				}
+				want = append(want, n)
+			}
+		}
+		merged, err := MergeShardResults(shards, results)
+		if err != nil {
+			return
+		}
+		wire, err := json.Marshal(merged)
+		if err != nil {
+			t.Fatalf("merged result does not marshal: %v", err)
+		}
+		var back []SweepResult
+		if err := json.Unmarshal(wire, &back); err != nil {
+			t.Fatalf("merged result does not decode: %v\n%s", err, wire)
+		}
+		if len(back) != 1 || len(back[0].Tables) != len(want) {
+			t.Fatalf("merged %d results with %d tables, want 1 with %d", len(back), len(back[0].Tables), len(want))
+		}
+		for ti, tbl := range back[0].Tables {
+			if tbl == nil || tbl.Rows() != want[ti] {
+				t.Fatalf("merged table %d = %v, want %d rows", ti, tbl, want[ti])
+			}
 		}
 	})
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // SweepShard is one serializable unit of a sharded sweep: the parent
-// SweepSpec narrowed to a single named sweep and, for sweeps with a
+// SweepSpec narrowed to a single named study and, for studies with a
 // per-trace axis, a contiguous roster subset. A shard's Spec is an
 // ordinary SweepSpec — POSTable to any emmcd worker's /v1/sweeps or
 // runnable in process through SweepSpec.Run — so the distributed fabric
@@ -19,22 +19,22 @@ type SweepShard struct {
 	// Entry is the index into the parent spec's Sweeps list this shard
 	// belongs to; consecutive shards sharing an Entry merge row-wise.
 	Entry int `json:"entry"`
-	// Sweep is the one named sweep this shard runs.
+	// Sweep is the one named study this shard runs.
 	Sweep string `json:"sweep"`
 	// Spec is the self-contained narrowed spec.
 	Spec SweepSpec `json:"spec"`
 }
 
-// ShardSweep splits spec into plan-order shards. Sweeps with a per-trace
-// axis (experiments.SweepTraceAxis) split into roster chunks of at most
-// tracesPerShard traces each (<= 0 means 1, the finest grain); sweeps
+// ShardSweep splits spec into plan-order shards. Studies with a per-trace
+// axis (experiments.Study.Traces) split into roster chunks of at most
+// tracesPerShard traces each (<= 0 means 1, the finest grain); studies
 // without one become a single atomic shard.
 //
 // Determinism: a trace-axis shard's replays depend only on (trace,
 // scheme, options, seed) — never on plan position — so the row-wise merge
 // of shard results in ID order is bit-identical to the unsharded sweep.
-// Sweeps whose cells do depend on plan position (faultsweep mixes the
-// plan index into per-cell fault seeds) report no axis and stay atomic.
+// Studies whose cells do depend on plan position (faultsweep mixes the
+// plan index into per-cell fault seeds) have no axis and stay atomic.
 func ShardSweep(spec SweepSpec, tracesPerShard int) ([]SweepShard, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -44,7 +44,8 @@ func ShardSweep(spec SweepSpec, tracesPerShard int) ([]SweepShard, error) {
 	}
 	var shards []SweepShard
 	for entry, name := range spec.Sweeps {
-		axis := experiments.SweepTraceAxis(name)
+		study, _ := experiments.Lookup(name)
+		axis := study.Traces
 		if len(axis) == 0 {
 			shards = append(shards, newShard(spec, len(shards), entry, name, spec.Traces))
 			continue
@@ -93,6 +94,11 @@ func MergeShardResults(shards []SweepShard, results [][]SweepResult) ([]SweepRes
 		cur := res[0]
 		if cur.Name != sh.Sweep {
 			return nil, fmt.Errorf("cliutil: shard %d returned sweep %q, want %q", sh.ID, cur.Name, sh.Sweep)
+		}
+		for ti, tbl := range cur.Tables {
+			if tbl == nil {
+				return nil, fmt.Errorf("cliutil: shard %d (%s) returned a null table %d", sh.ID, sh.Sweep, ti)
+			}
 		}
 		if sh.Entry != lastEntry {
 			out = append(out, cur)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"emmcio/internal/paper"
+	"emmcio/internal/report"
 )
 
 func TestShardSweepPerTraceAxis(t *testing.T) {
@@ -141,5 +142,12 @@ func TestMergeShardResultsRejectsMismatch(t *testing.T) {
 	}
 	if _, err := MergeShardResults(shards, bad); err == nil {
 		t.Error("sweep-name mismatch accepted")
+	}
+	null := [][]SweepResult{
+		{{Name: "casestudy", Tables: []*report.Table{nil}}},
+		{{Name: "casestudy", Tables: []*report.Table{nil}}},
+	}
+	if _, err := MergeShardResults(shards, null); err == nil {
+		t.Error("null worker table accepted")
 	}
 }

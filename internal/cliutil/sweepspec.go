@@ -15,13 +15,13 @@ import (
 	"emmcio/internal/workload"
 )
 
-// SweepSpec describes a named-experiment job for the emmcd server: which
-// sweeps to run, on what seed and worker width, under what fault regime,
-// optionally narrowed to a trace roster. It shares the fault validation
-// path with the CLIs' -faults/-fault-seed flags.
+// SweepSpec describes a study job for the emmcd server: which studies to
+// run, on what seed and worker width, under what fault regime, optionally
+// narrowed to a trace roster. It shares the fault validation path with the
+// CLIs' -faults/-fault-seed flags.
 type SweepSpec struct {
-	// Sweeps names the experiment sweeps to run, in order
-	// (experiments.SweepNames lists the choices).
+	// Sweeps names the studies to run, in order (experiments.StudyNames
+	// lists the choices).
 	Sweeps []string `json:"sweeps"`
 	// Seed drives trace generation (0 = the repository's canonical seed).
 	Seed uint64 `json:"seed,omitempty"`
@@ -32,8 +32,8 @@ type SweepSpec struct {
 	Faults float64 `json:"faults,omitempty"`
 	// FaultSeed is the injection decision seed (requires Faults > 0).
 	FaultSeed uint64 `json:"fault_seed,omitempty"`
-	// Traces, when non-empty, narrows per-trace sweeps to this roster
-	// (see experiments.RunSweepOn).
+	// Traces, when non-empty, narrows per-trace studies to this roster
+	// (see experiments.Study.Run).
 	Traces []string `json:"traces,omitempty"`
 	// FromDevice runs the sweep's replays on forks of the archived device
 	// snapshot with this id instead of fresh devices — the aged-device fast
@@ -67,10 +67,10 @@ func (s *SweepSpec) DeviceSnapshot() ([]byte, error) {
 // fault-seed default of 0 means "unset", matching the JSON semantics
 // (FaultConfig treats a zero seed with a non-zero rate as seed 1).
 func (s *SweepSpec) BindFlags(fs *flag.FlagSet) {
-	fs.Var(csvValue{&s.Sweeps}, "sweeps",
-		"comma-separated sweeps to run ("+strings.Join(experiments.SweepNames(), ", ")+")")
-	fs.Var(csvValue{&s.Traces}, "traces",
-		"comma-separated trace roster narrowing per-trace sweeps (empty = every trace)")
+	fs.Var(CSVList{&s.Sweeps}, "sweeps",
+		"comma-separated studies to run ("+strings.Join(experiments.StudyNames(), ", ")+")")
+	fs.Var(CSVList{&s.Traces}, "traces",
+		"comma-separated trace roster narrowing per-trace studies (empty = every trace)")
 	fs.Uint64Var(&s.Seed, "seed", workload.DefaultSeed, "workload generation seed")
 	fs.IntVar(&s.Workers, "j", 0, "per-sweep worker pool width (0 = GOMAXPROCS)")
 	fs.Float64Var(&s.Faults, "faults", 0, "fault-injection rate multiplier (0 = perfect hardware)")
@@ -79,20 +79,20 @@ func (s *SweepSpec) BindFlags(fs *flag.FlagSet) {
 	s.DeviceSpec.BindFlags(fs)
 }
 
-// csvValue adapts a []string field to flag.Value as a comma-separated
+// CSVList adapts a []string field to flag.Value as a comma-separated
 // list; an empty argument clears the list.
-type csvValue struct{ dst *[]string }
+type CSVList struct{ Dst *[]string }
 
-func (v csvValue) String() string {
-	if v.dst == nil {
+func (v CSVList) String() string {
+	if v.Dst == nil {
 		return ""
 	}
-	return strings.Join(*v.dst, ",")
+	return strings.Join(*v.Dst, ",")
 }
 
-func (v csvValue) Set(s string) error {
+func (v CSVList) Set(s string) error {
 	if s == "" {
-		*v.dst = nil
+		*v.Dst = nil
 		return nil
 	}
 	parts := strings.Split(s, ",")
@@ -102,7 +102,7 @@ func (v csvValue) Set(s string) error {
 			out = append(out, p)
 		}
 	}
-	*v.dst = out
+	*v.Dst = out
 	return nil
 }
 
@@ -113,17 +113,15 @@ func (s *SweepSpec) Normalize() {
 	}
 }
 
-// Validate normalizes the spec and rejects unknown sweep names, unknown
+// Validate normalizes the spec and rejects unknown study names, unknown
 // traces, and bad fault values, so the server can 400 before queueing.
 func (s *SweepSpec) Validate() error {
 	s.Normalize()
 	if len(s.Sweeps) == 0 {
-		return fmt.Errorf("no sweeps named; known sweeps: %s", strings.Join(experiments.SweepNames(), ", "))
+		return fmt.Errorf("no studies named; known studies: %s", strings.Join(experiments.StudyNames(), ", "))
 	}
-	for _, name := range s.Sweeps {
-		if !experiments.KnownSweep(name) {
-			return fmt.Errorf("unknown sweep %q; known sweeps: %s", name, strings.Join(experiments.SweepNames(), ", "))
-		}
+	if _, err := experiments.Select(s.Sweeps); err != nil {
+		return err
 	}
 	reg := workload.DefaultRegistry()
 	for _, tr := range s.Traces {
@@ -178,7 +176,7 @@ func (s *SweepSpec) Env(ctx context.Context) (*experiments.Env, error) {
 	return env, nil
 }
 
-// SweepResult is one named sweep's rendered tables — the unit of a sweep
+// SweepResult is one named study's rendered tables — the unit of a sweep
 // job's result. The emmcd server marshals a []SweepResult as the job
 // payload and the coordinator decodes, merges, and re-marshals the same
 // type, which makes "sharded equals single-process" a byte comparison.
@@ -187,7 +185,7 @@ type SweepResult struct {
 	Tables []*report.Table `json:"tables"`
 }
 
-// Run executes every named sweep in order on an env bounded by ctx.
+// Run executes every named study in order on an env bounded by ctx.
 // defaultWorkers applies when the spec does not set its own worker width
 // (the server passes its per-job pool width here). This is the one sweep
 // execution path shared by the emmcd server's sweep jobs and the
@@ -208,11 +206,12 @@ func (s *SweepSpec) Run(ctx context.Context, defaultWorkers int, reg *telemetry.
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		tables, err := experiments.RunSweepOn(env, name, s.Traces)
+		study, _ := experiments.Lookup(name)
+		outs, err := study.Run(env, s.Traces)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, SweepResult{Name: name, Tables: tables})
+		out = append(out, SweepResult{Name: name, Tables: experiments.Tables(outs)})
 	}
 	return out, nil
 }

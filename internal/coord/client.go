@@ -99,11 +99,7 @@ func (e *StatusError) Retryable() bool {
 // as unhealthy here — exactly right for routing: it is finishing old work
 // but must not receive new shards.
 func (c *Client) Health(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/healthz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.do(ctx, http.MethodGet, "/healthz", "", nil)
 	if err != nil {
 		return err
 	}
@@ -122,12 +118,7 @@ func (c *Client) SubmitSweep(ctx context.Context, spec cliutil.SweepSpec) (strin
 	if err != nil {
 		return "", err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/sweeps", bytes.NewReader(body))
-	if err != nil {
-		return "", err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.hc.Do(req)
+	resp, err := c.do(ctx, http.MethodPost, "/v1/sweeps", "application/json", body)
 	if err != nil {
 		return "", err
 	}
@@ -138,7 +129,7 @@ func (c *Client) SubmitSweep(ctx context.Context, spec cliutil.SweepSpec) (strin
 			be.After = time.Duration(secs) * time.Second
 		}
 		var qf server.QueueFullError
-		if err := json.NewDecoder(resp.Body).Decode(&qf); err == nil {
+		if err := decodeBody(resp.Body, "queue-full body", &qf); err == nil {
 			be.Queued, be.QueueCapacity = qf.Queued, qf.QueueCapacity
 		}
 		return "", be
@@ -149,8 +140,8 @@ func (c *Client) SubmitSweep(ctx context.Context, spec cliutil.SweepSpec) (strin
 	var sub struct {
 		ID string `json:"id"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
-		return "", fmt.Errorf("decoding submit response: %w", err)
+	if err := decodeBody(resp.Body, "submit response", &sub); err != nil {
+		return "", err
 	}
 	if sub.ID == "" {
 		return "", errors.New("submit response carried no job id")
@@ -163,16 +154,11 @@ func (c *Client) SubmitSweep(ctx context.Context, spec cliutil.SweepSpec) (strin
 // id the worker archived them under. The import is idempotent on the
 // worker side, so pushing an already-present snapshot is a cheap no-op.
 func (c *Client) ImportDevice(ctx context.Context, sealed []byte, label string) (string, error) {
-	u := c.base + "/v1/devices"
+	u := "/v1/devices"
 	if label != "" {
 		u += "?label=" + url.QueryEscape(label)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(sealed))
-	if err != nil {
-		return "", err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := c.hc.Do(req)
+	resp, err := c.do(ctx, http.MethodPost, u, "application/octet-stream", sealed)
 	if err != nil {
 		return "", err
 	}
@@ -183,8 +169,8 @@ func (c *Client) ImportDevice(ctx context.Context, sealed []byte, label string) 
 	var dev struct {
 		ID string `json:"id"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&dev); err != nil {
-		return "", fmt.Errorf("decoding import response: %w", err)
+	if err := decodeBody(resp.Body, "import response", &dev); err != nil {
+		return "", err
 	}
 	if dev.ID == "" {
 		return "", errors.New("import response carried no device id")
@@ -195,11 +181,7 @@ func (c *Client) ImportDevice(ctx context.Context, sealed []byte, label string) 
 // Device GETs /v1/devices/{id}: the metadata of a snapshot the worker's
 // store holds. A worker that does not hold it answers 404 (*StatusError).
 func (c *Client) Device(ctx context.Context, id string) (server.DeviceStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/devices/"+url.PathEscape(id), nil)
-	if err != nil {
-		return server.DeviceStatus{}, err
-	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.do(ctx, http.MethodGet, "/v1/devices/"+url.PathEscape(id), "", nil)
 	if err != nil {
 		return server.DeviceStatus{}, err
 	}
@@ -208,19 +190,15 @@ func (c *Client) Device(ctx context.Context, id string) (server.DeviceStatus, er
 		return server.DeviceStatus{}, newStatusError(resp.StatusCode, readSnippet(resp.Body))
 	}
 	var dev server.DeviceStatus
-	if err := json.NewDecoder(resp.Body).Decode(&dev); err != nil {
-		return server.DeviceStatus{}, fmt.Errorf("decoding device status: %w", err)
+	if err := decodeBody(resp.Body, "device status", &dev); err != nil {
+		return server.DeviceStatus{}, err
 	}
 	return dev, nil
 }
 
 // JobStatus GETs /v1/jobs/{id}.
 func (c *Client) JobStatus(ctx context.Context, id string) (server.JobStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/jobs/"+id, nil)
-	if err != nil {
-		return server.JobStatus{}, err
-	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, "", nil)
 	if err != nil {
 		return server.JobStatus{}, err
 	}
@@ -229,8 +207,8 @@ func (c *Client) JobStatus(ctx context.Context, id string) (server.JobStatus, er
 		return server.JobStatus{}, newStatusError(resp.StatusCode, readSnippet(resp.Body))
 	}
 	var st server.JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return server.JobStatus{}, fmt.Errorf("decoding job status: %w", err)
+	if err := decodeBody(resp.Body, "job status", &st); err != nil {
+		return server.JobStatus{}, err
 	}
 	return st, nil
 }
@@ -239,17 +217,52 @@ func (c *Client) JobStatus(ctx context.Context, id string) (server.JobStatus, er
 // running ones abort between replay events. 404 is success for our
 // purposes: the worker no longer knows the job, so nothing is running.
 func (c *Client) CancelJob(ctx context.Context, id string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, c.base+"/v1/jobs/"+id, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.do(ctx, http.MethodDelete, "/v1/jobs/"+id, "", nil)
 	if err != nil {
 		return err
 	}
 	defer drain(resp)
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNotFound {
 		return newStatusError(resp.StatusCode, readSnippet(resp.Body))
+	}
+	return nil
+}
+
+// do sends one request to the worker (path is relative to its base URL);
+// the caller drains the response.
+func (c *Client) do(ctx context.Context, method, path, contentType string, body []byte) (*http.Response, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
+	if err != nil {
+		return nil, err
+	}
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
+	return c.hc.Do(req)
+}
+
+// maxResultBytes bounds one shard's sweep result. A shard runs one study,
+// and the largest, all, marshals to 28,016 bytes; 1 MiB is a ~37x margin.
+const maxResultBytes = 1 << 20
+
+// maxBodyBytes bounds every worker response body the coordinator decodes:
+// a result plus the job-status fields around it.
+const maxBodyBytes = maxResultBytes + 64<<10
+
+// decodeBody decodes one JSON value from a worker response body. A body
+// past maxBodyBytes fails with a one-line error instead of being read
+// whole.
+func decodeBody(r io.Reader, what string, v any) error {
+	lr := &io.LimitedReader{R: r, N: maxBodyBytes + 1}
+	if err := json.NewDecoder(lr).Decode(v); err != nil {
+		if lr.N <= 0 {
+			return fmt.Errorf("decoding %s: body exceeds %d bytes", what, maxBodyBytes)
+		}
+		return fmt.Errorf("decoding %s: %w", what, err)
 	}
 	return nil
 }

@@ -2,8 +2,8 @@
 // one coordinator fans an ordinary cliutil.SweepSpec out — as serializable
 // shards — to a fleet of emmcd workers over the existing POST /v1/sweeps +
 // GET /v1/jobs/{id} API, and merges the shard results deterministically in
-// plan order, so the sharded sweep is byte-identical to a single-process
-// experiments.RunSweep.
+// plan order, so the sharded sweep is byte-identical to running the same
+// studies in one process (cliutil.SweepSpec.Run).
 //
 // Robustness model: workers are health-checked (periodic /healthz probes;
 // draining/503 workers leave rotation), every shard attempt runs under its
@@ -471,6 +471,9 @@ func (c *Coordinator) attempt(ctx context.Context, w *workerState, sh cliutil.Sw
 		pollFails = 0
 		switch st.State {
 		case server.JobDone:
+			if len(st.Result) > maxResultBytes {
+				return nil, true, fmt.Errorf("job %s result is %d bytes, over the %d-byte bound", id, len(st.Result), maxResultBytes)
+			}
 			var out []cliutil.SweepResult
 			if err := json.Unmarshal(st.Result, &out); err != nil {
 				return nil, true, fmt.Errorf("decoding job %s result: %w", id, err)

@@ -122,6 +122,9 @@ type Config struct {
 // Validate reports unusable configurations.
 func (c Config) Validate() error { return c.params().Validate() }
 
+// CapacityBytes returns the configured device's physical flash capacity.
+func (c Config) CapacityBytes() int64 { return c.params().CapacityBytes() }
+
 // Result reports the replayed timing of one request. It is the shared
 // storage.Result: the seam's type, so every backend returns the same shape.
 type Result = storage.Result

@@ -297,15 +297,8 @@ func Implication5SLCCache(env *Env, names ...string) ([]SLCCacheRow, error) {
 	if len(names) == 0 {
 		names = []string{paper.Messaging, paper.Twitter, paper.GoogleMaps}
 	}
-	capacity := func(cfg emmc.Config) float64 {
-		var total int64
-		for _, p := range cfg.Pools {
-			total += p.BytesPerPlane() * int64(cfg.Geometry.Planes())
-		}
-		return float64(total) / (1 << 30)
-	}
-	hpsCfg := core.DeviceConfig(core.SchemeHPS, core.CaseStudyOptions())
-	slcCfg := SLCCacheConfig()
+	hpsGB := float64(core.DeviceConfig(core.SchemeHPS, core.CaseStudyOptions()).CapacityBytes()) / (1 << 30)
+	slcGB := float64(SLCCacheConfig().CapacityBytes()) / (1 << 30)
 	var jobs []ReplayJob
 	for _, name := range names {
 		jobs = append(jobs,
@@ -324,13 +317,24 @@ func Implication5SLCCache(env *Env, names ...string) ([]SLCCacheRow, error) {
 	for i, name := range names {
 		out[i] = SLCCacheRow{
 			Name:             name,
-			HPSCapacityGB:    capacity(hpsCfg),
-			HPSSLCCapacityGB: capacity(slcCfg),
+			HPSCapacityGB:    hpsGB,
+			HPSSLCCapacityGB: slcGB,
 			HPSMRTMs:         results[2*i].Metrics.MeanResponseNs / 1e6,
 			HPSSLCMRTMs:      results[2*i+1].Metrics.MeanResponseNs / 1e6,
 		}
 	}
 	return out, nil
+}
+
+// RenderSLCCache renders the HPS vs HPS+SLC comparison.
+func RenderSLCCache(rows []SLCCacheRow) *report.Table {
+	t := report.NewTable("Extension: HPS with an SLC-mode 4KB pool (Implications 1+5)",
+		"Trace", "HPS MRT(ms)", "HPS+SLC MRT(ms)", "Capacity GB")
+	for _, r := range rows {
+		t.AddRow(r.Name, report.F(r.HPSMRTMs, 2), report.F(r.HPSSLCMRTMs, 2),
+			report.F(r.HPSCapacityGB, 0)+" vs "+report.F(r.HPSSLCCapacityGB, 0))
+	}
+	return t
 }
 
 // MapCacheRow measures DFTL-style mapping-cache behaviour — the realistic
@@ -417,6 +421,45 @@ func RenderAblations(p1 []ParallelismRow, p2 []GCPolicyRow, p3 []BufferRow, p4 [
 		t5.AddRow(r.Name, report.F(r.MLCMRTMs, 2), report.F(r.SLCMRTMs, 2))
 	}
 	return []*report.Table{t1, t2, t3, t4, t5}
+}
+
+// ablationTables runs the five Implication studies and their extensions (the
+// mapping cache, the SD card, the SLC-mode 4 KB pool) and renders them in
+// that order.
+func ablationTables(env *Env) ([]*report.Table, error) {
+	p1, err := Implication1Parallelism(env)
+	if err != nil {
+		return nil, err
+	}
+	p2, err := Implication2IdleGC(env)
+	if err != nil {
+		return nil, err
+	}
+	p3, err := Implication3Buffer(env, nil)
+	if err != nil {
+		return nil, err
+	}
+	p4, err := Implication4Wear(env)
+	if err != nil {
+		return nil, err
+	}
+	p5, err := Implication5SLC(env)
+	if err != nil {
+		return nil, err
+	}
+	mc, err := Implication3MapCache(env, nil)
+	if err != nil {
+		return nil, err
+	}
+	sd, err := Implication1SDCard(env)
+	if err != nil {
+		return nil, err
+	}
+	slc, err := Implication5SLCCache(env)
+	if err != nil {
+		return nil, err
+	}
+	return append(RenderAblations(p1, p2, p3, p4, p5), RenderMapCache(mc), RenderSDCard(sd), RenderSLCCache(slc)), nil
 }
 
 // RatePoint is one point of the arrival-rate sensitivity sweep: the trace's

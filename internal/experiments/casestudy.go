@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"cmp"
+	"slices"
+
 	"emmcio/internal/core"
 	"emmcio/internal/paper"
 	"emmcio/internal/report"
@@ -69,49 +72,30 @@ func caseStudyOn(env *Env, names []string) (CaseStudyResult, error) {
 }
 
 // AverageReduction returns the mean Fig. 8 reduction across rows.
-func (r CaseStudyResult) AverageReduction() float64 {
-	if len(r.Rows) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, row := range r.Rows {
-		sum += row.MRTReductionVs4PS()
-	}
-	return sum / float64(len(r.Rows))
-}
+func (r CaseStudyResult) AverageReduction() float64 { return r.mean(CaseStudyRow.MRTReductionVs4PS) }
 
 // AverageUtilGain returns the mean Fig. 9 gain across rows.
-func (r CaseStudyResult) AverageUtilGain() float64 {
+func (r CaseStudyResult) AverageUtilGain() float64 { return r.mean(CaseStudyRow.UtilGainVs8PS) }
+
+func (r CaseStudyResult) mean(f func(CaseStudyRow) float64) float64 {
 	if len(r.Rows) == 0 {
 		return 0
 	}
 	var sum float64
 	for _, row := range r.Rows {
-		sum += row.UtilGainVs8PS()
+		sum += f(row)
 	}
 	return sum / float64(len(r.Rows))
 }
 
-// Best returns the row with the largest Fig. 8 reduction.
+// Best returns the first row with the largest Fig. 8 reduction.
 func (r CaseStudyResult) Best() CaseStudyRow {
-	best := r.Rows[0]
-	for _, row := range r.Rows[1:] {
-		if row.MRTReductionVs4PS() > best.MRTReductionVs4PS() {
-			best = row
-		}
-	}
-	return best
+	return slices.MaxFunc(r.Rows, func(a, b CaseStudyRow) int { return cmp.Compare(a.MRTReductionVs4PS(), b.MRTReductionVs4PS()) })
 }
 
-// Worst returns the row with the smallest Fig. 8 reduction.
+// Worst returns the first row with the smallest Fig. 8 reduction.
 func (r CaseStudyResult) Worst() CaseStudyRow {
-	worst := r.Rows[0]
-	for _, row := range r.Rows[1:] {
-		if row.MRTReductionVs4PS() < worst.MRTReductionVs4PS() {
-			worst = row
-		}
-	}
-	return worst
+	return slices.MinFunc(r.Rows, func(a, b CaseStudyRow) int { return cmp.Compare(a.MRTReductionVs4PS(), b.MRTReductionVs4PS()) })
 }
 
 // RenderFig8 renders the mean-response-time comparison.

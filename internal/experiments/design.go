@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"emmcio/internal/core"
 	"emmcio/internal/emmc"
@@ -124,13 +125,6 @@ func HPSPoolRatioSweep(env *Env, name string, splits [][2]int) ([]PoolRatioRow, 
 		}
 	}
 	return out, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // RenderPoolRatio renders the design sweep.
@@ -409,23 +403,11 @@ func meanStd(xs []float64) (mean, std float64) {
 		std += (x - mean) * (x - mean)
 	}
 	std /= float64(len(xs))
-	return mean, mathSqrt(std)
-}
-
-func mathSqrt(v float64) float64 {
-	if v <= 0 {
-		return 0
-	}
-	// Newton iterations suffice here and avoid importing math for one call.
-	x := v
-	for i := 0; i < 40; i++ {
-		x = (x + v/x) / 2
-	}
-	return x
+	return mean, math.Sqrt(std)
 }
 
 // Fig8Ensemble runs the case study across n seeds. Each seed gets its own
-// trace cache but inherits the caller's worker pool and observability.
+// trace cache but inherits every other env setting, the context included.
 func Fig8Ensemble(env *Env, n int) (EnsembleResult, error) {
 	if n <= 0 {
 		n = 5
@@ -433,11 +415,7 @@ func Fig8Ensemble(env *Env, n int) (EnsembleResult, error) {
 	var res EnsembleResult
 	for i := 0; i < n; i++ {
 		seed := uint64(1000 + i*7919)
-		inner := NewEnv(seed)
-		inner.Workers = env.Workers
-		inner.Telemetry = env.Telemetry
-		inner.Tracer = env.Tracer
-		cs, err := CaseStudy(inner)
+		cs, err := CaseStudy(env.withSeed(seed))
 		if err != nil {
 			return res, err
 		}

@@ -79,11 +79,20 @@ type Env struct {
 	// stays bounded at sweeps of any width.
 	TraceCacheSize int
 
+	// The trace cache sits behind a pointer, so an Env copy shares every
+	// setting and only a fresh cache has to be attached (withSeed).
+	*traceCache
+}
+
+// traceCache is the env's generated-trace LRU.
+type traceCache struct {
 	mu        sync.Mutex
 	cache     map[string]*traceEntry
 	lruNames  []string     // cache keys, least recently used first
 	generated atomic.Int64 // traces actually generated (tests assert dedup)
 }
+
+func newTraceCache() *traceCache { return &traceCache{cache: map[string]*traceEntry{}} }
 
 // DefaultTraceCacheSize is the generated-trace cache bound when
 // TraceCacheSize is zero: enough that a sweep's worker pool keeps its
@@ -104,7 +113,17 @@ type traceEntry struct {
 
 // NewEnv builds an environment with the default profile registry.
 func NewEnv(seed uint64) *Env {
-	return &Env{Seed: seed, Registry: workload.DefaultRegistry(), cache: map[string]*traceEntry{}}
+	return &Env{Seed: seed, Registry: workload.DefaultRegistry(), traceCache: newTraceCache()}
+}
+
+// withSeed returns a copy of e that keeps every setting (workers,
+// observability, faults, backend, fork, context) but generates its traces
+// from seed into its own empty cache.
+func (e *Env) withSeed(seed uint64) *Env {
+	out := *e
+	out.Seed = seed
+	out.traceCache = newTraceCache()
+	return &out
 }
 
 // DefaultEnv uses the repository's canonical seed.

@@ -22,7 +22,10 @@ func TestTableIRoster(t *testing.T) {
 }
 
 func TestTableIIICloseToPaper(t *testing.T) {
-	res := TableIII(DefaultEnv())
+	res, err := TableIII(DefaultEnv())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Measured) != 25 {
 		t.Fatalf("%d rows, want 25", len(res.Measured))
 	}
@@ -136,7 +139,10 @@ func relDiff(a, b float64) float64 {
 }
 
 func TestFig4Shape(t *testing.T) {
-	res := Fig4(DefaultEnv())
+	res, err := Fig4(DefaultEnv())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Dists) != 18 {
 		t.Fatalf("%d distributions, want 18", len(res.Dists))
 	}
@@ -187,7 +193,10 @@ func TestFig5MostResponsesFast(t *testing.T) {
 }
 
 func TestFig6InterarrivalShape(t *testing.T) {
-	res := Fig6(DefaultEnv())
+	res, err := Fig6(DefaultEnv())
+	if err != nil {
+		t.Fatal(err)
+	}
 	fatTail := 0
 	for i, name := range res.Names {
 		fr := res.Dists[i].Interarrival.Fractions()
@@ -766,7 +775,11 @@ func TestAllRenderers(t *testing.T) {
 	if TableI().Rows() != 18 || TableII().Rows() != 9 || TableV().Rows() != 7 {
 		t.Error("static tables drifted")
 	}
-	if got := TableIII(env).Render().Rows(); got != 25 {
+	t3, err := TableIII(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := t3.Render().Rows(); got != 25 {
 		t.Errorf("Table III render %d rows", got)
 	}
 	t4, err := TableIV(env)
@@ -787,7 +800,10 @@ func TestAllRenderers(t *testing.T) {
 	if err := f3.Figure().WriteLineSVG(&svg); err != nil {
 		t.Error(err)
 	}
-	d4 := Fig4(env)
+	d4, err := Fig4(env)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if d4.RenderSizes().Rows() != 18 {
 		t.Error("Fig4 render")
 	}
@@ -806,7 +822,10 @@ func TestAllRenderers(t *testing.T) {
 	if err := f5.ResponseFigure("t").WriteStackedSVG(&svg); err != nil {
 		t.Error(err)
 	}
-	d6 := Fig6(env)
+	d6, err := Fig6(env)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if d6.RenderInterarrivals().Rows() != 18 {
 		t.Error("Fig6 render")
 	}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"emmcio/internal/core"
 	"emmcio/internal/faults"
@@ -165,7 +166,8 @@ func RenderFaultSweep(name string, pts []FaultPoint) *report.Table {
 	for _, p := range pts {
 		outcome := "ok"
 		if p.Err != "" {
-			outcome = elide(firstLine(p.Err), 76)
+			line, _, _ := strings.Cut(p.Err, "\n")
+			outcome = elide(line, 76)
 		}
 		t.AddRow(report.F(p.Rate, 1), p.Scheme.String(),
 			report.F(p.MRTMs, 3), report.F(p.SpaceUtil, 4),
@@ -174,16 +176,6 @@ func RenderFaultSweep(name string, pts []FaultPoint) *report.Table {
 			report.F(p.RecoveryMs, 1), outcome)
 	}
 	return t
-}
-
-// firstLine trims an error message to its first line for table cells.
-func firstLine(s string) string {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			return s[:i]
-		}
-	}
-	return s
 }
 
 // elide keeps a long wrap chain readable in a table cell: the head names the

@@ -63,7 +63,7 @@ type DistResult struct {
 }
 
 // Fig4 builds the request-size distributions of the 18 individual traces.
-func Fig4(env *Env) DistResult {
+func Fig4(env *Env) (DistResult, error) {
 	return distributions(env, paper.IndividualApps)
 }
 
@@ -74,7 +74,7 @@ func Fig5(env *Env) (DistResult, error) {
 }
 
 // Fig6 builds the inter-arrival distributions of the 18 individual traces.
-func Fig6(env *Env) DistResult {
+func Fig6(env *Env) (DistResult, error) {
 	return distributions(env, paper.IndividualApps)
 }
 
@@ -85,15 +85,17 @@ func Fig7(env *Env) (DistResult, error) {
 
 // distributions computes per-trace histograms without replay, streaming
 // each generated trace through an online accumulator on the env's worker
-// pool (generation dominates).
-func distributions(env *Env, names []string) DistResult {
-	// Env streams never fail, so the aggregated error is nil unless the
-	// env's context cancels the sweep mid-way.
-	dists, _ := runner.MapContext(env.context(), env.Runner(), "distributions", names,
+// pool (generation dominates). Env streams never fail, so the error is the
+// env's context ending the sweep.
+func distributions(env *Env, names []string) (DistResult, error) {
+	dists, err := runner.MapContext(env.context(), env.Runner(), "distributions", names,
 		func(ctx context.Context, _ int, name string) (analysis.Distributions, error) {
 			return analysis.DistributionsOfStream(trace.WithContext(ctx, env.Stream(name)))
 		})
-	return DistResult{Names: names, Dists: dists}
+	if err != nil {
+		return DistResult{}, err
+	}
+	return DistResult{Names: names, Dists: dists}, nil
 }
 
 // replayedDistributions replays each trace through the §II-C collection
@@ -116,46 +118,57 @@ func replayedDistributions(env *Env, names []string) (DistResult, error) {
 	return res, nil
 }
 
-// RenderSizes renders the Fig. 4 / Fig. 7a panel.
-func (r DistResult) RenderSizes() *report.Table {
-	labels := stats.NewHistogram(stats.SizeBounds()).Labels(1024, "KB")
-	t := report.NewTable("Request size distributions (fractions)", append([]string{"Application"}, labels...)...)
+// The Figs. 5–7 bucket labels; sizes label their buckets from the bounds.
+var (
+	responseLabels     = []string{"<=2ms", "<=4ms", "<=8ms", "<=16ms", "<=32ms", "<=64ms", "<=128ms", ">128ms"}
+	interarrivalLabels = []string{"<=1ms", "<=2ms", "<=4ms", "<=8ms", "<=16ms", ">16ms"}
+)
+
+func sizeLabels() []string { return stats.NewHistogram(stats.SizeBounds()).Labels(1024, "KB") }
+
+func sizeHist(d analysis.Distributions) *stats.Histogram         { return d.Size }
+func responseHist(d analysis.Distributions) *stats.Histogram     { return d.Response }
+func interarrivalHist(d analysis.Distributions) *stats.Histogram { return d.Interarrival }
+
+// render tabulates one histogram per trace as bucket fractions.
+func (r DistResult) render(title string, labels []string, hist func(analysis.Distributions) *stats.Histogram) *report.Table {
+	t := report.NewTable(title, append([]string{"Application"}, labels...)...)
 	for i, name := range r.Names {
 		row := []string{name}
-		for _, f := range r.Dists[i].Size.Fractions() {
+		for _, f := range hist(r.Dists[i]).Fractions() {
 			row = append(row, report.F(f, 3))
 		}
 		t.AddRow(row...)
 	}
 	return t
+}
+
+// figure plots one histogram per trace as stacked bars.
+func (r DistResult) figure(title, yLabel string, labels []string, hist func(analysis.Distributions) *stats.Histogram) *report.Figure {
+	f := &report.Figure{Title: title, YLabel: yLabel, XTicks: r.Names}
+	for bi, label := range labels {
+		s := report.Series{Name: label}
+		for _, d := range r.Dists {
+			s.Values = append(s.Values, hist(d).Fractions()[bi])
+		}
+		f.Series = append(f.Series, s)
+	}
+	return f
+}
+
+// RenderSizes renders the Fig. 4 / Fig. 7a panel.
+func (r DistResult) RenderSizes() *report.Table {
+	return r.render("Request size distributions (fractions)", sizeLabels(), sizeHist)
 }
 
 // RenderResponses renders the Fig. 5 / Fig. 7b panel.
 func (r DistResult) RenderResponses() *report.Table {
-	labels := []string{"<=2ms", "<=4ms", "<=8ms", "<=16ms", "<=32ms", "<=64ms", "<=128ms", ">128ms"}
-	t := report.NewTable("Response time distributions (fractions)", append([]string{"Application"}, labels...)...)
-	for i, name := range r.Names {
-		row := []string{name}
-		for _, f := range r.Dists[i].Response.Fractions() {
-			row = append(row, report.F(f, 3))
-		}
-		t.AddRow(row...)
-	}
-	return t
+	return r.render("Response time distributions (fractions)", responseLabels, responseHist)
 }
 
 // RenderInterarrivals renders the Fig. 6 / Fig. 7c panel.
 func (r DistResult) RenderInterarrivals() *report.Table {
-	labels := []string{"<=1ms", "<=2ms", "<=4ms", "<=8ms", "<=16ms", ">16ms"}
-	t := report.NewTable("Inter-arrival time distributions (fractions)", append([]string{"Application"}, labels...)...)
-	for i, name := range r.Names {
-		row := []string{name}
-		for _, f := range r.Dists[i].Interarrival.Fractions() {
-			row = append(row, report.F(f, 3))
-		}
-		t.AddRow(row...)
-	}
-	return t
+	return r.render("Inter-arrival time distributions (fractions)", interarrivalLabels, interarrivalHist)
 }
 
 // Figure renders Fig. 3 as a line chart.
@@ -179,42 +192,15 @@ func (r Fig3Result) Figure() *report.Figure {
 // SizeFigure renders the request-size distributions as stacked bars
 // (Fig. 4 / Fig. 7a).
 func (r DistResult) SizeFigure(title string) *report.Figure {
-	f := &report.Figure{Title: title, YLabel: "fraction of requests", XTicks: r.Names}
-	labels := stats.NewHistogram(stats.SizeBounds()).Labels(1024, "KB")
-	for bi, label := range labels {
-		s := report.Series{Name: label}
-		for _, d := range r.Dists {
-			s.Values = append(s.Values, d.Size.Fractions()[bi])
-		}
-		f.Series = append(f.Series, s)
-	}
-	return f
+	return r.figure(title, "fraction of requests", sizeLabels(), sizeHist)
 }
 
 // ResponseFigure renders the response-time distributions (Fig. 5 / 7b).
 func (r DistResult) ResponseFigure(title string) *report.Figure {
-	f := &report.Figure{Title: title, YLabel: "fraction of requests", XTicks: r.Names}
-	labels := []string{"<=2ms", "<=4ms", "<=8ms", "<=16ms", "<=32ms", "<=64ms", "<=128ms", ">128ms"}
-	for bi, label := range labels {
-		s := report.Series{Name: label}
-		for _, d := range r.Dists {
-			s.Values = append(s.Values, d.Response.Fractions()[bi])
-		}
-		f.Series = append(f.Series, s)
-	}
-	return f
+	return r.figure(title, "fraction of requests", responseLabels, responseHist)
 }
 
 // InterarrivalFigure renders the inter-arrival distributions (Fig. 6 / 7c).
 func (r DistResult) InterarrivalFigure(title string) *report.Figure {
-	f := &report.Figure{Title: title, YLabel: "fraction of gaps", XTicks: r.Names}
-	labels := []string{"<=1ms", "<=2ms", "<=4ms", "<=8ms", "<=16ms", ">16ms"}
-	for bi, label := range labels {
-		s := report.Series{Name: label}
-		for _, d := range r.Dists {
-			s.Values = append(s.Values, d.Interarrival.Fractions()[bi])
-		}
-		f.Series = append(f.Series, s)
-	}
-	return f
+	return r.figure(title, "fraction of gaps", interarrivalLabels, interarrivalHist)
 }

@@ -119,28 +119,20 @@ func (e *Env) replay(ctx context.Context, j ReplayJob) (ReplayResult, error) {
 	}
 
 	var res ReplayResult
-	var sinks []func(trace.Request) error
-	if j.WantStats {
-		res.Stats = analysis.NewAccumulator(st.Name())
-		sinks = append(sinks, func(r trace.Request) error { res.Stats.Add(r); return nil })
-	}
-	if j.WantTrace {
-		res.Trace = &trace.Trace{Name: st.Name()}
-		sinks = append(sinks, func(r trace.Request) error {
-			res.Trace.Reqs = append(res.Trace.Reqs, r)
-			return nil
-		})
-	}
 	var sink func(trace.Request) error
-	switch len(sinks) {
-	case 1:
-		sink = sinks[0]
-	case 2:
+	if j.WantStats || j.WantTrace {
+		if j.WantStats {
+			res.Stats = analysis.NewAccumulator(st.Name())
+		}
+		if j.WantTrace {
+			res.Trace = &trace.Trace{Name: st.Name()}
+		}
 		sink = func(r trace.Request) error {
-			for _, s := range sinks {
-				if err := s(r); err != nil {
-					return err
-				}
+			if res.Stats != nil {
+				res.Stats.Add(r)
+			}
+			if res.Trace != nil {
+				res.Trace.Reqs = append(res.Trace.Reqs, r)
 			}
 			return nil
 		}

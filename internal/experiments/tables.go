@@ -127,20 +127,22 @@ type TableIIIResult struct {
 // TableIII measures the size-related statistics of all 25 generated traces
 // (Table III of the paper). No replay is involved, but generating 25 traces
 // is the cost, so the per-trace analyses run on the env's worker pool.
-func TableIII(env *Env) TableIIIResult {
+// Env streams never fail, so the error is the env's context ending the
+// sweep.
+func TableIII(env *Env) (TableIIIResult, error) {
 	names := paper.AllTraces
-	// Env streams never fail (generation is in-process), so the aggregated
-	// error is nil unless the env's context cancels the sweep mid-way — the
-	// caller-facing signal for that is the context itself.
-	measured, _ := runner.MapContext(env.context(), env.Runner(), "tableIII", names,
+	measured, err := runner.MapContext(env.context(), env.Runner(), "tableIII", names,
 		func(ctx context.Context, _ int, name string) (analysis.SizeStats, error) {
 			return analysis.SizeStatsOfStream(trace.WithContext(ctx, env.Stream(name)))
 		})
+	if err != nil {
+		return TableIIIResult{}, err
+	}
 	res := TableIIIResult{Names: names, Measured: measured}
 	for _, name := range names {
 		res.Published = append(res.Published, paper.TableIII[name])
 	}
-	return res
+	return res, nil
 }
 
 // Render returns the side-by-side comparison table.
@@ -234,14 +236,8 @@ func TableV() *report.Table {
 		t.AddRow(r[0], r[1], r[2], r[3])
 	}
 	// Cross-check against the live configurations.
-	for i, s := range core.Schemes {
-		_ = i
-		cfg := core.DeviceConfig(s, core.Options{})
-		var total int64
-		for _, p := range cfg.Pools {
-			total += p.BytesPerPlane() * int64(cfg.Geometry.Planes())
-		}
-		if total != 32<<30 {
+	for _, s := range core.Schemes {
+		if core.DeviceConfig(s, core.Options{}).CapacityBytes() != 32<<30 {
 			panic("experiments: Table V capacity drifted from 32 GB for " + s.String())
 		}
 	}

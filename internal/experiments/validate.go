@@ -29,7 +29,10 @@ func Validate(env *Env) ([]Check, error) {
 	}
 
 	// --- Table III ---
-	t3 := TableIII(env)
+	t3, err := TableIII(env)
+	if err != nil {
+		return nil, err
+	}
 	worstWr := 0.0
 	for i := range t3.Measured {
 		if d := math.Abs(t3.Measured[i].WriteReqPct - t3.Published[i].WriteReqPct); d > worstWr {
@@ -40,7 +43,10 @@ func Validate(env *Env) ([]Check, error) {
 		fmt.Sprintf("worst |Δ| = %.1f", worstWr), worstWr <= 3)
 
 	// --- Fig. 4 / Characteristic 2 ---
-	f4 := Fig4(env)
+	f4, err := Fig4(env)
+	if err != nil {
+		return nil, err
+	}
 	inBand := 0
 	for i, name := range f4.Names {
 		if paper.NotP4Majority[name] {
@@ -82,7 +88,10 @@ func Validate(env *Env) ([]Check, error) {
 		fmt.Sprintf("worst |Δ| = %.1f", worstTemporal), worstTemporal <= 7)
 
 	// --- Fig. 6 / Characteristic 6 ---
-	f6 := Fig6(env)
+	f6, err := Fig6(env)
+	if err != nil {
+		return nil, err
+	}
 	fatTail := 0
 	for _, d := range f6.Dists {
 		fr := d.Interarrival.Fractions()

@@ -174,10 +174,13 @@ func (b *Backend) Geometry() flash.Geometry { return b.p.Geometry }
 
 // CapacityBytes returns the device's physical flash capacity (the main
 // pools; a booster is over-provisioning, not addressable space).
-func (b *Backend) CapacityBytes() int64 {
+func (b *Backend) CapacityBytes() int64 { return b.p.CapacityBytes() }
+
+// CapacityBytes returns the main pools' physical flash capacity.
+func (p Params) CapacityBytes() int64 {
 	var total int64
-	for _, p := range b.p.Pools {
-		total += p.BytesPerPlane() * int64(b.p.Geometry.Planes())
+	for _, pool := range p.Pools {
+		total += pool.BytesPerPlane() * int64(p.Geometry.Planes())
 	}
 	return total
 }

@@ -542,23 +542,32 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, ErrKindValidation, err)
 		return
 	}
-	backend, err := spec.Backend()
+	s.submit(w, r, "replay", &spec.DeviceSpec, spec.FromDevice, spec.SetDeviceSource,
+		func(ctx context.Context, reg *telemetry.Registry, tc *telemetry.Tracer) (any, error) {
+			return spec.Run(ctx, s.cfg.JobWorkers, reg, tc)
+		})
+}
+
+// submit is the tail every job endpoint shares: resolve the job's device
+// (its backend, or the from_device snapshot, attached through setSource),
+// queue run, and answer 202.
+func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind string, dev *cliutil.DeviceSpec,
+	fromDevice string, setSource func(cliutil.DeviceSource), run jobFunc) {
+	backend, err := dev.Backend()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, ErrKindValidation, err)
 		return
 	}
 	device := string(backend)
-	if spec.FromDevice != "" {
-		meta, ok := s.resolveFromDevice(w, spec.FromDevice)
+	if fromDevice != "" {
+		meta, ok := s.resolveFromDevice(w, fromDevice)
 		if !ok {
 			return
 		}
-		spec.SetDeviceSource(s.cfg.DeviceStore)
+		setSource(s.cfg.DeviceStore)
 		device = string(meta.Backend)
 	}
-	j, err := s.enqueue(r.Context(), "replay", device, spec.FromDevice, func(ctx context.Context, reg *telemetry.Registry, tc *telemetry.Tracer) (any, error) {
-		return spec.Run(ctx, s.cfg.JobWorkers, reg, tc)
-	})
+	j, err := s.enqueue(r.Context(), kind, device, fromDevice, run)
 	if err != nil {
 		s.submitError(w, err)
 		return
@@ -581,30 +590,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, ErrKindValidation, err)
 		return
 	}
-	backend, err := spec.Backend()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, ErrKindValidation, err)
-		return
-	}
-	device := string(backend)
-	if spec.FromDevice != "" {
-		meta, ok := s.resolveFromDevice(w, spec.FromDevice)
-		if !ok {
-			return
-		}
-		spec.SetDeviceSource(s.cfg.DeviceStore)
-		device = string(meta.Backend)
-	}
 	// The job body is the same SweepSpec.Run the coordinator's local
 	// fallback calls, so a shard's result is identical either way.
-	j, err := s.enqueue(r.Context(), "sweep", device, spec.FromDevice, func(ctx context.Context, reg *telemetry.Registry, tc *telemetry.Tracer) (any, error) {
-		return spec.Run(ctx, s.cfg.JobWorkers, reg, tc)
-	})
-	if err != nil {
-		s.submitError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, submitted{ID: j.id, State: JobQueued, URL: "/v1/jobs/" + j.id})
+	s.submit(w, r, "sweep", &spec.DeviceSpec, spec.FromDevice, spec.SetDeviceSource,
+		func(ctx context.Context, reg *telemetry.Registry, tc *telemetry.Tracer) (any, error) {
+			return spec.Run(ctx, s.cfg.JobWorkers, reg, tc)
+		})
 }
 
 // TraceRequest asks for one generated trace, streamed back in the chosen

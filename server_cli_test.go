@@ -21,6 +21,7 @@ import (
 	"testing"
 	"time"
 
+	"emmcio/internal/cliutil"
 	"emmcio/internal/paper"
 	"emmcio/internal/server"
 	"emmcio/internal/trace"
@@ -39,12 +40,59 @@ func TestServerReplayMatchesCLI(t *testing.T) {
 		t.Fatalf("emmcsim -json: %v", err)
 	}
 
+	st := runJob(t, "/v1/replays", fmt.Sprintf(`{"app":%q}`, paper.CallIn))
+
+	var cliNorm, srvNorm bytes.Buffer
+	if err := json.Compact(&cliNorm, cliOut); err != nil {
+		t.Fatalf("CLI emitted invalid JSON: %v\n%s", err, cliOut)
+	}
+	if err := json.Compact(&srvNorm, st.Result); err != nil {
+		t.Fatalf("server stored invalid JSON: %v\n%s", err, st.Result)
+	}
+	if !bytes.Equal(cliNorm.Bytes(), srvNorm.Bytes()) {
+		t.Errorf("server result diverges from emmcsim -json:\nCLI:    %s\nserver: %s",
+			cliNorm.Bytes(), srvNorm.Bytes())
+	}
+}
+
+// TestServerSweepMatchesCLI: any study on the list runs as an emmcd sweep
+// job, and its tables print exactly as `experiments -exp` prints them. cq
+// is a study the server could not run before the list was shared.
+func TestServerSweepMatchesCLI(t *testing.T) {
+	bins := buildCLIs(t)
+	cliOut, err := exec.Command(filepath.Join(bins, "experiments"), "-exp", "cq").Output()
+	if err != nil {
+		t.Fatalf("experiments -exp cq: %v", err)
+	}
+
+	st := runJob(t, "/v1/sweeps", `{"sweeps":["cq"]}`)
+	var res []cliutil.SweepResult
+	if err := json.Unmarshal(st.Result, &res); err != nil {
+		t.Fatal(err)
+	}
+	var srv bytes.Buffer
+	for _, r := range res {
+		for _, tbl := range r.Tables {
+			if err := tbl.WriteText(&srv); err != nil {
+				t.Fatal(err)
+			}
+			srv.WriteString("\n")
+		}
+	}
+	if srv.String() != string(cliOut) {
+		t.Errorf("sweep job tables diverge from the CLI:\nCLI:\n%s\nserver:\n%s", cliOut, srv.String())
+	}
+}
+
+// runJob submits body to an in-process emmcd at path and polls the job to
+// done, failing the test if it fails or takes over a minute.
+func runJob(t *testing.T, path, body string) server.JobStatus {
+	t.Helper()
 	svc := server.New(server.Config{})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
-	body := fmt.Sprintf(`{"app":%q}`, paper.CallIn)
-	resp, err := http.Post(ts.URL+"/v1/replays", "application/json", strings.NewReader(body))
+	resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,24 +117,12 @@ func TestServerReplayMatchesCLI(t *testing.T) {
 			t.Fatal(err)
 		}
 		if st.State == server.JobDone {
-			break
+			return st
 		}
 		if st.State == server.JobFailed || time.Now().After(deadline) {
 			t.Fatalf("job state %q (error %q)", st.State, st.Error)
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-
-	var cliNorm, srvNorm bytes.Buffer
-	if err := json.Compact(&cliNorm, cliOut); err != nil {
-		t.Fatalf("CLI emitted invalid JSON: %v\n%s", err, cliOut)
-	}
-	if err := json.Compact(&srvNorm, st.Result); err != nil {
-		t.Fatalf("server stored invalid JSON: %v\n%s", err, st.Result)
-	}
-	if !bytes.Equal(cliNorm.Bytes(), srvNorm.Bytes()) {
-		t.Errorf("server result diverges from emmcsim -json:\nCLI:    %s\nserver: %s",
-			cliNorm.Bytes(), srvNorm.Bytes())
 	}
 }
 
