@@ -259,3 +259,80 @@ func TestProgramFaultErrorCarriesSentinel(t *testing.T) {
 	}
 	_ = flash.ErrProgramFail // sentinel only appears when retirement itself fails
 }
+
+// A relocation that runs out of space partway keeps the survivors it
+// already moved mapped to their new pages and unmaps the rest: no forward
+// entry may still name the emptied victim. The read-scrub path retires
+// without a headroom check, so a plane with two free pages left strands
+// half of a four-sector victim.
+func TestFailedRelocationUnmapsOnlyTheRemainder(t *testing.T) {
+	f, err := New(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Seven full blocks and half of the eighth: two pages free in plane 0.
+	var victim Loc
+	for lpn := int64(0); lpn < 30; lpn++ {
+		loc, _, err := f.Write(0, 0, []int64{lpn})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lpn == 0 {
+			victim = loc
+		}
+	}
+	if _, err := f.RetireBlockAt(victim); !errors.Is(err, ErrNoSpace) {
+		t.Fatalf("want ErrNoSpace, got %v", err)
+	}
+	if err := f.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	for lpn := int64(0); lpn < 4; lpn++ { // the victim's sectors, in page order
+		loc, ok := f.Lookup(lpn)
+		if moved := lpn < 2; ok != moved || ok && loc.Block == victim.Block {
+			t.Errorf("LPN %d: mapped=%v at %+v, want mapped=%v off the victim", lpn, ok, loc, moved)
+		}
+	}
+	if got := f.fwd.n; got != 28 {
+		t.Errorf("forward map counts %d LPNs, want 28", got)
+	}
+}
+
+// The same holds when the relocation re-enters itself: program faults at
+// about 60% retire destination after destination, each one relocating the
+// survivors already moved into it, until the plane runs out.
+func TestFailedReentrantRelocationStaysConsistent(t *testing.T) {
+	const off = 1e-300
+	for seed := uint64(1); seed <= 32; seed++ {
+		f, err := New(smallConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var victim Loc
+		for lpn := int64(0); lpn < 8; lpn++ {
+			loc, _, err := f.Write(0, 0, []int64{lpn})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lpn == 0 {
+				victim = loc
+			}
+		}
+		in, err := faults.New(&faults.Config{Seed: seed, Rate: 1, ProgramFailBase: 0.6, EraseFailBase: off, ReadFailScale: off})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.SetFaults(in)
+		if _, err := f.RetireBlockAt(victim); err != nil && !errors.Is(err, ErrNoSpace) {
+			t.Fatalf("seed %d: want nil or ErrNoSpace, got %v", seed, err)
+		}
+		if err := f.CheckConsistency(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for lpn := int64(0); lpn < 4; lpn++ {
+			if loc, ok := f.Lookup(lpn); ok && loc.Block == victim.Block {
+				t.Fatalf("seed %d: LPN %d still mapped to the emptied victim", seed, lpn)
+			}
+		}
+	}
+}
