@@ -104,7 +104,9 @@ func Lookup(name string) (Study, bool) {
 
 // Select resolves names to the leaf studies the experiments CLI runs:
 // composites expand to their parts, each study runs once, and the result
-// is in list order whatever order the names came in. An unknown name is a
+// is in list order whatever order the names came in. fig8 and fig9 are the
+// two halves of casestudy's §V matrix, so the matrix runs once: the pair
+// becomes casestudy, and casestudy drops either. An unknown name is a
 // one-line error listing the known ones.
 func Select(names []string) ([]Study, error) {
 	want := map[string]bool{}
@@ -117,6 +119,13 @@ func Select(names []string) ([]Study, error) {
 		for _, p := range s.Parts {
 			want[p] = true
 		}
+	}
+	if want["fig8"] && want["fig9"] {
+		want["casestudy"] = true
+	}
+	if want["casestudy"] {
+		delete(want, "fig8")
+		delete(want, "fig9")
 	}
 	var out []Study
 	for _, s := range studies {
@@ -157,7 +166,7 @@ var studies = []Study{
 	}},
 	{Name: "tablev", run: fixed(TableV)},
 	// casestudy runs the §V matrix once for both figures; fig8 and fig9
-	// each run it for one.
+	// each run it for one (Select runs fig8,fig9 as casestudy).
 	{Name: "casestudy", Traces: paper.IndividualApps, run: caseStudyOutputs},
 	{Name: "fig8", run: caseStudyFigure(0)},
 	{Name: "fig9", run: caseStudyFigure(1)},

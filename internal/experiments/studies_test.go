@@ -81,6 +81,33 @@ func TestSelect(t *testing.T) {
 	if _, err := Select([]string{"tablei", "fig99"}); err == nil {
 		t.Error("Select accepted an unknown name")
 	}
+	// The §V matrix runs once: fig8 with fig9 is casestudy, and casestudy
+	// (alone or inside all) absorbs either figure.
+	for _, c := range []struct{ in, want []string }{
+		{[]string{"fig8"}, []string{"fig8"}},
+		{[]string{"fig9", "fig8"}, []string{"casestudy"}},
+		{[]string{"casestudy", "fig9"}, []string{"casestudy"}},
+		{[]string{"tablev", "fig8", "overhead", "fig9"}, []string{"tablev", "casestudy", "overhead"}},
+	} {
+		got, err := Select(c.in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(names(got), c.want) {
+			t.Errorf("Select(%v) = %v, want %v", c.in, names(got), c.want)
+		}
+	}
+	all, err := Select([]string{DefaultStudy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err = Select([]string{DefaultStudy, "fig8"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(names(got), names(all)) {
+		t.Errorf("Select(%s, fig8) = %v, want Select(%s) = %v", DefaultStudy, names(got), DefaultStudy, names(all))
+	}
 }
 
 // A canceled env makes every context-aware study return the context's

@@ -355,8 +355,9 @@ func (f *FTL) SetTelemetry(reg *telemetry.Registry) {
 }
 
 // observeGC records one garbage collection's work against the telemetry
-// counters and refreshes the pool's wear-spread gauge.
-func (f *FTL) observeGC(pool int, gc GCWork) {
+// counters and refreshes the pool's wear-spread gauge. It takes the work by
+// pointer: Write calls it on every host page.
+func (f *FTL) observeGC(pool int, gc *GCWork) {
 	if f.tel == nil || gc.Zero() {
 		return
 	}
@@ -464,7 +465,7 @@ func (f *FTL) Write(plane, pool int, lpns []int64) (Loc, GCWork, error) {
 	f.stats.HostPayloadBytes += int64(len(lpns)) * flash.SectorBytes
 	f.stats.HostFootprintBytes += int64(ps.spec.PageBytes)
 	f.stats.GC.Add(gc)
-	f.observeGC(pool, gc)
+	f.observeGC(pool, &gc)
 	return loc, gc, nil
 }
 
@@ -477,7 +478,7 @@ func (f *FTL) CollectGarbage(plane, pool int) (GCWork, error) {
 	var gc GCWork
 	err := f.ensureFree(int32(plane), int32(pool), &gc)
 	f.stats.GC.Add(gc)
-	f.observeGC(pool, gc)
+	f.observeGC(pool, &gc)
 	return gc, err
 }
 
@@ -492,7 +493,7 @@ func (f *FTL) RetireBlockAt(loc Loc) (GCWork, error) {
 	}
 	err := f.retireBlock(loc.Plane, loc.Pool, loc.Block, &gc)
 	f.stats.GC.Add(gc)
-	f.observeGC(int(loc.Pool), gc)
+	f.observeGC(int(loc.Pool), &gc)
 	return gc, err
 }
 
@@ -687,7 +688,7 @@ func (f *FTL) pickVictim(ps *poolState) int32 {
 			continue
 		}
 		live := blk.LiveSectors()
-		if (live+spp-1)/spp >= blk.Pages() {
+		if live > (blk.Pages()-1)*spp {
 			continue // repacking would not reclaim a single page
 		}
 		better := live < bestLive
@@ -770,7 +771,11 @@ func (f *FTL) staticLevel(plane, pool int32, gc *GCWork) error {
 // relocation program can itself fail and retire the destination, so
 // exhaustion mid-move is a reachable condition — it surfaces as ErrNoSpace
 // rather than a panic. The already-moved survivors stay mapped; the
-// unmoved remainder is what the error reports lost.
+// unmoved remainder is unmapped, and is what the error reports lost.
+//
+// A survivor's forward entry is written once, when program maps it to its
+// new page; until then it still names the victim page, which nothing
+// reads mid-move (a re-entrant relocation gathers from the reverse map).
 func (f *FTL) moveLive(plane, pool, victim int32, gc *GCWork) error {
 	ps := &f.planes[plane].pools[pool]
 	blk := &ps.blocks[victim]
@@ -784,12 +789,10 @@ func (f *FTL) moveLive(plane, pool, victim int32, gc *GCWork) error {
 		if n == 0 {
 			continue
 		}
-		lpns := ps.pageRev(victim, page)[:n]
-		for _, lpn := range lpns {
-			f.fwd.clear(lpn)
+		for range n {
 			blk.InvalidateSector(page)
 		}
-		survivors = append(survivors, lpns...)
+		survivors = append(survivors, ps.pageRev(victim, page)[:n]...)
 	}
 	spp := ps.spp
 	for off := 0; off < len(survivors); off += spp {
@@ -798,6 +801,9 @@ func (f *FTL) moveLive(plane, pool, victim int32, gc *GCWork) error {
 			end = len(survivors)
 		}
 		if _, err := f.program(plane, pool, survivors[off:end], gc, true); err != nil {
+			for _, lpn := range survivors[off:] {
+				f.fwd.clear(lpn)
+			}
 			f.recycleSurvivors(survivors)
 			return fmt.Errorf("ftl: GC relocation stranded %d sectors: %w", len(survivors)-off, err)
 		}

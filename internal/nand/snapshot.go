@@ -32,7 +32,7 @@ func (b *Backend) AppendState(buf []byte) []byte {
 }
 
 // appendStage appends the stage's read-hit accounting and its chunks in
-// destage order; the dirty-sector index is rebuilt from them.
+// destage order; the staged-sector index is rebuilt from them.
 func (b *Backend) appendStage(buf []byte) []byte {
 	var queue []staged
 	if b.stage != nil {

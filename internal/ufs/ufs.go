@@ -246,18 +246,11 @@ func (d *Device) serveWrite(opsStart int64, lpns []int64) (int64, error) {
 	for _, c := range chunks {
 		plane := d.NextPlane()
 		d.Stage(c)
-		if end := d.Program(opsStart, plane, len(c.LPNs)*flash.SectorBytes, d.slcProgram(c.PageBytes), 0, c.PageBytes); end > finish {
+		if end := d.Program(opsStart, plane, len(c.LPNs)*flash.SectorBytes, d.SLCProgramNs(c.Pool), 0, c.PageBytes); end > finish {
 			finish = end
 		}
 	}
 	return finish, nil
-}
-
-// slcProgram prices a booster program: fast-page latency of the given page
-// size, using the Timing's SLC factors.
-func (d *Device) slcProgram(pageBytes int) int64 {
-	p := flash.PoolSpec{PageBytes: pageBytes, BlocksPerPlane: 1, PagesPerBlock: 1, SLCMode: true}
-	return d.cfg.Timing.ProgramPool(p, 0)
 }
 
 // Flush services a cache-flush barrier: it drains every command slot and
