@@ -37,16 +37,10 @@ func main() {
 	dists := flag.Bool("dist", false, "also print size/response/inter-arrival distributions")
 	percentiles := flag.Bool("percentiles", false, "print p50/p95/p99 service latencies per request type")
 	asJSON := flag.Bool("json", false, "emit machine-readable FullReport JSON instead of tables")
-	stream := flag.Bool("stream", false, "stream text trace files in constant memory (huge collections)")
 	showVersion := cliutil.VersionFlag(flag.CommandLine)
 	flag.Parse()
 	if *showVersion {
 		fmt.Println(cliutil.VersionLine("tracestat"))
-		return
-	}
-
-	if *stream {
-		streamMode(flag.Args())
 		return
 	}
 
@@ -229,45 +223,6 @@ func analyzeFile(path string) (*traceStats, error) {
 		}
 		ts.add(req)
 	}
-}
-
-// streamMode is the legacy -stream flag: text-only constant-memory tables.
-// The default file mode now streams every format; this stays for script
-// compatibility.
-func streamMode(paths []string) {
-	if len(paths) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: tracestat -stream <text trace>...")
-		os.Exit(2)
-	}
-	sizeTab := report.NewTable("Size-related statistics (streamed)",
-		"Trace", "DataKB", "Reqs", "MaxKB", "AveKB", "Wr%")
-	timeTab := report.NewTable("Timing-related statistics (streamed)",
-		"Trace", "Dur(s)", "Arr(/s)", "NoWait%", "Resp(ms)", "Spat%", "Temp%")
-	for _, path := range paths {
-		f, err := os.Open(path)
-		if err != nil {
-			fatal(err)
-		}
-		acc := analysis.NewAccumulator(path)
-		if _, _, err := trace.StreamText(f, func(r trace.Request) error {
-			acc.Add(r)
-			return nil
-		}); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		f.Close()
-		s := acc.Size()
-		sizeTab.AddRow(path, report.I(s.DataKB), report.I(s.Requests), report.I(int64(s.MaxKB)),
-			report.F(s.AveKB, 1), report.F(s.WriteReqPct, 2))
-		tm := acc.Timing()
-		timeTab.AddRow(path, report.F(tm.DurationSec, 0), report.F(tm.ArrivalRate, 2),
-			report.F(tm.NoWaitPct, 0), report.F(tm.MeanRespMs, 2),
-			report.F(tm.SpatialPct, 2), report.F(tm.TemporalPct, 2))
-	}
-	must(sizeTab.WriteText(os.Stdout))
-	fmt.Println()
-	must(timeTab.WriteText(os.Stdout))
 }
 
 func must(err error) {

@@ -69,14 +69,3 @@ func DistributionsOfStream(st trace.Stream) (Distributions, error) {
 	}
 	return acc.Dists(), nil
 }
-
-// ReportStream computes the complete characterization of a (replayed)
-// stream in one pass. The Response and Interarrival summaries are exact
-// below the online retention cap and bounded-memory estimates past it.
-func ReportStream(st trace.Stream) (FullReport, error) {
-	acc, err := AccumulateStream(st)
-	if err != nil {
-		return FullReport{}, err
-	}
-	return acc.Report(), nil
-}

@@ -1,16 +1,16 @@
 package androidstack
 
-import "emmcio/internal/trace"
+import (
+	"emmcio/internal/lru"
+	"emmcio/internal/trace"
+)
 
 // pageCache is the OS page cache standing between reads and the block
 // layer: Android applications re-read hot database pages from RAM, which is
 // one reason the paper's block-level traces are write-dominant
 // (Characteristic 1) — most reads never reach the eMMC.
 type pageCache struct {
-	capacity int
-	table    map[cacheKey]*cacheNode
-	head     *cacheNode
-	tail     *cacheNode
+	blocks *lru.Cache[cacheKey, struct{}]
 
 	hits   int64
 	misses int64
@@ -21,90 +21,35 @@ type cacheKey struct {
 	block int64
 }
 
-type cacheNode struct {
-	key        cacheKey
-	prev, next *cacheNode
-}
-
 func newPageCache(capBytes int64) *pageCache {
 	blocks := int(capBytes / blockBytes)
 	if blocks < 1 {
 		return nil
 	}
-	return &pageCache{capacity: blocks, table: make(map[cacheKey]*cacheNode, blocks)}
-}
-
-func (c *pageCache) detach(n *cacheNode) {
-	if n.prev != nil {
-		n.prev.next = n.next
-	} else {
-		c.head = n.next
-	}
-	if n.next != nil {
-		n.next.prev = n.prev
-	} else {
-		c.tail = n.prev
-	}
-	n.prev, n.next = nil, nil
-}
-
-func (c *pageCache) pushFront(n *cacheNode) {
-	n.next = c.head
-	if c.head != nil {
-		c.head.prev = n
-	}
-	c.head = n
-	if c.tail == nil {
-		c.tail = n
-	}
+	return &pageCache{blocks: lru.New[cacheKey, struct{}](blocks)}
 }
 
 // probe returns whether the block is cached, allocating on miss.
 func (c *pageCache) probe(file string, block int64) bool {
 	k := cacheKey{file, block}
-	if n, ok := c.table[k]; ok {
+	if _, ok := c.blocks.Get(k); ok {
 		c.hits++
-		c.detach(n)
-		c.pushFront(n)
 		return true
 	}
 	c.misses++
-	c.insert(k)
+	c.blocks.Add(k, struct{}{})
 	return false
 }
 
 // fill caches a block without counting a lookup (write path population).
 func (c *pageCache) fill(file string, block int64) {
-	k := cacheKey{file, block}
-	if n, ok := c.table[k]; ok {
-		c.detach(n)
-		c.pushFront(n)
-		return
-	}
-	c.insert(k)
+	c.blocks.Add(cacheKey{file, block}, struct{}{})
 }
 
-func (c *pageCache) insert(k cacheKey) {
-	if len(c.table) >= c.capacity {
-		evict := c.tail
-		c.detach(evict)
-		delete(c.table, evict.key)
-	}
-	n := &cacheNode{key: k}
-	c.table[k] = n
-	c.pushFront(n)
-}
-
-// invalidateFile drops a deleted file's blocks lazily: entries keyed by the
-// old name are unreachable once the file is recreated, so eviction handles
-// them; an explicit sweep keeps the accounting tight for tests.
+// invalidateFile drops a deleted file's blocks, so a file recreated under
+// the same name starts cold.
 func (c *pageCache) invalidateFile(file string) {
-	for k, n := range c.table {
-		if k.file == file {
-			c.detach(n)
-			delete(c.table, k)
-		}
-	}
+	c.blocks.RemoveFunc(func(k cacheKey) bool { return k.file == file })
 }
 
 // CachedRead reads [off, off+n) through the page cache: only missing

@@ -144,22 +144,31 @@ func TestStreamReplayAllocationBudgetUFS(t *testing.T) {
 
 // TestDeviceAllocationBounds bounds what one device costs the heap: the
 // objects NewDevice plus a 2,000-request Replay allocate, for the eMMC
-// case-study device and for a UFS device with its 64 MB write booster. A
-// benchmark replay makes only a few hundred allocations in all, so a few
-// new objects per device move allocs_per_req by percents. Each bound is
-// the count measured before the NAND back end's cost table and
-// staged-sector set (they now measure 120 and 3,826), so neither may add
-// an object. The collector is off while counting, so a cycle cannot
+// case-study device, for the same device with its controller caches on (a
+// 4 MB RAM buffer and a 64 KiB mapping cache) and for a UFS device with
+// its 64 MB write booster. A benchmark replay makes only a few hundred
+// allocations in all, so a few new objects per device move allocs_per_req
+// by percents. The eMMC and UFS bounds are the counts measured before the
+// NAND back end's cost table and staged-sector set (they now measure 120
+// and 3,826), so neither may add an object. The cached device may add only
+// the caches' arenas and indexes, grown by doubling, never an object per
+// cached entry. The collector is off while counting, so a cycle cannot
 // empty the replay's pools mid-measurement and add refills to the count.
 func TestDeviceAllocationBounds(t *testing.T) {
 	ufsOpt := CaseStudyOptions()
 	ufsOpt.Backend = storage.BackendUFS
+	cachedOpt := CaseStudyOptions()
+	cachedOpt.RAMBufferBytes = 4 << 20
+	cachedOpt.MapCacheBytes = 64 << 10
 	cases := []struct {
 		name  string
 		opt   Options
 		bound float64
 	}{
 		{"emmc", CaseStudyOptions(), 120},
+		// 173-178 measured (the index's growth varies with the map's hash
+		// seed); an object per cached sector would be thousands.
+		{"emmc-ram-buffer", cachedOpt, 190},
 		// Most of these are the stage's per-chunk LPN slices: 2,000
 		// requests never fill the booster, so none is recycled yet.
 		{"ufs-booster", ufsOpt, 3873},
@@ -178,6 +187,39 @@ func TestDeviceAllocationBounds(t *testing.T) {
 		t.Logf("%s: %.0f allocations per device and replay (bound %.0f)", c.name, allocs, c.bound)
 		if allocs > c.bound {
 			t.Errorf("%s: device and replay allocated %.0f objects, bound %.0f", c.name, allocs, c.bound)
+		}
+	}
+}
+
+// TestCacheSizeReservesNothing: a controller cache is sized by the entries
+// it holds, never by its configured capacity, which an option or an
+// imported snapshot's config may set far beyond memory. A device with a
+// 1 TiB RAM buffer or a 1 TiB mapping cache allocates within 256 KiB of
+// the same device with neither.
+func TestCacheSizeReservesNothing(t *testing.T) {
+	built := func(opt Options) int64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := NewDevice(SchemeHPS, opt); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc - before.TotalAlloc)
+	}
+	base := built(CaseStudyOptions())
+	for _, c := range []struct {
+		name string
+		set  func(*Options)
+	}{
+		{"ram-buffer", func(o *Options) { o.RAMBufferBytes = 1 << 40 }},
+		{"map-cache", func(o *Options) { o.MapCacheBytes = 1 << 40 }},
+	} {
+		opt := CaseStudyOptions()
+		c.set(&opt)
+		extra := built(opt) - base
+		t.Logf("1 TiB %s: %+d bytes over an uncached device (%d)", c.name, extra, base)
+		if extra > 256<<10 {
+			t.Errorf("1 TiB %s allocates %d KiB more than an uncached device, budget 256 KiB", c.name, extra>>10)
 		}
 	}
 }

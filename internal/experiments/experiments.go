@@ -15,6 +15,7 @@ import (
 	"emmcio/internal/emmc"
 	"emmcio/internal/faults"
 	"emmcio/internal/flash"
+	"emmcio/internal/lru"
 	"emmcio/internal/storage"
 	"emmcio/internal/telemetry"
 	"emmcio/internal/trace"
@@ -72,40 +73,35 @@ type Env struct {
 	// ReplaysContext call overrides it.
 	Ctx context.Context
 
-	// TraceCacheSize bounds the generated-trace cache (default
-	// DefaultTraceCacheSize). The cache used to retain every generated
-	// trace for the life of the process; now the least-recently-used name
-	// is evicted and regenerated on demand if asked for again — memory
-	// stays bounded at sweeps of any width.
-	TraceCacheSize int
-
 	// The trace cache sits behind a pointer, so an Env copy shares every
 	// setting and only a fresh cache has to be attached (withSeed).
 	*traceCache
 }
 
-// traceCache is the env's generated-trace LRU.
+// traceCache is the env's generated-trace LRU: past DefaultTraceCacheSize
+// names, the least recently used one is dropped and regenerated on demand
+// if asked for again, so memory stays bounded at sweeps of any width.
 type traceCache struct {
 	mu        sync.Mutex
-	cache     map[string]*traceEntry
-	lruNames  []string     // cache keys, least recently used first
+	entries   *lru.Cache[string, *traceEntry]
 	generated atomic.Int64 // traces actually generated (tests assert dedup)
 }
 
-func newTraceCache() *traceCache { return &traceCache{cache: map[string]*traceEntry{}} }
+func newTraceCache() *traceCache {
+	return &traceCache{entries: lru.New[string, *traceEntry](DefaultTraceCacheSize)}
+}
 
-// DefaultTraceCacheSize is the generated-trace cache bound when
-// TraceCacheSize is zero: enough that a sweep's worker pool keeps its
-// in-flight names resident, small enough that a 25-application run does not
-// pin 25 traces.
+// DefaultTraceCacheSize bounds the generated-trace cache: enough that a
+// sweep's worker pool keeps its in-flight names resident, small enough that
+// a 25-application run does not pin 25 traces.
 const DefaultTraceCacheSize = 8
 
-// traceEntry dedups generation per name: the mutex only guards the map, so
+// traceEntry dedups generation per name: the mutex only guards the cache, so
 // two workers asking for different traces generate concurrently, while two
 // asking for the same one block on its Once and generate it exactly once.
 // The generated trace is immutable: Trace clones it, Stream reads it in
-// place, and eviction just drops the map reference (in-flight holders keep
-// theirs alive).
+// place, and eviction just drops the cache's reference (in-flight holders
+// keep theirs alive).
 type traceEntry struct {
 	once sync.Once
 	tr   *trace.Trace
@@ -142,27 +138,11 @@ func (e *Env) context() context.Context {
 func (e *Env) entry(name string) *traceEntry {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if ent, ok := e.cache[name]; ok {
-		for i, n := range e.lruNames {
-			if n == name {
-				e.lruNames = append(append(e.lruNames[:i:i], e.lruNames[i+1:]...), name)
-				break
-			}
-		}
+	if ent, ok := e.entries.Get(name); ok {
 		return ent
 	}
 	ent := &traceEntry{}
-	e.cache[name] = ent
-	e.lruNames = append(e.lruNames, name)
-	bound := e.TraceCacheSize
-	if bound <= 0 {
-		bound = DefaultTraceCacheSize
-	}
-	for len(e.cache) > bound {
-		oldest := e.lruNames[0]
-		e.lruNames = e.lruNames[1:]
-		delete(e.cache, oldest)
-	}
+	e.entries.Add(name, ent)
 	return ent
 }
 

@@ -708,7 +708,7 @@ func TestSweepDeterminism(t *testing.T) {
 }
 
 // Same determinism check on an ablation that mixes GC policies and a
-// Prepare hook — ordering must match the plan, not completion order.
+// PrepareStream hook — ordering must match the plan, not completion order.
 func TestSweepDeterminismAblation(t *testing.T) {
 	serialEnv := DefaultEnv()
 	serialEnv.Workers = 1

@@ -18,7 +18,7 @@ import (
 //
 // Jobs pull their requests from a trace.Stream (Env.Stream), so a replay
 // holds no private trace copy: memory is the device plus whatever the job
-// explicitly asks to materialize (WantTrace) or accumulate (WantStats).
+// explicitly asks to accumulate (WantStats).
 type ReplayJob struct {
 	// Trace names the workload (resolved through Env.Stream, so generation
 	// is cached, deduplicated, and bounded across concurrent jobs).
@@ -27,14 +27,9 @@ type ReplayJob struct {
 	// Device overrides construction.
 	Scheme  core.Scheme
 	Options core.Options
-	// Prepare, when non-nil, transforms a private materialized copy of the
-	// job's trace before the replay — for transforms that need the whole
-	// trace in hand (session doubling). Prefer PrepareStream when the
-	// transform is per-request.
-	Prepare func(*trace.Trace) *trace.Trace
 	// PrepareStream, when non-nil, wraps the job's request stream
 	// (filtering, arrival scaling, session repetition) without
-	// materializing anything. Applied after Prepare if both are set.
+	// materializing anything.
 	PrepareStream func(trace.Stream) trace.Stream
 	// Device, when non-nil, builds the device instead of core.NewDevice —
 	// for custom emmc.Configs or pre-aged devices. It must return a fresh
@@ -47,10 +42,6 @@ type ReplayJob struct {
 	// trace-collection path) instead of the plain streaming replay. The
 	// result carries the Overhead instead of Metrics.
 	Collect bool
-	// WantTrace materializes the replayed request sequence into the
-	// result's Trace — only for consumers that genuinely need the
-	// requests; everything statistical should use WantStats instead.
-	WantTrace bool
 	// WantStats feeds every completed request into an online
 	// analysis.Accumulator exposed as the result's Stats: Table III/IV
 	// columns, the Figs. 4–7 histograms and the §III-C localities in one
@@ -59,14 +50,12 @@ type ReplayJob struct {
 }
 
 // ReplayResult is one job's outcome. Metrics is set for plain and scheduled
-// replays, Overhead for Collect jobs. Trace is the replayed request
-// sequence (nil unless the job set WantTrace), Stats the online
-// accumulator (nil unless WantStats). Device is the device the job ran on,
+// replays, Overhead for Collect jobs. Stats is the online accumulator (nil
+// unless the job set WantStats). Device is the device the job ran on,
 // so callers can read wear, FTL, or cache state.
 type ReplayResult struct {
 	Metrics  core.Metrics
 	Overhead biotracer.Overhead
-	Trace    *trace.Trace
 	Stats    *analysis.Accumulator
 	Device   storage.Device
 }
@@ -106,34 +95,17 @@ func (e *Env) replay(ctx context.Context, j ReplayJob) (ReplayResult, error) {
 		j.Options.UFSQueueDepth = e.UFSQueueDepth
 		j.Options.UFSBoosterBytes = e.UFSBoosterBytes
 	}
-	var st trace.Stream
-	if j.Prepare != nil {
-		// Whole-trace transforms get a private materialized copy; this is
-		// the only sweep path that still clones.
-		st = trace.FromSlice(j.Prepare(e.Trace(j.Trace)))
-	} else {
-		st = e.Stream(j.Trace)
-	}
+	st := e.Stream(j.Trace)
 	if j.PrepareStream != nil {
 		st = j.PrepareStream(st)
 	}
 
 	var res ReplayResult
 	var sink func(trace.Request) error
-	if j.WantStats || j.WantTrace {
-		if j.WantStats {
-			res.Stats = analysis.NewAccumulator(st.Name())
-		}
-		if j.WantTrace {
-			res.Trace = &trace.Trace{Name: st.Name()}
-		}
+	if j.WantStats {
+		res.Stats = analysis.NewAccumulator(st.Name())
 		sink = func(r trace.Request) error {
-			if res.Stats != nil {
-				res.Stats.Add(r)
-			}
-			if res.Trace != nil {
-				res.Trace.Reqs = append(res.Trace.Reqs, r)
-			}
+			res.Stats.Add(r)
 			return nil
 		}
 	}
@@ -175,9 +147,5 @@ func (e *Env) replay(ctx context.Context, j ReplayJob) (ReplayResult, error) {
 	}
 	res.Metrics, err = core.Replay(ctx, dev, j.Scheme, st,
 		core.ReplayOpts{Policy: j.Policy, Registry: e.Telemetry, Tracer: e.Tracer, Sink: sink})
-	if res.Trace != nil && j.Policy != core.SchedFIFO {
-		// The sink saw dispatch order; restore arrival order.
-		res.Trace.SortByArrival()
-	}
 	return res, err
 }

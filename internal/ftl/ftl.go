@@ -420,11 +420,6 @@ func (f *FTL) Lookup(lpn int64) (Loc, bool) {
 // PageBytes returns the page size of the pool the location belongs to.
 func (f *FTL) PageBytes(loc Loc) int { return f.cfg.Pools[loc.Pool].PageBytes }
 
-// FreeBlocks returns the free-block count of a plane-pool.
-func (f *FTL) FreeBlocks(plane, pool int) int {
-	return len(f.planes[plane].pools[pool].free)
-}
-
 // NeedsGC reports whether the plane-pool is at or below the GC threshold,
 // counting the pages left in the active block as headroom.
 func (f *FTL) NeedsGC(plane, pool int) bool {

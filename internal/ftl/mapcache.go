@@ -1,6 +1,9 @@
 package ftl
 
-import "emmcio/internal/telemetry"
+import (
+	"emmcio/internal/lru"
+	"emmcio/internal/telemetry"
+)
 
 // MapCache models the DFTL-style cached mapping table a real eMMC
 // controller uses: the full sector map lives in flash (translation pages),
@@ -18,14 +21,9 @@ import "emmcio/internal/telemetry"
 type MapCache struct {
 	// entries per translation page: 4096 B / 8 B per mapping entry.
 	groupSize int64
-	// nodes is the LRU list, a fixed arena of one entry per cached
-	// translation page (its capacity is the cache size), linked by
-	// index (nilNode ends the list); slot[g] is 1 + the node caching group
-	// g (0: not cached), grown to the highest group touched. A miss reuses
-	// the tail node, so a warm cache allocates nothing.
-	nodes      []mapNode
-	slot       []int32
-	head, tail int32
+	// groups holds the cached translation pages by group number; the value
+	// is the page's dirty flag.
+	groups *lru.Cache[int64, bool]
 
 	hits       int64
 	misses     int64
@@ -52,14 +50,6 @@ func (c *MapCache) SetTelemetry(reg *telemetry.Registry) {
 	c.telFlush = reg.Counter("ftl_mapcache_dirty_writebacks_total")
 }
 
-type mapNode struct {
-	group      int64
-	dirty      bool
-	prev, next int32
-}
-
-const nilNode = -1
-
 // TranslationEntriesPerPage is DFTL's fan-out: a 4 KB translation page
 // holds 512 eight-byte mapping entries.
 const TranslationEntriesPerPage = 512
@@ -72,12 +62,7 @@ func NewMapCache(capBytes int64) *MapCache {
 	if pages < 1 {
 		return nil
 	}
-	return &MapCache{
-		groupSize: TranslationEntriesPerPage,
-		nodes:     make([]mapNode, 0, pages),
-		head:      nilNode,
-		tail:      nilNode,
-	}
+	return &MapCache{groupSize: TranslationEntriesPerPage, groups: lru.New[int64, bool](pages)}
 }
 
 // MapCacheStats reports cache activity.
@@ -100,71 +85,27 @@ func (c *MapCache) Stats() MapCacheStats {
 	return MapCacheStats{Hits: c.hits, Misses: c.misses, DirtyFlushes: c.dirtyFlush}
 }
 
-func (c *MapCache) detach(i int32) {
-	n := &c.nodes[i]
-	if n.prev != nilNode {
-		c.nodes[n.prev].next = n.next
-	} else {
-		c.head = n.next
-	}
-	if n.next != nilNode {
-		c.nodes[n.next].prev = n.prev
-	} else {
-		c.tail = n.prev
-	}
-	n.prev, n.next = nilNode, nilNode
-}
-
-func (c *MapCache) pushFront(i int32) {
-	n := &c.nodes[i]
-	n.next = c.head
-	if c.head != nilNode {
-		c.nodes[c.head].prev = i
-	}
-	c.head = i
-	if c.tail == nilNode {
-		c.tail = i
-	}
-}
-
 // Access touches the mapping entry for the LPN, which must lie in
 // [0, MaxLPN). dirty marks an update (a write changing the mapping). It
 // returns the flash operations the access cost: reads (translation-page
 // fetch on miss) and writes (dirty eviction).
 func (c *MapCache) Access(lpn int64, dirty bool) (tReads, tWrites int) {
 	group := lpn / c.groupSize
-	if group < int64(len(c.slot)) && c.slot[group] != 0 {
-		i := c.slot[group] - 1
+	if wasDirty, ok := c.groups.Get(group); ok {
 		c.hits++
 		c.telHits.Inc()
-		c.nodes[i].dirty = c.nodes[i].dirty || dirty
-		c.detach(i)
-		c.pushFront(i)
+		if dirty && !wasDirty {
+			c.groups.Add(group, true)
+		}
 		return 0, 0
 	}
 	c.misses++
 	c.telMisses.Inc()
 	tReads = 1 // fetch the translation page
-	var i int32
-	if len(c.nodes) < cap(c.nodes) {
-		i = int32(len(c.nodes))
-		c.nodes = append(c.nodes, mapNode{prev: nilNode, next: nilNode})
-	} else {
-		i = c.tail
-		c.detach(i)
-		evict := &c.nodes[i]
-		c.slot[evict.group] = 0
-		if evict.dirty {
-			c.dirtyFlush++
-			c.telFlush.Inc()
-			tWrites = 1 // write back the dirty translation page
-		}
+	if _, evictedDirty, _ := c.groups.Add(group, dirty); evictedDirty {
+		c.dirtyFlush++
+		c.telFlush.Inc()
+		tWrites = 1 // write back the dirty translation page
 	}
-	if group >= int64(len(c.slot)) {
-		c.slot = append(c.slot, make([]int32, int(group)+1-len(c.slot))...)
-	}
-	c.nodes[i].group, c.nodes[i].dirty = group, dirty
-	c.slot[group] = i + 1
-	c.pushFront(i)
 	return tReads, tWrites
 }

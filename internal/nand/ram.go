@@ -1,5 +1,7 @@
 package nand
 
+import "emmcio/internal/lru"
+
 // ramBuffer is a device-internal LRU cache over 4 KB sectors, used to study
 // Implication 3: with the weak localities of smartphone traces (Table IV), a
 // large RAM buffer inside the eMMC earns a low hit rate. The case-study
@@ -10,18 +12,10 @@ package nand
 // (write-through — the flash program always happens, so write timing is
 // unchanged and only read hits save work).
 type ramBuffer struct {
-	capacity int // in sectors
-	table    map[int64]*bufNode
-	head     *bufNode // most recently used
-	tail     *bufNode // least recently used
+	sectors *lru.Cache[int64, struct{}]
 
 	hits    int64
 	lookups int64
-}
-
-type bufNode struct {
-	lpn        int64
-	prev, next *bufNode
 }
 
 // newRAMBuffer returns a buffer holding capBytes worth of sectors, or nil
@@ -31,70 +25,23 @@ func newRAMBuffer(capBytes int64) *ramBuffer {
 	if sectors < 1 {
 		return nil
 	}
-	// The table grows with use; a hint of the full capacity would commit
-	// memory for a buffer the workload never fills.
-	return &ramBuffer{capacity: sectors, table: make(map[int64]*bufNode, min(sectors, 1<<16))}
-}
-
-func (b *ramBuffer) detach(n *bufNode) {
-	if n.prev != nil {
-		n.prev.next = n.next
-	} else {
-		b.head = n.next
-	}
-	if n.next != nil {
-		n.next.prev = n.prev
-	} else {
-		b.tail = n.prev
-	}
-	n.prev, n.next = nil, nil
-}
-
-func (b *ramBuffer) pushFront(n *bufNode) {
-	n.next = b.head
-	if b.head != nil {
-		b.head.prev = n
-	}
-	b.head = n
-	if b.tail == nil {
-		b.tail = n
-	}
+	return &ramBuffer{sectors: lru.New[int64, struct{}](sectors)}
 }
 
 // readProbe returns whether the sector was cached, updating recency and
 // allocating on miss.
 func (b *ramBuffer) readProbe(lpn int64) bool {
 	b.lookups++
-	if n, ok := b.table[lpn]; ok {
+	if _, ok := b.sectors.Get(lpn); ok {
 		b.hits++
-		b.detach(n)
-		b.pushFront(n)
 		return true
 	}
-	b.insert(lpn)
+	b.sectors.Add(lpn, struct{}{})
 	return false
 }
 
 // writeAllocate caches the sector being written.
-func (b *ramBuffer) writeAllocate(lpn int64) {
-	if n, ok := b.table[lpn]; ok {
-		b.detach(n)
-		b.pushFront(n)
-		return
-	}
-	b.insert(lpn)
-}
-
-func (b *ramBuffer) insert(lpn int64) {
-	if len(b.table) >= b.capacity {
-		evict := b.tail
-		b.detach(evict)
-		delete(b.table, evict.lpn)
-	}
-	n := &bufNode{lpn: lpn}
-	b.table[lpn] = n
-	b.pushFront(n)
-}
+func (b *ramBuffer) writeAllocate(lpn int64) { b.sectors.Add(lpn, struct{}{}) }
 
 // hitRate returns the read hit fraction so far (0 when disabled).
 func (b *ramBuffer) hitRate() float64 {

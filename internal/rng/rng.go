@@ -117,11 +117,6 @@ func (r *Rand) Normal(mean, stddev float64) float64 {
 	return mean + stddev*z
 }
 
-// LogNormal returns exp(Normal(mu, sigma)).
-func (r *Rand) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(r.Normal(mu, sigma))
-}
-
 // Weighted holds a discrete distribution over arbitrary integer outcomes.
 // Sampling is O(log n) via a cumulative-weight table.
 type Weighted struct {

@@ -189,11 +189,6 @@ func (e *Engine) Schedule(at Time, h Handler, arg int64) {
 	e.push(id)
 }
 
-// ScheduleAfter enqueues h.OnEvent to run delay nanoseconds from now.
-func (e *Engine) ScheduleAfter(delay Time, h Handler, arg int64) {
-	e.Schedule(e.now+delay, h, arg)
-}
-
 // ScheduleFunc enqueues fn to run at time at. The closure itself may
 // allocate at the call site — hot loops should implement Handler and use
 // Schedule instead.

@@ -63,9 +63,6 @@ func (h *Histogram) Fractions() []float64 {
 	return out
 }
 
-// Buckets returns the number of buckets (bounds plus overflow).
-func (h *Histogram) Buckets() int { return len(h.counts) }
-
 // Bound returns the upper bound of bucket i; the overflow bucket returns
 // math.MaxInt64.
 func (h *Histogram) Bound(i int) int64 {
