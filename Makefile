@@ -92,16 +92,22 @@ overhead:
 bench:
 	$(GO) test -bench=. -benchtime=1x .
 
-# Capture CPU and heap profiles of the streaming replay hot loop into
-# ./prof/ for pprof inspection (`go tool pprof prof/replay.cpu`). See
-# docs/PERF.md for how to read them and for profiling a live server run.
+# Capture CPU and heap profiles of the streaming replay hot loop, and a
+# heap profile of every allocation a snapshot fork makes (the aged device's
+# set-up is in it too; focus on RestoreSealed), into ./prof/ for pprof
+# inspection (`go tool pprof prof/replay.cpu`). See docs/PERF.md for how to
+# read them and for profiling a live server run.
 .PHONY: profile
 profile:
 	mkdir -p prof
 	$(GO) test -run '^$$' -bench 'ReplayStream1k|ReplayUFS1k' -benchtime=200x \
 		-cpuprofile=prof/replay.cpu -memprofile=prof/replay.mem \
 		-o prof/core.test ./internal/core
+	$(GO) test -run '^$$' -bench 'SnapshotFork/fork' -benchtime=20x \
+		-memprofile=prof/fork.mem -memprofilerate=1 \
+		-o prof/experiments.test ./internal/experiments
 	@echo "profiles written: prof/replay.cpu prof/replay.mem (binary prof/core.test)"
+	@echo "                  prof/fork.mem (binary prof/experiments.test)"
 
 # Record one point on the performance trajectory: run the stream/sweep/replay
 # benchmark set and write BENCH_<today>.json (commit it with the PR).

@@ -311,3 +311,50 @@ func TestQueryErrors(t *testing.T) {
 		t.Fatal("empty query accepted")
 	}
 }
+
+// TestAccessStaysInsideTheExtent: a read, a cached read or a write of a
+// range past the file's 16 MB extent or at a negative offset fails with
+// the extent-overflow error and emits nothing, where it would otherwise
+// address the next file's blocks (or blocks before the file); the last
+// block of the extent still reads.
+func TestAccessStaysInsideTheExtent(t *testing.T) {
+	const extent = 16 << 20
+	fs, sink := newStack(t)
+	for _, name := range []string{"a", "b"} {
+		if err := fs.Create(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	calls := map[string]func(off, n int64) error{
+		"Read":       func(off, n int64) error { return fs.Read("a", off, n) },
+		"CachedRead": func(off, n int64) error { return fs.CachedRead("a", off, n) },
+		"Write":      func(off, n int64) error { return fs.Write("a", off, n) },
+	}
+	for call, do := range calls {
+		for _, r := range []struct{ off, n int64 }{
+			{extent, 4096},
+			{extent - 4096, 8192},
+			{-4096, 4096},
+			{-1, 4096},
+			{0, extent + 4096},
+		} {
+			before := len(sink.Trace.Reqs)
+			err := do(r.off, r.n)
+			if err == nil || err.Error() != "androidstack: a extent overflow" {
+				t.Errorf("%s(a, %d, %d) = %v, want the extent overflow error", call, r.off, r.n, err)
+			}
+			if n := len(sink.Trace.Reqs) - before; n != 0 {
+				t.Errorf("%s(a, %d, %d) emitted %d requests", call, r.off, r.n, n)
+			}
+		}
+	}
+	for _, call := range []string{"Read", "CachedRead"} {
+		before := len(sink.Trace.Reqs)
+		if err := calls[call](extent-4096, 4096); err != nil {
+			t.Fatalf("%s of the extent's last block: %v", call, err)
+		}
+		if n := len(sink.Trace.Reqs) - before; call == "Read" && n != 1 {
+			t.Errorf("Read of the extent's last block emitted %d requests, want 1", n)
+		}
+	}
+}

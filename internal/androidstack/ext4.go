@@ -76,6 +76,17 @@ type file struct {
 	dirtyMeta int
 }
 
+// blockSpan returns the first and last block covering [off, off+n) of the
+// file, or the extent-overflow error when the range starts before the
+// file or ends past its extent, where it would address another file's
+// blocks. n is positive.
+func (fl *file) blockSpan(name string, off, n int64) (first, last int64, err error) {
+	if off < 0 || uint64(off+n+blockBytes-1)/blockBytes*trace.SectorsPerPage > fl.sectors {
+		return 0, 0, fmt.Errorf("androidstack: %s extent overflow", name)
+	}
+	return off / blockBytes, (off + n - 1) / blockBytes, nil
+}
+
 // NewFS builds a file system over the sink. The journal occupies a 128 MB
 // region, as Ext4's default journal does on a 32 GB partition.
 func NewFS(sink Sink) *FS {
@@ -179,14 +190,11 @@ func (f *FS) Write(name string, off, n int64) error {
 		return fmt.Errorf("androidstack: non-positive write")
 	}
 	f.appBytes += n
-	// Cover [off, off+n) with whole blocks.
-	first := off / blockBytes
-	last := (off + n - 1) / blockBytes
-	blocks := last - first + 1
-	need := uint64(off+n+blockBytes-1) / blockBytes * trace.SectorsPerPage
-	if need > fl.sectors {
-		return fmt.Errorf("androidstack: %s extent overflow", name)
+	first, last, err := fl.blockSpan(name, off, n)
+	if err != nil {
+		return err
 	}
+	blocks := last - first + 1
 	req := trace.Request{
 		LBA:  fl.base + uint64(first)*trace.SectorsPerPage,
 		Size: uint32(blocks * blockBytes),
@@ -214,8 +222,10 @@ func (f *FS) Read(name string, off, n int64) error {
 	if n <= 0 {
 		return fmt.Errorf("androidstack: non-positive read")
 	}
-	first := off / blockBytes
-	last := (off + n - 1) / blockBytes
+	first, last, err := fl.blockSpan(name, off, n)
+	if err != nil {
+		return err
+	}
 	blocks := last - first + 1
 	return f.emit(trace.Request{
 		LBA:  fl.base + uint64(first)*trace.SectorsPerPage,

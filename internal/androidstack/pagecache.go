@@ -66,8 +66,10 @@ func (f *FS) CachedRead(name string, off, n int64) error {
 	if f.cache == nil {
 		return f.Read(name, off, n)
 	}
-	first := off / blockBytes
-	last := (off + n - 1) / blockBytes
+	first, last, err := fl.blockSpan(name, off, n)
+	if err != nil {
+		return err
+	}
 	runStart := int64(-1)
 	flush := func(end int64) error {
 		if runStart < 0 {

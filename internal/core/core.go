@@ -6,7 +6,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -309,8 +308,12 @@ func NewDevice(s Scheme, opt Options) (storage.Device, error) {
 	case storage.BackendUFS:
 		return ufs.New(UFSConfig(s, opt))
 	}
-	return nil, fmt.Errorf("core: unknown device backend %q (valid: %s)",
-		opt.Backend, strings.Join(storage.Backends(), ", "))
+	return nil, unknownBackend(opt.Backend)
+}
+
+// unknownBackend is the error for a backend no constructor serves.
+func unknownBackend(b storage.Backend) error {
+	return fmt.Errorf("core: unknown device backend %q (valid: %s)", b, strings.Join(storage.Backends(), ", "))
 }
 
 // RestoreDevice rebuilds a device from a bare Snapshot stream (payload
@@ -319,14 +322,22 @@ func NewDevice(s Scheme, opt Options) (storage.Device, error) {
 // Prefer RestoreSealed, which verifies a digest, reads the backend from
 // the envelope and also reads version-1 payloads.
 func RestoreDevice(b storage.Backend, r io.Reader) (storage.Device, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("core: reading snapshot: %w", err)
+	}
+	return restorePayload(b, data)
+}
+
+// restorePayload rebuilds a device of backend b from a version-2 payload.
+func restorePayload(b storage.Backend, payload []byte) (storage.Device, error) {
 	switch b {
 	case "", storage.BackendEMMC, storage.BackendSD:
-		return emmc.RestoreSnapshot(r)
+		return emmc.RestoreBytes(payload)
 	case storage.BackendUFS:
-		return ufs.RestoreSnapshot(r)
+		return ufs.RestoreBytes(payload)
 	}
-	return nil, fmt.Errorf("core: unknown device backend %q (valid: %s)",
-		b, strings.Join(storage.Backends(), ", "))
+	return nil, unknownBackend(b)
 }
 
 // RestoreSealed rebuilds a device from a sealed snapshot (storage.Seal):
@@ -345,7 +356,7 @@ func RestoreSealed(id string, r io.Reader) (storage.Device, storage.SealInfo, er
 			return nil, info, err
 		}
 	}
-	dev, err := RestoreDevice(info.Backend, bytes.NewReader(payload))
+	dev, err := restorePayload(info.Backend, payload)
 	if err != nil {
 		return nil, info, err
 	}

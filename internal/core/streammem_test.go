@@ -1,15 +1,19 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"runtime"
 	"runtime/debug"
 	"testing"
 
+	"emmcio/internal/faults"
+	"emmcio/internal/flash"
 	"emmcio/internal/paper"
 	"emmcio/internal/storage"
 	"emmcio/internal/telemetry"
 	"emmcio/internal/trace"
+	"emmcio/internal/ufs"
 	"emmcio/internal/workload"
 )
 
@@ -148,11 +152,11 @@ func TestStreamReplayAllocationBudgetUFS(t *testing.T) {
 // 4 MB RAM buffer and a 64 KiB mapping cache) and for a UFS device with
 // its 64 MB write booster. A benchmark replay makes only a few hundred
 // allocations in all, so a few new objects per device move allocs_per_req
-// by percents. The eMMC and UFS bounds are the counts measured before the
-// NAND back end's cost table and staged-sector set (they now measure 120
-// and 3,826), so neither may add an object. The cached device may add only
-// the caches' arenas and indexes, grown by doubling, never an object per
-// cached entry. The collector is off while counting, so a cycle cannot
+// by percents. The eMMC bound is the count measured before the NAND back
+// end's cost table and staged-sector set, and the UFS bound the count
+// measured with the booster's chunks in one LPN ring, so neither may add
+// an object. The cached device may add only the caches' arenas and
+// indexes, grown by doubling, never an object per cached entry. The collector is off while counting, so a cycle cannot
 // empty the replay's pools mid-measurement and add refills to the count.
 func TestDeviceAllocationBounds(t *testing.T) {
 	ufsOpt := CaseStudyOptions()
@@ -169,9 +173,9 @@ func TestDeviceAllocationBounds(t *testing.T) {
 		// 173-178 measured (the index's growth varies with the map's hash
 		// seed); an object per cached sector would be thousands.
 		{"emmc-ram-buffer", cachedOpt, 190},
-		// Most of these are the stage's per-chunk LPN slices: 2,000
-		// requests never fill the booster, so none is recycled yet.
-		{"ufs-booster", ufsOpt, 3873},
+		// The booster's chunks share one ring of LPNs, grown by doubling,
+		// so 2,000 requests staging thousands of chunks add a handful.
+		{"ufs-booster", ufsOpt, 178},
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, c := range cases {
@@ -188,6 +192,69 @@ func TestDeviceAllocationBounds(t *testing.T) {
 		if allocs > c.bound {
 			t.Errorf("%s: device and replay allocated %.0f objects, bound %.0f", c.name, allocs, c.bound)
 		}
+	}
+}
+
+// TestForkAllocationBudget bounds what forking an aged UFS device costs
+// the heap: RestoreSealed of its seal plus a 1,000-request replay on the
+// fork. The device is the aged-gc-ufs benchmark's (4PS, 1/32 of the
+// blocks, 1/8 of the pages per block, an 8 MiB booster, faults on), aged
+// by a synthetic write-heavy stream until its booster is full and GC has
+// erased more blocks than it has. A fork restores every staged chunk into
+// one ring and every written block's reverse slab from a per-pool arena,
+// so the count must not grow with either: the aged fork stays under a
+// fixed bound far below its 2,048 staged chunks and 256 blocks, and within
+// a few objects of a fork of the same device aged for a moment, whose FTL
+// holds nothing and whose booster is half full. 195 measured (191 young);
+// a slice per staged chunk would add over 2,000.
+func TestForkAllocationBudget(t *testing.T) {
+	opt := CaseStudyOptions()
+	opt.Backend = storage.BackendUFS
+	opt.ScaleBlocks = 32
+	opt.ScalePages = 8
+	opt.UFSBoosterBytes = 8 << 20
+	opt.Faults = &faults.Config{Seed: 3, Rate: 1}
+	const bound, spread = 200, 32
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	count := func(age int) (allocs float64, staged int64, erases, blocks int) {
+		dev, err := NewDevice(Scheme4PS, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Replay(context.Background(), dev, Scheme4PS, newSynthStream(age), ReplayOpts{}); err != nil {
+			t.Fatal(err)
+		}
+		sealed, _, err := storage.Seal(dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs = testing.AllocsPerRun(5, func() {
+			fork, _, err := RestoreSealed("fork", bytes.NewReader(sealed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := trace.ShiftStream(newSynthStream(1_000), fork.LastActivity()+1e9)
+			if _, err := Replay(context.Background(), fork, Scheme4PS, st, ReplayOpts{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		u := dev.(*ufs.Device)
+		for pool := range u.Pools() {
+			blocks += u.Wear(pool).Blocks
+		}
+		return allocs, u.StagedBytes() / flash.SectorBytes, u.FTLStats().GC.Erases, blocks
+	}
+	young, youngStaged, _, _ := count(300)
+	old, staged, erases, blocks := count(20_000)
+	t.Logf("fork+replay: %.0f allocations aged (%d staged chunks, %d erases of %d blocks), %.0f young (%d staged chunks)", old, staged, erases, blocks, young, youngStaged)
+	if staged < 2*bound || blocks < bound || erases <= blocks {
+		t.Fatalf("aged device holds %d staged chunks and erased %d of %d blocks, too little to tell a per-chunk or per-block cost from the %d bound", staged, erases, blocks, bound)
+	}
+	if old > bound {
+		t.Errorf("fork+replay of the aged device allocated %.0f objects, bound %d", old, bound)
+	}
+	if old-young > spread {
+		t.Errorf("fork+replay allocated %.0f objects aged, %.0f young: more than %d apart", old, young, spread)
 	}
 }
 

@@ -400,13 +400,20 @@ func (d *Device) Snapshot(w io.Writer) error {
 	return err
 }
 
-// RestoreSnapshot rebuilds a device from a Snapshot stream, checking it
-// against its own configuration as it reads.
+// RestoreSnapshot rebuilds a device from a Snapshot stream: it reads the
+// stream once and restores from the bytes with RestoreBytes.
 func RestoreSnapshot(r io.Reader) (*Device, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("emmc: reading snapshot: %w", err)
 	}
+	return RestoreBytes(data)
+}
+
+// RestoreBytes rebuilds a device from the bytes Snapshot wrote, checking
+// them against their own configuration as it reads. The device keeps no
+// reference to data.
+func RestoreBytes(data []byte) (*Device, error) {
 	rd := wire.NewReader(data)
 	var cfg Config
 	rd.JSON("config", &cfg)

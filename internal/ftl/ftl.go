@@ -114,9 +114,13 @@ type poolState struct {
 	blocks []flash.Block
 	// free holds erased block indices in FIFO order; allocating from the
 	// head and returning erased blocks to the tail round-robins erase load
-	// across blocks (the "simple wear-leveling" of Implication 4).
-	free   []int32
-	active int32 // index of the block currently accepting programs, or -1
+	// across blocks (the "simple wear-leveling" of Implication 4). It is a
+	// window on freeBuf, one backing array sized to the pool, which
+	// pushFree compacts when the window reaches its end, so no erase
+	// reallocates the list.
+	free    []int32
+	freeBuf []int32
+	active  int32 // index of the block currently accepting programs, or -1
 	// retired counts grown bad blocks withdrawn from this plane-pool; the
 	// usable pool is BlocksPerPlane - retired.
 	retired int32
@@ -126,26 +130,50 @@ type poolState struct {
 	// p*spp+PageLive(p)-1, in programming order with invalidations
 	// swap-removed. A block gets a slab when it becomes the active block
 	// and returns it to freeRev when erased or retired, so only blocks that
-	// can hold live data carry one.
-	rev     [][]int64
-	freeRev [][]int64
+	// can hold live data carry one. New slabs are carved from revArena, the
+	// unused tail of the pool's current reverse-map chunk, as page state is
+	// from pageArena.
+	rev      [][]int64
+	freeRev  [][]int64
+	revArena []int64
 	// pageArena is the unused tail of the pool's current page-state chunk.
 	// A block takes its page-state slab from here the first time it opens
 	// and keeps it, cleared, across erases.
 	pageArena []int8
-	// noSpace is the pool's ErrNoSpace error, built on first use: an aged
-	// device can fail thousands of writes a replay, and each must not
-	// format a new one.
-	noSpace error
+	// noSpace is the pool's ErrNoSpace error. An aged device can fail
+	// thousands of writes a replay, and each fork starts a new pool state,
+	// so program returns a pointer to this value instead of formatting one.
+	noSpace noSpaceError
 }
 
-// arenaBlocks is how many blocks' page state one pageArena chunk holds,
-// so opening blocks costs one allocation per arenaBlocks of them.
-const arenaBlocks = 16
+// noSpaceError is a plane-pool's ErrNoSpace. It formats its text only when
+// asked, and unwraps to ErrNoSpace.
+type noSpaceError struct {
+	plane, pool int32
+}
 
-func newPoolState(spec flash.PoolSpec, blocks []flash.Block, free []int32, active int32) poolState {
+func (e *noSpaceError) Error() string {
+	return fmt.Sprintf("ftl: plane %d pool %d: %v", e.plane, e.pool, ErrNoSpace)
+}
+
+func (e *noSpaceError) Unwrap() error { return ErrNoSpace }
+
+// arenaBlocks is how many blocks' page state or reverse slabs one arena
+// chunk holds, so opening blocks costs one allocation per arenaBlocks of
+// them. A reverse-slab chunk also stays within revChunkBytes (and holds at
+// least one slab): a full-size device's slabs are 8-16 KiB and it opens
+// about one block per plane-pool, so a 16-block chunk would leave most of
+// a quarter MiB per plane-pool unused, while a shrunk device's 1 KiB slabs
+// still come 16 to a chunk.
+const (
+	arenaBlocks   = 16
+	revChunkBytes = 16 << 10
+)
+
+func newPoolState(plane, pool int32, spec flash.PoolSpec, blocks []flash.Block, free []int32) poolState {
 	return poolState{spec: spec, spp: spec.SectorsPerPage(), blocks: blocks,
-		free: free, active: active, rev: make([][]int64, len(blocks))}
+		free: free, freeBuf: free, active: -1, rev: make([][]int64, len(blocks)),
+		noSpace: noSpaceError{plane: plane, pool: pool}}
 }
 
 // attach readies block b to hold data: it gives the block its page-state
@@ -161,7 +189,12 @@ func (ps *poolState) attach(b int32) {
 		ps.freeRev = ps.freeRev[:n-1]
 		return
 	}
-	ps.rev[b] = make([]int64, ps.spec.PagesPerBlock*ps.spp)
+	n := ps.spec.PagesPerBlock * ps.spp
+	if len(ps.revArena) < n {
+		ps.revArena = make([]int64, min(arenaBlocks, len(ps.blocks), max(1, revChunkBytes/(8*n)))*n)
+	}
+	ps.rev[b] = ps.revArena[:n:n]
+	ps.revArena = ps.revArena[n:]
 }
 
 // attachPages gives block b its page-state slab if it has none yet.
@@ -176,12 +209,26 @@ func (ps *poolState) attachPages(b int32) {
 	}
 }
 
-// release returns block b's reverse slab to the free list.
+// release returns block b's reverse slab to the free list. No more slabs
+// exist than blocks, so the list is sized to the pool once.
 func (ps *poolState) release(b int32) {
 	if ps.rev[b] != nil {
+		if ps.freeRev == nil {
+			ps.freeRev = make([][]int64, 0, len(ps.blocks))
+		}
 		ps.freeRev = append(ps.freeRev, ps.rev[b])
 		ps.rev[b] = nil
 	}
+}
+
+// pushFree appends erased block b to the tail of the free list. When the
+// list's window has reached the end of freeBuf, the window moves back to
+// its start first; a block is listed at most once, so it then has room.
+func (ps *poolState) pushFree(b int32) {
+	if len(ps.free) == cap(ps.free) {
+		ps.free = ps.freeBuf[:copy(ps.freeBuf, ps.free)]
+	}
+	ps.free = append(ps.free, b)
 }
 
 // pageRev returns the spp reverse-slab entries of page p of block b, which
@@ -391,7 +438,7 @@ func New(cfg Config) (*FTL, error) {
 			for bi := range free {
 				free[bi] = int32(bi)
 			}
-			pools[qi] = newPoolState(spec, flash.NewBlocks(spec.BlocksPerPlane, spec.PagesPerBlock), free, -1)
+			pools[qi] = newPoolState(int32(pi), int32(qi), spec, flash.NewBlocks(spec.BlocksPerPlane, spec.PagesPerBlock), free)
 		}
 		f.planes[pi].pools = pools
 	}
@@ -539,10 +586,7 @@ func (f *FTL) program(plane, pool int32, lpns []int64, gc *GCWork, inGC bool) (L
 			// already; replacing it here would orphan a partially written block.
 			if ps.active < 0 || ps.blocks[ps.active].Full() {
 				if len(ps.free) == 0 {
-					if ps.noSpace == nil {
-						ps.noSpace = fmt.Errorf("ftl: plane %d pool %d: %w", plane, pool, ErrNoSpace)
-					}
-					return Loc{}, ps.noSpace
+					return Loc{}, &ps.noSpace
 				}
 				if f.cfg.Wear == WearNone {
 					// LIFO: recycle the most recently erased block.
@@ -662,7 +706,7 @@ func (f *FTL) ensureFree(plane, pool int32, gc *GCWork) error {
 func (f *FTL) erase(ps *poolState, pool, b int32, gc *GCWork) {
 	ps.blocks[b].Erase()
 	ps.release(b)
-	ps.free = append(ps.free, b)
+	ps.pushFree(b)
 	gc.Erases++
 	f.poolErases[pool]++
 }

@@ -2,6 +2,7 @@ package ftl
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -327,18 +328,39 @@ func TestPoolAvgPEAndArtificialWear(t *testing.T) {
 }
 
 // TestNoSpaceWriteAllocatesNothing: once a pool is exhausted, every
-// further write fails with the pool's one ErrNoSpace error, formatted on
-// first use, so a replay that keeps hitting it allocates nothing.
+// write fails with the pool's one ErrNoSpace value, whose text is
+// formatted only when read, so a replay (or a fork of an aged device) that
+// keeps hitting it allocates nothing, the first failure included.
 func TestNoSpaceWriteAllocatesNothing(t *testing.T) {
-	f, _ := New(smallConfig())
-	var err error
-	for lpn := int64(0); err == nil; lpn++ {
-		_, _, err = f.Write(0, 0, []int64{lpn})
+	// Count the writes a fresh pool takes, then fill a second one to the
+	// same point, so its next write is its first failure.
+	fits := int64(0)
+	probe, _ := New(smallConfig())
+	for ; ; fits++ {
+		if _, _, err := probe.Write(0, 0, []int64{fits}); err != nil {
+			break
+		}
 	}
-	if !errors.Is(err, ErrNoSpace) {
-		t.Fatalf("filling the pool ended with %v, want ErrNoSpace", err)
+	f, _ := New(smallConfig())
+	for lpn := range fits {
+		if _, _, err := f.Write(0, 0, []int64{lpn}); err != nil {
+			t.Fatalf("write %d of %d failed: %v", lpn, fits, err)
+		}
 	}
 	lpns := []int64{1 << 20}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := f.Write(0, 0, lpns)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrNoSpace) {
+		t.Fatalf("write into the full pool = %v, want ErrNoSpace", err)
+	}
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("the pool's first ErrNoSpace allocates %d times, want 0", n)
+	}
+	if got, want := err.Error(), "ftl: plane 0 pool 0: ftl: out of space"; got != want {
+		t.Errorf("error text %q, want %q", got, want)
+	}
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, _, err := f.Write(0, 0, lpns); !errors.Is(err, ErrNoSpace) {
 			t.Fatalf("write into the exhausted pool = %v, want ErrNoSpace", err)
@@ -346,5 +368,36 @@ func TestNoSpaceWriteAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("a write into an exhausted pool allocates %v times, want 0", allocs)
+	}
+}
+
+// TestSteadyStateGCAllocatesNothing: once every block has opened and been
+// erased, garbage collection recycles reverse slabs and the free list in
+// place, so further writes allocate nothing, whichever order the free list
+// is kept in.
+func TestSteadyStateGCAllocatesNothing(t *testing.T) {
+	for _, policy := range []WearPolicy{WearNone, WearRoundRobin, WearStatic} {
+		f, err := New(wearConfig(policy))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hammer(t, f, 2000)
+		erases := f.Stats().GC.Erases
+		lpns := []int64{0}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range 4000 {
+			lpns[0] = int64(i % 4)
+			if _, _, err := f.Write(0, 0, lpns); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if n := f.Stats().GC.Erases - erases; n < 100 {
+			t.Fatalf("%v: %d erases in the measured writes, want a steady stream", policy, n)
+		}
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Errorf("%v: 4000 writes under GC allocated %d objects, want 0", policy, n)
+		}
 	}
 }

@@ -136,7 +136,7 @@ func (f *FTL) readPool(plane, pool int32, r *wire.Reader) {
 	if r.Err() == nil && (active < -1 || int(active) >= n) {
 		r.Failf("pool %d/%d active block %d outside %d blocks", plane, pool, active, n)
 	}
-	ps.free = ps.free[:0]
+	ps.free = ps.freeBuf[:0]
 	for range r.Count("free-list run", n, minRunBytes) {
 		first, length := r.U32(), r.U32()
 		if r.Err() != nil {

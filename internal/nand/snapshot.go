@@ -34,17 +34,16 @@ func (b *Backend) AppendState(buf []byte) []byte {
 // appendStage appends the stage's read-hit accounting and its chunks in
 // destage order; the staged-sector index is rebuilt from them.
 func (b *Backend) appendStage(buf []byte) []byte {
-	var queue []staged
-	if b.stage != nil {
-		buf = wire.AppendI64(buf, b.stage.hits, b.stage.misses)
-		queue = b.stage.queue[b.stage.head:]
-	} else {
+	s := b.stage
+	if s == nil {
 		buf = wire.AppendI64(buf, 0, 0)
+		return binary.LittleEndian.AppendUint32(buf, 0)
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(queue)))
-	for _, c := range queue {
-		buf = append(buf, uint8(c.pool), uint8(len(c.lpns)))
-		for _, lpn := range c.lpns {
+	buf = wire.AppendI64(buf, s.hits, s.misses)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.pending()))
+	for _, c := range s.queue[s.head:] {
+		buf = append(buf, uint8(c.pool), uint8(c.n))
+		for _, lpn := range s.lpns(c) {
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(lpn))
 		}
 	}
@@ -86,37 +85,55 @@ func Restore(p Params, r *wire.Reader) (Backend, error) {
 	return b, nil
 }
 
-// readStage reads what appendStage wrote into the back end's stage.
+// readStage reads what appendStage wrote into the back end's stage. The
+// ring and the queue are each allocated once, before any chunk is read.
+// The ring is sized by two bounds on the chunks' LPNs: no chunk holds more
+// than its pool's page, and each LPN is 4 of the bytes left after the
+// chunks' 2-byte headers (exact when the stage ends the payload, as it
+// does).
 func (b *Backend) readStage(r *wire.Reader) {
 	hits, misses := r.I64(), r.I64()
 	n := r.Count("staged chunk", 1<<31, 2+4)
-	if n > 0 && b.stage == nil {
-		r.Failf("%d staged chunks but no staging capacity", n)
+	s := b.stage
+	if s == nil {
+		if n > 0 {
+			r.Failf("%d staged chunks but no staging capacity", n)
+		}
 		return
 	}
+	s.hits, s.misses = hits, misses
+	if n == 0 {
+		return
+	}
+	maxSPP := 0
+	for _, pool := range b.p.Pools {
+		maxSPP = max(maxSPP, pool.SectorsPerPage())
+	}
+	s.ring = make([]int64, min(n*maxSPP, (r.Len()-2*n)/4))
+	s.queue = make([]staged, 0, n)
+	off := 0
 	for range n {
 		pool, k := int(r.U8()), int(r.U8())
 		if r.Err() == nil && (pool >= len(b.p.Pools) || k == 0 || k > b.p.Pools[pool].SectorsPerPage()) {
 			r.Failf("staged chunk of %d sectors in pool %d does not fit a page", k, pool)
 		}
+		if r.Err() == nil && off+k > len(s.ring) {
+			r.Failf("staged chunks hold more LPNs than the bytes left can encode")
+		}
 		if r.Err() != nil {
 			return
 		}
-		lpns := b.lpnBuf[:0]
-		for range k {
+		for i := range k {
 			lpn := int64(r.U32())
 			if r.Err() == nil && lpn >= ftl.MaxLPN {
 				r.Failf("staged LPN %d past the %d-LPN address space", lpn, int64(ftl.MaxLPN))
 			}
-			lpns = append(lpns, lpn)
+			if r.Err() != nil {
+				return
+			}
+			s.ring[off+i] = lpn
 		}
-		if r.Err() != nil {
-			return
-		}
-		b.stage.add(pool, lpns)
-		b.lpnBuf = lpns
-	}
-	if b.stage != nil {
-		b.stage.hits, b.stage.misses = hits, misses
+		s.push(staged{pool: pool, off: off, n: k})
+		off += k
 	}
 }

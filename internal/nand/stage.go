@@ -12,14 +12,14 @@ import (
 // reach the FTL later — during idle gaps, like the idle-GC policy, or
 // synchronously when the stage fills or a flush barrier arrives. The two
 // differ only in where staged data lives (Params.SLCStage), which prices a
-// read of it and a destage. Ordering is a slice queue; a set of the staged
-// sectors answers read hits.
+// read of it and a destage. Ordering is a slice queue of chunks whose LPNs
+// live in one ring; a set of the staged sectors answers read hits.
 
-// staged is one chunk awaiting destage. The pool is fixed at admission by
-// the write splitter, so destage order cannot change where data lands.
+// staged is one chunk awaiting destage: its n LPNs are ring[off:off+n]
+// of the stage. The pool is fixed at admission by the write splitter, so
+// destage order cannot change where data lands.
 type staged struct {
-	pool int
-	lpns []int64
+	pool, off, n int
 }
 
 // stage is the FIFO of chunks awaiting destage.
@@ -31,9 +31,12 @@ type stage struct {
 	// stays bounded by the peak queue depth.
 	queue []staged
 	head  int
-	// freeLPNs recycles the lpn storage of destaged chunks, so admitting a
-	// chunk allocates nothing in steady state.
-	freeLPNs [][]int64
+	// ring holds the pending chunks' LPNs, each chunk contiguous, in FIFO
+	// order from the oldest chunk's offset, wrapping to 0 at most once: a
+	// chunk that would straddle the ring's end starts at 0 instead. The
+	// ring starts empty and doubles when a chunk finds no room, so
+	// admitting a chunk allocates nothing in steady state.
+	ring []int64
 	// index holds the staged (not yet destaged) sectors for read hits. It
 	// is sized by what is staged, not by capBytes, which a configuration
 	// may set far beyond memory.
@@ -42,6 +45,9 @@ type stage struct {
 	hits   int64
 	misses int64
 }
+
+// stageRingMin is the smallest ring, in LPNs.
+const stageRingMin = 16
 
 // newStage builds a stage, or returns nil (disabled) below one page.
 func newStage(capBytes int64) *stage {
@@ -57,51 +63,92 @@ func (s *stage) pending() int { return len(s.queue) - s.head }
 // holds reports whether the sector is staged.
 func (s *stage) holds(lpn int64) bool { return s.index.has(lpn) }
 
-// add stages a chunk of pool, copying lpns into recycled storage.
+// lpns returns chunk c's LPNs in the ring. They stay valid until the next
+// add.
+func (s *stage) lpns(c staged) []int64 { return s.ring[c.off : c.off+c.n : c.off+c.n] }
+
+// add stages a chunk of pool, copying lpns into the ring.
 func (s *stage) add(pool int, lpns []int64) {
-	cp := s.grabLPNs(len(lpns))
-	copy(cp, lpns)
-	s.queue = append(s.queue, staged{pool: pool, lpns: cp})
-	for _, lpn := range cp {
+	off := s.place(len(lpns))
+	copy(s.ring[off:], lpns)
+	s.push(staged{pool: pool, off: off, n: len(lpns)})
+}
+
+// push queues chunk c, whose LPNs are already in the ring.
+func (s *stage) push(c staged) {
+	s.queue = append(s.queue, c)
+	for _, lpn := range s.lpns(c) {
 		s.index.add(lpn)
 	}
-	s.usedBytes += int64(len(cp)) * flash.SectorBytes
+	s.usedBytes += int64(c.n) * flash.SectorBytes
 }
 
-// grabLPNs returns a length-n slice, recycled when a fitting one is free.
-func (s *stage) grabLPNs(n int) []int64 {
-	if k := len(s.freeLPNs); k > 0 {
-		buf := s.freeLPNs[k-1]
-		s.freeLPNs = s.freeLPNs[:k-1]
-		if cap(buf) >= n {
-			return buf[:n]
+// place returns the ring offset for a new chunk of n LPNs: right after the
+// newest chunk, or at 0 when the run to the ring's end is too short and
+// the oldest chunk starts far enough in. With no such room it grows the
+// ring.
+func (s *stage) place(n int) int {
+	if s.pending() == 0 {
+		if n <= len(s.ring) {
+			return 0
 		}
+		return s.grow(n)
 	}
-	return make([]int64, n)
+	first, last := s.queue[s.head], s.queue[len(s.queue)-1]
+	tail := last.off + last.n
+	switch {
+	case last.off < first.off: // wrapped: the free run is [tail, first.off)
+		if tail+n <= first.off {
+			return tail
+		}
+	case tail+n <= len(s.ring):
+		return tail
+	case n <= first.off:
+		return 0
+	}
+	return s.grow(n)
 }
 
-// pop removes the oldest chunk. The caller owns the returned lpns and
-// hands them back to freeLPNs when done.
+// grow doubles the ring until it holds the pending LPNs plus n more,
+// repacks the pending chunks from offset 0 in FIFO order, and returns the
+// offset after them.
+func (s *stage) grow(n int) int {
+	need := int(s.usedBytes/flash.SectorBytes) + n
+	size := max(2*len(s.ring), stageRingMin)
+	for size < need {
+		size *= 2
+	}
+	ring := make([]int64, size)
+	off := 0
+	for i := s.head; i < len(s.queue); i++ {
+		c := &s.queue[i]
+		copy(ring[off:], s.lpns(*c))
+		c.off = off
+		off += c.n
+	}
+	s.ring = ring
+	return off
+}
+
+// pop removes the oldest chunk. Its LPNs (s.lpns) stay readable until the
+// next add.
 func (s *stage) pop() (staged, bool) {
 	if s.head == len(s.queue) {
 		return staged{}, false
 	}
 	c := s.queue[s.head]
-	s.queue[s.head] = staged{} // unpin the lpns storage
 	s.head++
 	if s.head == len(s.queue) {
 		s.queue = s.queue[:0]
 		s.head = 0
 	} else if s.head >= 64 && s.head*2 >= len(s.queue) {
-		n := copy(s.queue, s.queue[s.head:])
-		clear(s.queue[n:])
-		s.queue = s.queue[:n]
+		s.queue = s.queue[:copy(s.queue, s.queue[s.head:])]
 		s.head = 0
 	}
-	for _, lpn := range c.lpns {
+	for _, lpn := range s.lpns(c) {
 		s.index.remove(lpn)
 	}
-	s.usedBytes -= int64(len(c.lpns)) * flash.SectorBytes
+	s.usedBytes -= int64(c.n) * flash.SectorBytes
 	return c, true
 }
 
@@ -150,9 +197,8 @@ func (b *Backend) destageOne() int64 {
 	if !ok {
 		return 0
 	}
-	readOut := b.stageReadNs(c.pool, len(c.lpns)*flash.SectorBytes)
-	loc, gcWork, err := b.ftl.Write(b.NextPlane(), c.pool, c.lpns)
-	b.stage.freeLPNs = append(b.stage.freeLPNs, c.lpns[:0])
+	readOut := b.stageReadNs(c.pool, c.n*flash.SectorBytes)
+	loc, gcWork, err := b.ftl.Write(b.NextPlane(), c.pool, b.stage.lpns(c))
 	if err != nil {
 		// Out of space mid-destage: surface as a stall the size of an
 		// erase so the condition is visible without failing the replay.
@@ -179,7 +225,7 @@ func (b *Backend) DestageIdle(dispatchAt int64) {
 func (b *Backend) drainIdle(budget int64) {
 	for b.stage.pending() > 0 {
 		head := b.stage.queue[b.stage.head]
-		estimate := b.stageReadNs(head.pool, len(head.lpns)*flash.SectorBytes) + b.costOf(head.pool).rawProgram
+		estimate := b.stageReadNs(head.pool, head.n*flash.SectorBytes) + b.costOf(head.pool).rawProgram
 		if estimate > budget {
 			break
 		}

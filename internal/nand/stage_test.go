@@ -1,8 +1,10 @@
 package nand
 
 import (
+	"encoding/binary"
 	"math/rand/v2"
 	"slices"
+	"strings"
 	"testing"
 
 	"emmcio/internal/flash"
@@ -224,5 +226,134 @@ func TestRestoredStageHoldsSameSectors(t *testing.T) {
 	}
 	if r.stage.index.n != b.stage.index.n {
 		t.Errorf("restored index holds %d LPNs, sealed %d", r.stage.index.n, b.stage.index.n)
+	}
+}
+
+// TestStageRingMatchesQueue drives the stage's LPN ring and a reference
+// FIFO of chunk copies through the same seeded mix of add, pop and
+// seal/restore, with chunk sizes 1..spp of each chunk's pool. Every pop
+// must return the reference's oldest chunk, pool and LPNs, and holds must
+// answer as a reference index with the stage's set semantics: an add
+// inserts its sectors, a pop drops each of its sectors (the defect
+// TestStageSetSemantics pins), and a restore rebuilds from the pending
+// chunks. Adds outnumber pops early, so the ring grows several times, and
+// then the mix is balanced, so chunks keep wrapping past the ring's end.
+func TestStageRingMatchesQueue(t *testing.T) {
+	p := testParams()
+	type chunk struct {
+		pool int
+		lpns []int64
+	}
+	const space = 256
+	for seed := uint64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 2))
+		b, err := New(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []chunk
+		held := map[int64]bool{}
+		grew, wrapped, restores := 0, 0, 0
+		for op := range 6000 {
+			s := b.stage
+			ring := len(s.ring)
+			addPct := 50
+			if op < 1500 {
+				addPct = 65
+			}
+			switch r := rng.IntN(100); {
+			case r < 1:
+				rb, err := Restore(p, wire.NewReader(b.AppendState(nil)))
+				if err != nil {
+					t.Fatalf("seed %d op %d: %v", seed, op, err)
+				}
+				b = rb
+				restores++
+				clear(held)
+				for _, c := range want {
+					for _, lpn := range c.lpns {
+						held[lpn] = true
+					}
+				}
+			case r < 1+addPct:
+				pool := rng.IntN(len(p.Pools))
+				lpns := make([]int64, 1+rng.IntN(p.Pools[pool].SectorsPerPage()))
+				for i := range lpns {
+					lpns[i] = int64(rng.IntN(space))
+				}
+				s.add(pool, lpns)
+				want = append(want, chunk{pool, lpns})
+				for _, lpn := range lpns {
+					held[lpn] = true
+				}
+				if len(s.ring) > ring {
+					grew++
+				}
+				if s.queue[len(s.queue)-1].off < s.queue[s.head].off {
+					wrapped++
+				}
+			default:
+				c, ok := s.pop()
+				if ok != (len(want) > 0) {
+					t.Fatalf("seed %d op %d: pop ok=%v with %d chunks pending", seed, op, ok, len(want))
+				}
+				if !ok {
+					break
+				}
+				if got := s.lpns(c); c.pool != want[0].pool || !slices.Equal(got, want[0].lpns) {
+					t.Fatalf("seed %d op %d: popped pool %d %v, want pool %d %v", seed, op, c.pool, got, want[0].pool, want[0].lpns)
+				}
+				for _, lpn := range want[0].lpns {
+					delete(held, lpn)
+				}
+				want = want[1:]
+			}
+			s = b.stage
+			sectors := 0
+			for _, c := range want {
+				sectors += len(c.lpns)
+			}
+			if s.pending() != len(want) || s.usedBytes != int64(sectors)*flash.SectorBytes {
+				t.Fatalf("seed %d op %d: %d chunks, %d bytes staged; want %d, %d", seed, op, s.pending(), s.usedBytes, len(want), sectors*flash.SectorBytes)
+			}
+			for lpn := int64(0); lpn < space; lpn++ {
+				if s.holds(lpn) != held[lpn] {
+					t.Fatalf("seed %d op %d: holds(%d) = %v, want %v", seed, op, lpn, s.holds(lpn), held[lpn])
+				}
+			}
+		}
+		t.Logf("seed %d: ring grew %d times, wrapped %d chunks, restored %d times", seed, grew, wrapped, restores)
+		if grew < 3 || wrapped == 0 || restores == 0 {
+			t.Errorf("seed %d: ring grew %d times, wrapped %d chunks, restored %d times; want >= 3, > 0, > 0", seed, grew, wrapped, restores)
+		}
+	}
+}
+
+// TestRestoreRejectsOverclaimedStage: a snapshot whose staged-chunk count
+// claims more chunks than it holds, while the bytes left still pass the
+// count's size check, must fail with an error. The ring a restore sizes
+// from the bytes left cannot hold the chunks that are there, so it must
+// not be indexed past its end.
+func TestRestoreRejectsOverclaimedStage(t *testing.T) {
+	p := testParams()
+	b, err := New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 40
+	for i := range int64(n) {
+		b.stage.add(0, []int64{2 * i, 2*i + 1}) // pool 0 pages hold 2 sectors
+	}
+	state := b.AppendState(nil)
+	// Each chunk is 2 header bytes and two 4-byte LPNs, and the chunk
+	// count sits just before them.
+	at := len(state) - n*10 - 4
+	if got := binary.LittleEndian.Uint32(state[at:]); got != n {
+		t.Fatalf("chunk count at byte %d reads %d, want %d", at, got, n)
+	}
+	binary.LittleEndian.PutUint32(state[at:], n+n/2)
+	_, err = Restore(p, wire.NewReader(state))
+	if err == nil || !strings.Contains(err.Error(), "staged chunks hold more LPNs") {
+		t.Fatalf("restore of an over-claimed stage: %v", err)
 	}
 }

@@ -30,6 +30,9 @@ func NewReader(buf []byte) *Reader { return &Reader{buf: buf} }
 // Err returns the first failure, or nil.
 func (r *Reader) Err() error { return r.err }
 
+// Len returns the number of unread bytes.
+func (r *Reader) Len() int { return len(r.buf) - r.off }
+
 // Failf records a failure at the current offset unless one is already
 // recorded.
 func (r *Reader) Failf(format string, args ...any) {

@@ -14,6 +14,7 @@ import (
 //     read return zero;
 //   - Count never returns more than its limit or than the bytes after the
 //     count field can hold at minBytes each;
+//   - Len reports the bytes after the modelled offset;
 //   - Done accepts exactly the fully consumed input.
 //
 // Each op byte selects a read: U8, U32, U64, I64, Count (the next op byte
@@ -94,6 +95,9 @@ func FuzzReader(f *testing.F) {
 			}
 			if r.Err() != err {
 				t.Fatalf("op %d: Err() = %v, want %v", i, r.Err(), err)
+			}
+			if r.Len() != len(buf)-off {
+				t.Fatalf("op %d: Len() = %d at byte %d of %d", i, r.Len(), off, len(buf))
 			}
 		}
 		if err != nil && !strings.HasPrefix(err.Error(), fmt.Sprintf("byte %d: ", failAt)) {
