@@ -1,15 +1,21 @@
 GO ?= go
 
-# `make check` is the repository's pre-merge gate: static checks, a full
-# build, the concurrent layers' suites twice under the race detector, the
-# whole test suite under the race detector, the telemetry overhead budget
-# (TestTelemetryOverheadBudget fails if disabled telemetry shifts the
-# mean response time by 5% or more — it must be exactly 0), and the recorded
-# benchmark trajectory (bench-gate fails on a >15% ns/op or allocs/op
-# regression between the two newest BENCH_*.json snapshots; it is a no-op
-# until a second snapshot exists), and a short run of every fuzz target.
+# `make check` is the repository's pre-merge gate: gofmt cleanliness,
+# static checks, a full build, the concurrent layers' suites twice under the
+# race detector, the whole test suite under the race detector, the
+# telemetry overhead budget (TestTelemetryOverheadBudget fails if disabled
+# telemetry shifts the mean response time by 5% or more — it must be
+# exactly 0), and the recorded benchmark trajectory (bench-gate fails on a
+# >15% ns/op or allocs/op regression between the two newest BENCH_*.json
+# snapshots; it is a no-op until a second snapshot exists), and a short run
+# of every fuzz target.
 .PHONY: check
-check: vet build runner-race server-race coord-race devstore-race race overhead bench-gate fuzz
+check: fmt vet build runner-race server-race coord-race devstore-race race overhead bench-gate fuzz
+
+# Fail when any Go file in the module is not gofmt-formatted, listing them.
+.PHONY: fmt
+fmt:
+	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
 .PHONY: vet
 vet:

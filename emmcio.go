@@ -237,17 +237,27 @@ type (
 	Finding = analysis.Finding
 )
 
-// Analysis entry points.
-var (
-	// SizeStatsOf measures Table III columns.
-	SizeStatsOf = analysis.SizeStatsOf
-	// TimingStatsOf measures Table IV columns (replayed traces).
-	TimingStatsOf = analysis.TimingStatsOf
-	// DistributionsOf builds the per-trace histograms.
-	DistributionsOf = analysis.DistributionsOf
-	// EvaluateCharacteristics checks the six Characteristics on a trace set.
-	EvaluateCharacteristics = analysis.EvaluateCharacteristics
-)
+// Analysis entry points. Each drains the trace once through the streaming
+// analysis.Accumulator, the one implementation of every §III statistic.
+
+// SizeStatsOf measures Table III columns.
+func SizeStatsOf(tr *Trace) SizeStats { return analysis.Of(tr).Size() }
+
+// TimingStatsOf measures Table IV columns (replayed traces).
+func TimingStatsOf(tr *Trace) TimingStats { return analysis.Of(tr).Timing() }
+
+// DistributionsOf builds the per-trace histograms.
+func DistributionsOf(tr *Trace) Distributions { return analysis.Of(tr).Dists() }
+
+// EvaluateCharacteristics checks the six Characteristics on a set of
+// individual-application traces, replayed for Characteristics 3 and 4.
+func EvaluateCharacteristics(traces []*Trace) []Finding {
+	rows := make([]analysis.TraceSummary, len(traces))
+	for i, tr := range traces {
+		rows[i] = analysis.Of(tr).Summary()
+	}
+	return analysis.EvaluateCharacteristicsFrom(rows)
+}
 
 // Tracer exposes the BIOtracer reproduction.
 type Tracer = biotracer.Tracer
@@ -381,7 +391,7 @@ var (
 type FullReport = analysis.FullReport
 
 // AnalyzeTrace computes the complete characterization of a replayed trace.
-var AnalyzeTrace = analysis.Report
+func AnalyzeTrace(tr *Trace) FullReport { return analysis.Of(tr).Report() }
 
 // Workload composers for building new combo traces (§III-D's two modes).
 var (

@@ -37,7 +37,7 @@ func TestSizeStatsOf(t *testing.T) {
 		{Size: 8192, Op: trace.Read},
 		{Size: 16384, Op: trace.Write},
 	}}
-	s := SizeStatsOf(tr)
+	s := Of(tr).Size()
 	if s.Requests != 3 || s.MaxKB != 16 {
 		t.Fatalf("%+v", s)
 	}
@@ -59,7 +59,7 @@ func TestSizeStatsOf(t *testing.T) {
 }
 
 func TestSizeStatsEmpty(t *testing.T) {
-	s := SizeStatsOf(&trace.Trace{Name: "E"})
+	s := Of(&trace.Trace{Name: "E"}).Size()
 	if s.Requests != 0 || s.DataKB != 0 {
 		t.Fatal("empty trace should produce zero stats")
 	}
@@ -67,7 +67,7 @@ func TestSizeStatsEmpty(t *testing.T) {
 
 func TestTimingStatsOf(t *testing.T) {
 	tr := replayedTrace()
-	ts := TimingStatsOf(tr)
+	ts := Of(tr).Timing()
 	if ts.NoWaitPct != 90 {
 		t.Errorf("NoWaitPct %v, want 90", ts.NoWaitPct)
 	}
@@ -84,7 +84,7 @@ func TestTimingStatsOf(t *testing.T) {
 
 func TestDistributionsOf(t *testing.T) {
 	tr := replayedTrace()
-	d := DistributionsOf(tr)
+	d := Of(tr).Dists()
 	if d.Size.Total() != 100 {
 		t.Errorf("size histogram holds %d", d.Size.Total())
 	}
@@ -102,10 +102,10 @@ func TestDistributionsOf(t *testing.T) {
 func TestSizeResponseCorrelation(t *testing.T) {
 	tr := replayedTrace()
 	// Response time was constructed proportional to size.
-	if c := SizeResponseCorrelation(tr); c < 0.95 {
+	if c := Of(tr).SizeResponseCorrelation(); c < 0.95 {
 		t.Errorf("correlation %v, want ~1 (response built from size)", c)
 	}
-	if c := SizeResponseCorrelation(&trace.Trace{}); c != 0 {
+	if c := Of(&trace.Trace{}).SizeResponseCorrelation(); c != 0 {
 		t.Errorf("empty trace correlation %v", c)
 	}
 }
@@ -130,7 +130,11 @@ func TestEvaluateCharacteristicsOnSyntheticSet(t *testing.T) {
 		}
 		traces = append(traces, tr)
 	}
-	findings := EvaluateCharacteristics(traces)
+	rows := make([]TraceSummary, len(traces))
+	for i, tr := range traces {
+		rows[i] = Of(tr).Summary()
+	}
+	findings := EvaluateCharacteristicsFrom(rows)
 	if len(findings) != 6 {
 		t.Fatalf("%d findings, want 6", len(findings))
 	}
@@ -149,21 +153,21 @@ func TestEvaluateCharacteristicsOnSyntheticSet(t *testing.T) {
 
 func TestResponseSummary(t *testing.T) {
 	tr := replayedTrace()
-	s := ResponseSummary(tr)
+	s := Of(tr).Response()
 	if s.Count != 100 {
 		t.Fatalf("count %d", s.Count)
 	}
 	if s.P99 < s.P50 || s.Max < s.P99 || s.Min > s.P50 {
 		t.Fatalf("ordering violated: %+v", s)
 	}
-	if ResponseSummary(&trace.Trace{}).Count != 0 {
+	if Of(&trace.Trace{}).Response().Count != 0 {
 		t.Fatal("empty trace should yield empty summary")
 	}
 }
 
 func TestInterarrivalSummary(t *testing.T) {
 	tr := replayedTrace()
-	s := InterarrivalSummary(tr)
+	s := Of(tr).Interarrival()
 	if s.Count != 99 {
 		t.Fatalf("count %d", s.Count)
 	}
@@ -174,7 +178,7 @@ func TestInterarrivalSummary(t *testing.T) {
 
 func TestFullReport(t *testing.T) {
 	tr := replayedTrace()
-	r := Report(tr)
+	r := Of(tr).Report()
 	if r.Size.Requests != 100 || r.Timing.NoWaitPct != 90 {
 		t.Fatalf("report core stats wrong: %+v %+v", r.Size, r.Timing)
 	}
@@ -189,38 +193,39 @@ func TestFullReport(t *testing.T) {
 	}
 }
 
-// The streaming accumulator agrees with the batch analyzers on every
-// column it shares.
-func TestAccumulatorMatchesBatch(t *testing.T) {
-	tr := replayedTrace()
-	acc := NewAccumulator(tr.Name)
-	for _, r := range tr.Reqs {
-		acc.Add(r)
-	}
-	batchS, accS := SizeStatsOf(tr), acc.Size()
-	if batchS != accS {
-		t.Fatalf("size stats differ:\nbatch %+v\nacc   %+v", batchS, accS)
-	}
-	batchT, accT := TimingStatsOf(tr), acc.Timing()
-	if batchT != accT {
-		t.Fatalf("timing stats differ:\nbatch %+v\nacc   %+v", batchT, accT)
-	}
-	bd, ad := DistributionsOf(tr), acc.Dists()
-	for i, c := range bd.Size.Counts() {
-		if ad.Size.Counts()[i] != c {
-			t.Fatal("size histograms differ")
-		}
-	}
-	for i, c := range bd.Interarrival.Counts() {
-		if ad.Interarrival.Counts()[i] != c {
-			t.Fatal("interarrival histograms differ")
-		}
-	}
-}
-
 func TestAccumulatorEmpty(t *testing.T) {
 	acc := NewAccumulator("e")
 	if acc.Size().Requests != 0 || acc.Timing().DurationSec != 0 {
 		t.Fatal("empty accumulator produced stats")
+	}
+}
+
+// Timing averages Request.ServiceTime and ResponseTime over every request,
+// replayed or not, counts NoWait as ServiceStart == Arrival, and takes the
+// duration from the latest arrival or finish (Trace.Duration).
+func TestTimingDefinitions(t *testing.T) {
+	tr := &trace.Trace{Reqs: []trace.Request{
+		{Arrival: 1_000_000, Size: 4096, ServiceStart: 1_000_000, Finish: 3_000_000},
+		{Arrival: 7_000_000, Size: 4096, ServiceStart: 7_000_000, Finish: 7_000_000}, // zero-length
+		{Arrival: 4_000_000, Size: 4096, ServiceStart: 4_500_000},                    // issued, unfinished
+		{Arrival: 6_000_000, Size: 4096},                                             // never issued
+	}}
+	var serv, resp int64
+	for _, r := range tr.Reqs {
+		serv += r.ServiceTime()
+		resp += r.ResponseTime()
+	}
+	ts := Of(tr).Timing()
+	if want := float64(serv) / 4 / 1e6; ts.MeanServMs != want {
+		t.Errorf("MeanServMs %v, want %v", ts.MeanServMs, want)
+	}
+	if want := float64(resp) / 4 / 1e6; ts.MeanRespMs != want {
+		t.Errorf("MeanRespMs %v, want %v", ts.MeanRespMs, want)
+	}
+	if ts.NoWaitPct != 50 {
+		t.Errorf("NoWaitPct %v, want 50 (the first two requests)", ts.NoWaitPct)
+	}
+	if want := float64(tr.Duration()) / 1e9; ts.DurationSec != want || want != 0.007 {
+		t.Errorf("DurationSec %v, want %v = 7 ms", ts.DurationSec, want)
 	}
 }

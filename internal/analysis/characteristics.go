@@ -1,10 +1,6 @@
 package analysis
 
-import (
-	"fmt"
-
-	"emmcio/internal/trace"
-)
+import "fmt"
 
 // Finding is the verdict on one of the paper's six Characteristics,
 // evaluated over a set of traces.
@@ -15,38 +11,20 @@ type Finding struct {
 	Evidence string
 }
 
-// nsPerMs for threshold comparisons.
-const nsPerMs = int64(1_000_000)
-
 // TraceSummary is the per-trace evidence the Characteristics are judged
 // from: one Table III row, one Table IV row, and the Figs. 4–7 histograms.
-// Build it from a materialized trace (SizeStatsOf/TimingStatsOf/
-// DistributionsOf) or stream it through an Accumulator and call Summary.
+// Accumulator.Summary builds it, whether the accumulator drained a stream
+// (AccumulateStream) or a materialized trace (Of).
 type TraceSummary struct {
 	Size   SizeStats
 	Timing TimingStats
 	Dists  Distributions
 }
 
-// EvaluateCharacteristics checks the paper's six Characteristics (§III)
-// against the given individual-application traces. Traces must be replayed
-// (timestamps filled) for Characteristics 3 and 4.
-func EvaluateCharacteristics(traces []*trace.Trace) []Finding {
-	rows := make([]TraceSummary, len(traces))
-	for i, tr := range traces {
-		rows[i] = TraceSummary{
-			Size:   SizeStatsOf(tr),
-			Timing: TimingStatsOf(tr),
-			Dists:  DistributionsOf(tr),
-		}
-	}
-	return EvaluateCharacteristicsFrom(rows)
-}
-
-// EvaluateCharacteristicsFrom judges the six Characteristics from
-// precomputed per-trace summaries — the streaming path: replay each trace
-// through an Accumulator (one pass, no materialization) and hand the
-// Summary bundles here.
+// EvaluateCharacteristicsFrom checks the paper's six Characteristics (§III)
+// against per-trace summaries of the individual-application traces. The
+// traces must have been replayed (timestamps filled) for Characteristics 3
+// and 4.
 func EvaluateCharacteristicsFrom(rows []TraceSummary) []Finding {
 	n := len(rows)
 	sizeStats := make([]SizeStats, n)

@@ -1,9 +1,3 @@
-// Streaming forms of the §III characterization: every batch function that
-// walks a *trace.Trace has a counterpart here that drains a trace.Stream
-// through an Accumulator instead, so multi-hour traces are characterized in
-// memory bounded by the unique page footprint (or a caller-set cap), never
-// the request count.
-
 package analysis
 
 import (
@@ -12,23 +6,25 @@ import (
 	"emmcio/internal/trace"
 )
 
-// AccumulateStream resets the stream and drains it into a fresh unbounded
+// AccumulateStream resets the stream and drains it into a fresh
 // Accumulator.
 func AccumulateStream(st trace.Stream) (*Accumulator, error) {
 	return accumulate(st, 0)
 }
 
-// AccumulateStreamBounded is AccumulateStream with a temporal page-set cap
-// (see NewAccumulatorBounded).
-func AccumulateStreamBounded(st trace.Stream, maxPages int) (*Accumulator, error) {
-	return accumulate(st, maxPages)
+// Of characterizes a materialized trace: it drains trace.FromSlice(tr)
+// into an Accumulator that retains every sample, so its Response and
+// Interarrival summaries are exact at any trace length.
+func Of(tr *trace.Trace) *Accumulator {
+	acc, _ := accumulate(trace.FromSlice(tr), len(tr.Reqs)) // a slice stream never fails
+	return acc
 }
 
-func accumulate(st trace.Stream, maxPages int) (*Accumulator, error) {
+func accumulate(st trace.Stream, capSamples int) (*Accumulator, error) {
 	if err := st.Reset(); err != nil {
 		return nil, fmt.Errorf("analysis: resetting %s: %w", st.Name(), err)
 	}
-	acc := NewAccumulatorBounded(st.Name(), maxPages)
+	acc := newAccumulator(st.Name(), capSamples)
 	for i := 0; ; i++ {
 		req, ok, err := st.Next()
 		if err != nil {
@@ -39,33 +35,4 @@ func accumulate(st trace.Stream, maxPages int) (*Accumulator, error) {
 		}
 		acc.Add(req)
 	}
-}
-
-// SizeStatsOfStream measures the Table III columns of a stream in one pass.
-func SizeStatsOfStream(st trace.Stream) (SizeStats, error) {
-	acc, err := AccumulateStream(st)
-	if err != nil {
-		return SizeStats{}, err
-	}
-	return acc.Size(), nil
-}
-
-// TimingStatsOfStream measures the Table IV columns of a (replayed) stream
-// in one pass.
-func TimingStatsOfStream(st trace.Stream) (TimingStats, error) {
-	acc, err := AccumulateStream(st)
-	if err != nil {
-		return TimingStats{}, err
-	}
-	return acc.Timing(), nil
-}
-
-// DistributionsOfStream builds the Figs. 4–7 histograms of a stream in one
-// pass.
-func DistributionsOfStream(st trace.Stream) (Distributions, error) {
-	acc, err := AccumulateStream(st)
-	if err != nil {
-		return Distributions{}, err
-	}
-	return acc.Dists(), nil
 }

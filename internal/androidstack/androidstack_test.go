@@ -1,8 +1,11 @@
 package androidstack
 
 import (
+	"fmt"
 	"testing"
 
+	"emmcio/internal/analysis"
+	"emmcio/internal/rng"
 	"emmcio/internal/stats"
 	"emmcio/internal/trace"
 )
@@ -81,7 +84,7 @@ func TestJournalIsSequential(t *testing.T) {
 			journal.Reqs = append(journal.Reqs, r)
 		}
 	}
-	if sp := stats.SpatialLocality(&journal); sp < 0.9 {
+	if sp := analysis.Of(&journal).SpatialLocality(); sp < 0.9 {
 		t.Fatalf("journal spatial locality %.2f, want ~1 (sequential journal)", sp)
 	}
 }
@@ -355,6 +358,96 @@ func TestAccessStaysInsideTheExtent(t *testing.T) {
 		}
 		if n := len(sink.Trace.Reqs) - before; call == "Read" && n != 1 {
 			t.Errorf("Read of the extent's last block emitted %d requests, want 1", n)
+		}
+	}
+}
+
+// TestRejectedWriteCountsNoAppBytes: a write the extent check rejects
+// persists nothing, so it adds no application bytes and leaves the write
+// amplification as it was.
+func TestRejectedWriteCountsNoAppBytes(t *testing.T) {
+	fs, _ := newStack(t)
+	if err := fs.Create("a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Write("a", 0, 4096); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Write("a", 16<<20, 4096); err == nil {
+		t.Fatal("write past the extent accepted")
+	}
+	if got := fs.Stats().AppBytes; got != 4096 {
+		t.Fatalf("AppBytes = %d after one accepted and one rejected 4 KB write, want 4096", got)
+	}
+}
+
+// extentSink checks every request the stack emits against the files the
+// current operation may touch: the request must lie inside one of their
+// extents or inside the ext4 journal region. It is consulted at emission
+// time, while a rollback journal that is deleted later still exists.
+type extentSink struct {
+	fs    *FS
+	files []string
+	n     int
+}
+
+func (s *extentSink) Submit(q trace.Request) error {
+	s.n++
+	fs := s.fs
+	if q.LBA >= fs.journalStart && q.EndLBA() <= fs.journalStart+fs.journalLen {
+		return nil
+	}
+	for _, name := range s.files {
+		if fl, ok := fs.files[name]; ok && q.LBA >= fl.base && q.EndLBA() <= fl.base+fl.sectors {
+			return nil
+		}
+	}
+	return fmt.Errorf("request at LBA %d (%d B) lies outside %v and the journal region", q.LBA, q.Size, s.files)
+}
+
+// TestSQLiteRequestsStayInTheirFiles: over seeded SQLite workloads in both
+// journal modes, with several databases sharing one file system, every
+// request an operation on a database emits lies inside that database's
+// file, its WAL or rollback-journal file, or the ext4 journal region —
+// never in another database's blocks.
+func TestSQLiteRequestsStayInTheirFiles(t *testing.T) {
+	for _, mode := range []JournalMode{Rollback, WAL} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			sink := &extentSink{}
+			fs := NewFS(sink)
+			sink.fs = fs
+			dbs := make([]*DB, 3)
+			for i := range dbs {
+				name := fmt.Sprintf("app%d.db", i)
+				sink.files = []string{name, name + "-wal", name + "-journal"}
+				db, err := OpenDB(fs, name, mode)
+				if err != nil {
+					t.Fatalf("%v seed %d: open %s: %v", mode, seed, name, err)
+				}
+				dbs[i] = db
+			}
+			r := rng.New(seed)
+			for op := 0; op < 1500; op++ {
+				fs.SetTime(int64(op) * 1000)
+				db := dbs[r.IntN(len(dbs))]
+				sink.files = []string{db.name, db.walName(), db.journalName()}
+				pages := make([]int64, 1+r.IntN(8))
+				for i := range pages {
+					pages[i] = r.Int63N(4096) // any page of the 16 MB extent
+				}
+				var err error
+				if r.Bool(0.5) {
+					err = db.Exec(pages)
+				} else {
+					err = db.Query(pages)
+				}
+				if err != nil {
+					t.Fatalf("%v seed %d op %d on %s: %v", mode, seed, op, db.name, err)
+				}
+			}
+			if sink.n == 0 {
+				t.Fatalf("%v seed %d: the workload emitted nothing", mode, seed)
+			}
 		}
 	}
 }

@@ -189,11 +189,11 @@ func (f *FS) Write(name string, off, n int64) error {
 	if n <= 0 {
 		return fmt.Errorf("androidstack: non-positive write")
 	}
-	f.appBytes += n
 	first, last, err := fl.blockSpan(name, off, n)
 	if err != nil {
 		return err
 	}
+	f.appBytes += n
 	blocks := last - first + 1
 	req := trace.Request{
 		LBA:  fl.base + uint64(first)*trace.SectorsPerPage,

@@ -90,7 +90,11 @@ func Fig7(env *Env) (DistResult, error) {
 func distributions(env *Env, names []string) (DistResult, error) {
 	dists, err := runner.MapContext(env.context(), env.Runner(), "distributions", names,
 		func(ctx context.Context, _ int, name string) (analysis.Distributions, error) {
-			return analysis.DistributionsOfStream(trace.WithContext(ctx, env.Stream(name)))
+			acc, err := analysis.AccumulateStream(trace.WithContext(ctx, env.Stream(name)))
+			if err != nil {
+				return analysis.Distributions{}, err
+			}
+			return acc.Dists(), nil
 		})
 	if err != nil {
 		return DistResult{}, err

@@ -133,7 +133,11 @@ func TableIII(env *Env) (TableIIIResult, error) {
 	names := paper.AllTraces
 	measured, err := runner.MapContext(env.context(), env.Runner(), "tableIII", names,
 		func(ctx context.Context, _ int, name string) (analysis.SizeStats, error) {
-			return analysis.SizeStatsOfStream(trace.WithContext(ctx, env.Stream(name)))
+			acc, err := analysis.AccumulateStream(trace.WithContext(ctx, env.Stream(name)))
+			if err != nil {
+				return analysis.SizeStats{}, err
+			}
+			return acc.Size(), nil
 		})
 	if err != nil {
 		return TableIIIResult{}, err

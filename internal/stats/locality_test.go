@@ -1,8 +1,13 @@
-package stats
+// The §III-C localities and arrival gaps are computed by
+// analysis.Accumulator alone; these hand-computed cases hold its
+// definitions. They live in an external test package because analysis
+// imports stats.
+package stats_test
 
 import (
 	"testing"
 
+	"emmcio/internal/analysis"
 	"emmcio/internal/trace"
 )
 
@@ -14,7 +19,7 @@ func TestSpatialLocalityFullySequential(t *testing.T) {
 		lba += trace.SectorsPerPage
 	}
 	// 9 of 10 requests follow their predecessor.
-	if got := SpatialLocality(tr); got != 0.9 {
+	if got := analysis.Of(tr).SpatialLocality(); got != 0.9 {
 		t.Fatalf("SpatialLocality = %v, want 0.9", got)
 	}
 }
@@ -24,14 +29,18 @@ func TestSpatialLocalityRandom(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tr.Reqs = append(tr.Reqs, trace.Request{Arrival: int64(i), LBA: uint64(i) * 1000 * trace.SectorsPerPage, Size: 4096})
 	}
-	if got := SpatialLocality(tr); got != 0 {
+	if got := analysis.Of(tr).SpatialLocality(); got != 0 {
 		t.Fatalf("SpatialLocality = %v, want 0", got)
 	}
 }
 
 func TestSpatialLocalityTiny(t *testing.T) {
-	if SpatialLocality(&trace.Trace{}) != 0 {
+	if analysis.Of(&trace.Trace{}).SpatialLocality() != 0 {
 		t.Fatal("empty trace should have zero spatial locality")
+	}
+	one := &trace.Trace{Reqs: []trace.Request{{LBA: 0, Size: 4096}}}
+	if analysis.Of(one).SpatialLocality() != 0 {
+		t.Fatal("one-request trace should have zero spatial locality")
 	}
 }
 
@@ -42,7 +51,7 @@ func TestTemporalLocalityRehits(t *testing.T) {
 		{Arrival: 2, LBA: 800, Size: 4096}, // miss
 		{Arrival: 3, LBA: 0, Size: 4096},   // hit
 	}}
-	if got := TemporalLocality(tr); got != 0.5 {
+	if got := analysis.Of(tr).TemporalLocality(); got != 0.5 {
 		t.Fatalf("TemporalLocality = %v, want 0.5", got)
 	}
 }
@@ -52,7 +61,7 @@ func TestTemporalLocalityNoRepeats(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		tr.Reqs = append(tr.Reqs, trace.Request{LBA: uint64(i) * 8, Size: 4096})
 	}
-	if got := TemporalLocality(tr); got != 0 {
+	if got := analysis.Of(tr).TemporalLocality(); got != 0 {
 		t.Fatalf("TemporalLocality = %v, want 0", got)
 	}
 }
@@ -61,11 +70,11 @@ func TestInterarrivals(t *testing.T) {
 	tr := &trace.Trace{Reqs: []trace.Request{
 		{Arrival: 0}, {Arrival: 100}, {Arrival: 350},
 	}}
-	got := Interarrivals(tr)
-	if len(got) != 2 || got[0] != 100 || got[1] != 250 {
-		t.Fatalf("Interarrivals = %v", got)
+	got := analysis.Of(tr).Interarrival()
+	if got.Count != 2 || got.Min != 100 || got.Max != 250 || got.Mean != 175 {
+		t.Fatalf("Interarrival = %+v, want gaps 100 and 250", got)
 	}
-	if Interarrivals(&trace.Trace{}) != nil {
-		t.Fatal("empty trace should yield nil interarrivals")
+	if analysis.Of(&trace.Trace{}).Interarrival().Count != 0 {
+		t.Fatal("empty trace should yield no inter-arrival gaps")
 	}
 }

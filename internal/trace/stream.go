@@ -131,9 +131,9 @@ type mapStream struct {
 	fn  func(Request) Request
 }
 
-// MapStream transforms each request of src with fn — the streaming form of
-// Scale and Shift. fn must be pure (no state between calls) so Reset
-// replays identically.
+// MapStream transforms each request of src with fn — the one per-request
+// transform behind ScaleStream, ShiftStream and ClearStream. fn must be
+// pure (no state between calls) so Reset replays identically.
 func MapStream(src Stream, fn func(Request) Request) Stream {
 	return &mapStream{src: src, fn: fn}
 }
@@ -150,9 +150,8 @@ func (m *mapStream) Next() (Request, bool, error) {
 
 func (m *mapStream) Reset() error { return m.src.Reset() }
 
-// ScaleStream is the streaming form of Trace.Scale: arrivals multiplied by
-// factor, replay timestamps cleared. Panics on a non-positive factor, like
-// Scale.
+// ScaleStream multiplies every arrival by factor and clears the replay
+// timestamps; Trace.Scale collects it. Panics on a non-positive factor.
 func ScaleStream(src Stream, factor float64) Stream {
 	if factor <= 0 {
 		panic("trace: non-positive scale factor")
@@ -165,8 +164,9 @@ func ScaleStream(src Stream, factor float64) Stream {
 	})
 }
 
-// ShiftStream is the streaming form of Trace.Shift: all timestamps moved by
-// delta. Like Shift, it panics if an arrival would become negative.
+// ShiftStream moves every timestamp by delta (unreplayed requests keep zero
+// service and finish times); Trace.Shift collects it. It panics if an
+// arrival would become negative.
 func ShiftStream(src Stream, delta int64) Stream {
 	return MapStream(src, func(r Request) Request {
 		r.Arrival += delta

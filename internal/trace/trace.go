@@ -232,36 +232,18 @@ func (t *Trace) Validate() error {
 // Scale returns a copy with all arrival times multiplied by factor — a
 // rate-scaling tool for what-if studies (factor < 1 compresses the trace,
 // raising the arrival rate). Replay timestamps are cleared, as they no
-// longer correspond to any device pass.
+// longer correspond to any device pass. It collects ScaleStream over the
+// trace.
 func (t *Trace) Scale(factor float64) *Trace {
-	if factor <= 0 {
-		panic("trace: non-positive scale factor")
-	}
-	out := &Trace{Name: t.Name, Reqs: make([]Request, len(t.Reqs))}
-	for i, r := range t.Reqs {
-		r.Arrival = int64(float64(r.Arrival) * factor)
-		r.ServiceStart = 0
-		r.Finish = 0
-		out.Reqs[i] = r
-	}
+	out, _ := Collect(ScaleStream(FromSlice(t), factor)) // a slice stream never fails
 	return out
 }
 
 // Shift returns a copy with all timestamps moved by delta nanoseconds
-// (session concatenation). Panics if any arrival would become negative.
+// (session concatenation). Panics if any arrival would become negative. It
+// collects ShiftStream over the trace.
 func (t *Trace) Shift(delta int64) *Trace {
-	out := &Trace{Name: t.Name, Reqs: make([]Request, len(t.Reqs))}
-	for i, r := range t.Reqs {
-		r.Arrival += delta
-		if r.Arrival < 0 {
-			panic("trace: shift made an arrival negative")
-		}
-		if r.ServiceStart != 0 || r.Finish != 0 {
-			r.ServiceStart += delta
-			r.Finish += delta
-		}
-		out.Reqs[i] = r
-	}
+	out, _ := Collect(ShiftStream(FromSlice(t), delta)) // a slice stream never fails
 	return out
 }
 

@@ -91,8 +91,10 @@ func (p *Profile) Stream(seed uint64) trace.Stream {
 	return trace.Generated(p.Name, func() *trace.Trace { return p.Generate(seed) })
 }
 
-// measureTemporal applies the paper's temporal-locality definition
-// (duplicated from internal/stats to avoid an import cycle).
+// measureTemporal is the generator's calibration probe: the paper's
+// temporal-locality definition (§III-C), the same one
+// analysis.Accumulator.TemporalLocality reports, computed here over the
+// draft trace without building the rest of the characterization.
 func measureTemporal(t *trace.Trace) float64 {
 	if len(t.Reqs) == 0 {
 		return 0

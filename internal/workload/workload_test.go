@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"emmcio/internal/analysis"
 	"emmcio/internal/paper"
 	"emmcio/internal/stats"
 	"emmcio/internal/trace"
@@ -183,13 +184,25 @@ func TestLocalityCalibration(t *testing.T) {
 	for _, p := range All() {
 		tr := p.Generate(testSeed)
 		row := paper.TableIV[p.Name]
-		sp := stats.SpatialLocality(tr) * 100
-		tp := stats.TemporalLocality(tr) * 100
+		acc := analysis.Of(tr)
+		sp := acc.SpatialLocality() * 100
+		tp := acc.TemporalLocality() * 100
 		if math.Abs(sp-row.SpatialPct) > 5 {
 			t.Errorf("%s: spatial locality %.1f%%, paper %.1f%%", p.Name, sp, row.SpatialPct)
 		}
 		if math.Abs(tp-row.TemporalPct) > 6 {
 			t.Errorf("%s: temporal locality %.1f%%, paper %.1f%%", p.Name, tp, row.TemporalPct)
+		}
+	}
+}
+
+// The generator's calibration probe measures temporal locality exactly as
+// the §III characterization reports it.
+func TestMeasureTemporalMatchesAccumulator(t *testing.T) {
+	for _, p := range All() {
+		tr := p.Generate(testSeed)
+		if got, want := measureTemporal(tr), analysis.Of(tr).TemporalLocality(); got != want {
+			t.Errorf("%s: measureTemporal %v, Accumulator %v", p.Name, got, want)
 		}
 	}
 }
@@ -200,11 +213,7 @@ func TestCharacteristic6InterarrivalTail(t *testing.T) {
 	over := map[string]bool{}
 	for _, p := range Apps() {
 		tr := p.Generate(testSeed)
-		h := stats.NewHistogram(stats.InterarrivalBounds())
-		for _, g := range stats.Interarrivals(tr) {
-			h.Add(g)
-		}
-		fr := h.Fractions()
+		fr := analysis.Of(tr).Dists().Interarrival.Fractions()
 		over[p.Name] = fr[len(fr)-1] > 0.20
 	}
 	n := 0
@@ -226,11 +235,7 @@ func TestCharacteristic6InterarrivalTail(t *testing.T) {
 // Fig. 6 detail: most Movie gaps are below 1 ms.
 func TestMovieGapsMostlySubMillisecond(t *testing.T) {
 	tr := DefaultRegistry().Lookup(paper.Movie).Generate(testSeed)
-	h := stats.NewHistogram(stats.InterarrivalBounds())
-	for _, g := range stats.Interarrivals(tr) {
-		h.Add(g)
-	}
-	if f := h.Fractions()[0]; f < 0.5 {
+	if f := analysis.Of(tr).Dists().Interarrival.Fractions()[0]; f < 0.5 {
 		t.Errorf("Movie sub-1ms gap fraction %.2f, want most (Fig. 6)", f)
 	}
 }
@@ -391,7 +396,7 @@ func TestSeedStability(t *testing.T) {
 		if p4 := h.Fractions()[0]; math.Abs(p4-0.574) > 0.03 {
 			t.Errorf("seed %d: p4 %.3f drifted", seed, p4)
 		}
-		sp := stats.SpatialLocality(tr) * 100
+		sp := analysis.Of(tr).SpatialLocality() * 100
 		if math.Abs(sp-paper.TableIV[paper.Twitter].SpatialPct) > 5 {
 			t.Errorf("seed %d: spatial %.1f drifted", seed, sp)
 		}
@@ -403,11 +408,11 @@ func TestSeedStability(t *testing.T) {
 func TestInterarrivalsOverdispersed(t *testing.T) {
 	for _, name := range []string{paper.Twitter, paper.Idle, paper.Facebook} {
 		tr := DefaultRegistry().Lookup(name).Generate(testSeed)
-		gaps := stats.Interarrivals(tr)
-		if d := stats.IndexOfDispersion(gaps); d < float64(stats.Mean(gaps)) {
+		acc := analysis.Of(tr)
+		if d, mean := acc.GapDispersion(), acc.Interarrival().Mean; d < mean {
 			// Dispersion index for an exponential process equals its mean
 			// (in the same units); a mixture exceeds it.
-			t.Errorf("%s: dispersion %.0f not above exponential level %.0f", name, d, stats.Mean(gaps))
+			t.Errorf("%s: dispersion %.0f not above exponential level %.0f", name, d, mean)
 		}
 	}
 }
