@@ -7,10 +7,10 @@ GO ?= go
 # telemetry shifts the mean response time by 5% or more — it must be
 # exactly 0), and the recorded benchmark trajectory (bench-gate fails on a
 # >15% ns/op or allocs/op regression between the two newest BENCH_*.json
-# snapshots; it is a no-op until a second snapshot exists), and a short run
-# of every fuzz target.
+# snapshots; it is a no-op until a second snapshot exists), the benchmark
+# module's vet and tests, and a short run of every fuzz target.
 .PHONY: check
-check: fmt vet build runner-race server-race coord-race devstore-race race overhead bench-gate fuzz
+check: fmt vet build perfbench runner-race server-race coord-race devstore-race race overhead bench-gate fuzz
 
 # Fail when any Go file in the module is not gofmt-formatted, listing them.
 .PHONY: fmt
@@ -24,6 +24,16 @@ vet:
 .PHONY: build
 build:
 	$(GO) build ./...
+
+# perfbench/ is a separate module that builds against this one's packages,
+# so `./...` above does not reach it. Vet and test it offline and with the
+# module graph read-only, so an API change that breaks the benchmark fails
+# here rather than when the benchmark next runs.
+PERFBENCH_ENV = GOFLAGS=-mod=readonly GOPROXY=off GOWORK=off
+
+.PHONY: perfbench
+perfbench:
+	cd perfbench && $(PERFBENCH_ENV) $(GO) vet . && $(PERFBENCH_ENV) $(GO) test .
 
 # Tier-1 gate: vet, full build, full test suite.
 .PHONY: test

@@ -35,16 +35,14 @@ import (
 // defaultBench selects the stream/sweep/replay benchmarks: the replay hot
 // loop with telemetry off/on, the streaming-vs-slice replay pair, the
 // device submit paths, FTL map updates over a sparse address space, trace
-// generation, the event-engine schedule/step cycle (the pooled core every
-// replay event passes through), the parallel
-// sweep runner (its serial twin is skipped to keep the gate fast; the
-// ratio belongs to BenchmarkSweepRunner's own output), the distributed
-// sweep fabric end to end (shard → HTTP workers → merge), and the
-// snapshot-fork-vs-reage pair that prices the device store's central
-// trade.
-const defaultBench = "ReplayTelemetryOff|ReplayTelemetryOn|ReplayStream1k|ReplaySlice1k|ReplayUFS1k|DeviceWrite4K|DeviceRead64K|FTLWrite|TraceGeneration|SimEngine|SweepRunner/parallel|CoordinatorSweep|SnapshotFork"
+// generation, the parallel sweep runner (its serial twin is skipped to keep
+// the gate fast; the ratio belongs to BenchmarkSweepRunner's own output),
+// the distributed sweep fabric end to end (shard → HTTP workers → merge),
+// and the snapshot-fork-vs-reage pair that prices the device store's
+// central trade.
+const defaultBench = "ReplayTelemetryOff|ReplayTelemetryOn|ReplayStream1k|ReplaySlice1k|ReplayUFS1k|DeviceWrite4K|DeviceRead64K|FTLWrite|TraceGeneration|SweepRunner/parallel|CoordinatorSweep|SnapshotFork"
 
-const defaultPkgs = ".,./internal/core,./internal/coord,./internal/experiments,./internal/sim"
+const defaultPkgs = ".,./internal/core,./internal/coord,./internal/experiments"
 
 // Snapshot is the persisted form of one trajectory point.
 type Snapshot struct {

@@ -9,8 +9,9 @@
 //     applications and 7 application combos (Tables III/IV, Figs. 4/6/7);
 //   - a BIOtracer-equivalent block-level I/O monitor with the paper's
 //     three-point timestamping and ~2% logging overhead (§II);
-//   - an event-driven eMMC device simulator in the SSDsim tradition —
-//     channels, dies, planes, page-mapping FTL with greedy GC and
+//   - an eMMC device simulator in the SSDsim tradition — requests are
+//     submitted in arrival order over busy-until channels and planes (no
+//     event queue), with dies, a page-mapping FTL with greedy GC and
 //     round-robin wear leveling, low-power states, optional RAM buffer;
 //   - the hybrid-page-size (HPS) scheme of §V alongside the pure-4KB (4PS)
 //     and pure-8KB (8PS) baselines of Table V;

@@ -210,17 +210,19 @@ func TestTimingDefinitions(t *testing.T) {
 		{Arrival: 4_000_000, Size: 4096, ServiceStart: 4_500_000},                    // issued, unfinished
 		{Arrival: 6_000_000, Size: 4096},                                             // never issued
 	}}
-	var serv, resp int64
-	for _, r := range tr.Reqs {
-		serv += r.ServiceTime()
-		resp += r.ResponseTime()
+	// Only the first request has finished with a nonzero duration (2 ms);
+	// the unfinished ones count zero, never a negative time.
+	for i, r := range tr.Reqs {
+		if r.ServiceTime() < 0 || r.ResponseTime() < 0 {
+			t.Errorf("request %d: service %d ns, response %d ns, want >= 0", i, r.ServiceTime(), r.ResponseTime())
+		}
 	}
 	ts := Of(tr).Timing()
-	if want := float64(serv) / 4 / 1e6; ts.MeanServMs != want {
-		t.Errorf("MeanServMs %v, want %v", ts.MeanServMs, want)
+	if ts.MeanServMs != 0.5 {
+		t.Errorf("MeanServMs %v, want 0.5 (2 ms over 4 requests)", ts.MeanServMs)
 	}
-	if want := float64(resp) / 4 / 1e6; ts.MeanRespMs != want {
-		t.Errorf("MeanRespMs %v, want %v", ts.MeanRespMs, want)
+	if ts.MeanRespMs != 0.5 {
+		t.Errorf("MeanRespMs %v, want 0.5 (2 ms over 4 requests)", ts.MeanRespMs)
 	}
 	if ts.NoWaitPct != 50 {
 		t.Errorf("NoWaitPct %v, want 50 (the first two requests)", ts.NoWaitPct)

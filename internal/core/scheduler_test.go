@@ -21,34 +21,62 @@ func scheduledFIFO(ctx context.Context, dev storage.Device, s Scheme, st trace.S
 	return scheduledLoop(ctx, dev, s, st, ReplayOpts{Sink: sink})
 }
 
+// TestScheduledFIFOMatchesReplay holds the dispatcher loop in FIFO order to
+// replayLoop, the oracle pair for the replay semantics: two independently
+// structured loops must give every request the same timestamps and the
+// device the same Metrics, on each input below.
 func TestScheduledFIFOMatchesReplay(t *testing.T) {
-	a := smallTrace()
-	mA, err := replayTrace(Scheme4PS, Options{}, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := smallTrace()
-	mB, err := replaySlice(scheduledFIFO, Scheme4PS, Options{}, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mA.MeanResponseNs != mB.MeanResponseNs || mA.NoWaitRatio != mB.NoWaitRatio {
-		t.Fatalf("FIFO scheduler diverged from plain replay: %+v vs %+v", mA, mB)
-	}
-
-	seq, mSeq := replayFaultyBuffered(t)
-	fifo := workload.DefaultRegistry().Lookup(paper.Messaging).Generate(workload.DefaultSeed)
-	mFIFO, err := replaySlice(scheduledFIFO, SchemeHPS, faultyBufferedOptions(), fifo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mSeq != mFIFO {
-		t.Fatalf("FIFO scheduler Metrics differ from plain replay:\nreplay %+v\nfifo   %+v", mSeq, mFIFO)
-	}
-	for i := range seq.Reqs {
-		if seq.Reqs[i] != fifo.Reqs[i] {
-			t.Fatalf("request %d timestamps differ:\nreplay %+v\nfifo   %+v", i, seq.Reqs[i], fifo.Reqs[i])
+	generate := func(app string) func() *trace.Trace {
+		return func() *trace.Trace {
+			return workload.DefaultRegistry().Lookup(app).Generate(workload.DefaultSeed)
 		}
+	}
+	// exercised reports whether a replay reached faults, retired blocks,
+	// buffer hits and queueing, so the row compares non-trivial fields.
+	exercised := func(m Metrics) bool {
+		return m.ProgramFaults != 0 && m.RetiredBlocks != 0 && m.BufferHitRate != 0 && m.NoWaitRatio != 1
+	}
+	cases := []struct {
+		name   string
+		scheme Scheme
+		opt    Options
+		trace  func() *trace.Trace
+		check  func(Metrics) bool
+	}{
+		{"small", Scheme4PS, Options{}, smallTrace, nil},
+		{"empty", Scheme4PS, Options{}, func() *trace.Trace { return smallTrace().Window(0, 0) }, nil},
+		{"Messaging/4PS", Scheme4PS, CaseStudyOptions(), generate(paper.Messaging), nil},
+		{"Messaging/8PS", Scheme8PS, CaseStudyOptions(), generate(paper.Messaging), nil},
+		{"Messaging/HPS", SchemeHPS, CaseStudyOptions(), generate(paper.Messaging), nil},
+		{"Messaging/HPS/faults+buffer", SchemeHPS, faultyBufferedOptions(), generate(paper.Messaging), exercised},
+		{"YouTube/4PS/power+buffer", Scheme4PS, Options{PowerSaving: true, RAMBufferBytes: 4 << 20}, generate(paper.YouTube), nil},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			plain, fifo := c.trace(), c.trace()
+			mPlain, err := replayTrace(c.scheme, c.opt, plain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mFIFO, err := replaySlice(scheduledFIFO, c.scheme, c.opt, fifo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mPlain.Served != len(plain.Reqs) {
+				t.Fatalf("served %d of %d requests", mPlain.Served, len(plain.Reqs))
+			}
+			if c.check != nil && !c.check(mPlain) {
+				t.Fatalf("configuration does not exercise faults, buffer and queueing: %+v", mPlain)
+			}
+			if mPlain != mFIFO {
+				t.Fatalf("FIFO scheduler Metrics differ from plain replay:\nreplay %+v\nfifo   %+v", mPlain, mFIFO)
+			}
+			for i := range plain.Reqs {
+				if plain.Reqs[i] != fifo.Reqs[i] {
+					t.Fatalf("request %d timestamps differ:\nreplay %+v\nfifo   %+v", i, plain.Reqs[i], fifo.Reqs[i])
+				}
+			}
+		})
 	}
 
 	// Both loops feed the same core_* series through the shared observer.
@@ -59,7 +87,7 @@ func TestScheduledFIFOMatchesReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 		reg := telemetry.NewRegistry()
-		if _, err := loop(context.Background(), dev, SchemeHPS, trace.FromSlice(seq), ReplayOpts{Registry: reg}); err != nil {
+		if _, err := loop(context.Background(), dev, SchemeHPS, trace.FromSlice(generate(paper.Messaging)()), ReplayOpts{Registry: reg}); err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
@@ -91,22 +119,6 @@ func faultyBufferedOptions() Options {
 	opt.Faults = &faults.Config{Seed: 7, Rate: 20}
 	opt.RAMBufferBytes = 1 << 20
 	return opt
-}
-
-// replayFaultyBuffered replays Messaging on HPS with faultyBufferedOptions
-// through the sequential loop, checking that the fields the other loops
-// are compared on are non-trivial.
-func replayFaultyBuffered(t *testing.T) (*trace.Trace, Metrics) {
-	t.Helper()
-	tr := workload.DefaultRegistry().Lookup(paper.Messaging).Generate(workload.DefaultSeed)
-	m, err := replayTrace(SchemeHPS, faultyBufferedOptions(), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.ProgramFaults == 0 || m.RetiredBlocks == 0 || m.BufferHitRate == 0 || m.NoWaitRatio == 1 {
-		t.Fatalf("configuration does not exercise faults, buffer and queueing: %+v", m)
-	}
-	return tr, m
 }
 
 // On a typical (high-NoWait) trace, smarter host scheduling changes almost

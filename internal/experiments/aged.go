@@ -37,12 +37,6 @@ type AgePrep struct {
 	optionsSet bool
 }
 
-// DefaultAgePrep is the repository's canonical aging prep.
-func DefaultAgePrep() AgePrep {
-	return AgePrep{Trace: paper.Twitter, Sessions: 2, Scheme: core.Scheme4PS,
-		Options: core.CaseStudyOptions(), optionsSet: true}
-}
-
 // normalize fills defaults in place.
 func (p *AgePrep) normalize() {
 	if p.Trace == "" {

@@ -1,152 +1,9 @@
 package sim
 
 import (
-	"sort"
-	"strings"
 	"testing"
 	"testing/quick"
-
-	"emmcio/internal/telemetry"
 )
-
-func TestEventsRunInTimeOrder(t *testing.T) {
-	var e Engine
-	var got []Time
-	times := []Time{500, 100, 300, 200, 400}
-	for _, at := range times {
-		at := at
-		e.ScheduleFunc(at, func(now Time) { got = append(got, now) })
-	}
-	e.Run()
-	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
-		t.Fatalf("events out of order: %v", got)
-	}
-	if len(got) != len(times) {
-		t.Fatalf("ran %d events, want %d", len(got), len(times))
-	}
-}
-
-func TestFIFOAmongEqualTimestamps(t *testing.T) {
-	var e Engine
-	var got []int
-	for i := 0; i < 10; i++ {
-		i := i
-		e.ScheduleFunc(42, func(Time) { got = append(got, i) })
-	}
-	e.Run()
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("equal-time events reordered: %v", got)
-		}
-	}
-}
-
-func TestScheduleFromWithinEvent(t *testing.T) {
-	var e Engine
-	var fired []Time
-	e.ScheduleFunc(10, func(now Time) {
-		e.ScheduleFuncAfter(5, func(now2 Time) { fired = append(fired, now2) })
-	})
-	end := e.Run()
-	if len(fired) != 1 || fired[0] != 15 {
-		t.Fatalf("nested event fired at %v, want [15]", fired)
-	}
-	if end != 15 {
-		t.Fatalf("final time %d, want 15", end)
-	}
-}
-
-func TestSchedulePastPanics(t *testing.T) {
-	var e Engine
-	e.ScheduleFunc(10, func(Time) {})
-	e.Run()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("scheduling in the past did not panic")
-		}
-	}()
-	e.ScheduleFunc(5, func(Time) {})
-}
-
-func TestSchedulePastPanicDiagnostics(t *testing.T) {
-	var e Engine
-	e.ScheduleFunc(10, func(Time) {})
-	e.Run()
-	// Leave two pending events so the message can report queue state.
-	e.ScheduleFunc(40, func(Time) {})
-	e.ScheduleFunc(20, func(Time) {})
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("scheduling in the past did not panic")
-		}
-		msg, ok := r.(string)
-		if !ok {
-			t.Fatalf("panic value %T, want string", r)
-		}
-		for _, want := range []string{"at=5", "now=10", "queue head at 20", "2 events pending"} {
-			if !strings.Contains(msg, want) {
-				t.Fatalf("panic message missing %q: %s", want, msg)
-			}
-		}
-	}()
-	e.ScheduleFunc(5, func(Time) {})
-}
-
-func TestEngineTelemetry(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	var e Engine
-	e.SetTelemetry(reg)
-	for i := 1; i <= 3; i++ {
-		e.ScheduleFunc(Time(i*10), func(Time) {})
-	}
-	if got := reg.Gauge("sim_queue_depth").Value(); got != 3 {
-		t.Fatalf("queue depth %d, want 3", got)
-	}
-	e.Run()
-	if got := reg.Counter("sim_events_dispatched_total").Value(); got != 3 {
-		t.Fatalf("dispatched %d, want 3", got)
-	}
-	if got := reg.Gauge("sim_virtual_time_ns").Value(); got != 30 {
-		t.Fatalf("virtual time %d, want 30", got)
-	}
-	if got := reg.Gauge("sim_queue_depth").Value(); got != 0 {
-		t.Fatalf("final queue depth %d, want 0", got)
-	}
-	// Detach: further events must not move the counters.
-	e.SetTelemetry(nil)
-	e.ScheduleFunc(40, func(Time) {})
-	e.Run()
-	if got := reg.Counter("sim_events_dispatched_total").Value(); got != 3 {
-		t.Fatalf("detached engine still counted: %d", got)
-	}
-}
-
-func TestRunUntil(t *testing.T) {
-	var e Engine
-	ran := 0
-	e.ScheduleFunc(10, func(Time) { ran++ })
-	e.ScheduleFunc(20, func(Time) { ran++ })
-	e.ScheduleFunc(30, func(Time) { ran++ })
-	e.RunUntil(20)
-	if ran != 2 {
-		t.Fatalf("RunUntil(20) ran %d events, want 2", ran)
-	}
-	if e.Now() != 20 {
-		t.Fatalf("clock at %d, want 20", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending %d, want 1", e.Pending())
-	}
-}
-
-func TestRunUntilAdvancesIdleClock(t *testing.T) {
-	var e Engine
-	e.RunUntil(1000)
-	if e.Now() != 1000 {
-		t.Fatalf("clock %d, want 1000", e.Now())
-	}
-}
 
 func TestResourceSerializes(t *testing.T) {
 	var r Resource
@@ -162,8 +19,8 @@ func TestResourceSerializes(t *testing.T) {
 	if s3 != 500 || e3 != 600 {
 		t.Fatalf("idle-gap reservation (%d,%d), want (500,600)", s3, e3)
 	}
-	if r.BusyTime() != 300 {
-		t.Fatalf("busy time %d, want 300", r.BusyTime())
+	if freeAt, busy := r.State(); freeAt != 600 || busy != 300 {
+		t.Fatalf("state (freeAt %d, busy %d), want (600, 300)", freeAt, busy)
 	}
 }
 
@@ -181,32 +38,14 @@ func TestResourceReservationsNeverOverlap(t *testing.T) {
 			if start < prevEnd || end != start+dur || start < from {
 				return false
 			}
+			if freeAt, _ := r.State(); freeAt != end {
+				return false
+			}
 			prevEnd = end
 		}
 		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestHeapStressOrdering(t *testing.T) {
-	var e Engine
-	x := uint64(12345)
-	var prev Time = -1
-	ok := true
-	for i := 0; i < 5000; i++ {
-		x = x*6364136223846793005 + 1442695040888963407
-		at := Time(x % 1000000)
-		e.ScheduleFunc(at, func(now Time) {
-			if now < prev {
-				ok = false
-			}
-			prev = now
-		})
-	}
-	e.Run()
-	if !ok {
-		t.Fatal("events delivered out of order under stress")
 	}
 }

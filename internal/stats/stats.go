@@ -194,18 +194,6 @@ func percentileSorted(sorted []int64, p float64) int64 {
 	return sorted[idx]
 }
 
-// Mean returns the arithmetic mean, or 0 for an empty slice.
-func Mean(samples []int64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range samples {
-		sum += float64(v)
-	}
-	return sum / float64(len(samples))
-}
-
 // Correlation returns the Pearson correlation coefficient of two equal-length
 // series, or 0 when undefined. §III-C observes a strong correlation between
 // request size and response time.

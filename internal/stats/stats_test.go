@@ -154,15 +154,6 @@ func TestCorrelation(t *testing.T) {
 	}
 }
 
-func TestMean(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Error("Mean(nil) != 0")
-	}
-	if Mean([]int64{2, 4}) != 3 {
-		t.Error("Mean([2 4]) != 3")
-	}
-}
-
 func TestHistogramLabels(t *testing.T) {
 	h := NewHistogram(SizeBounds())
 	labels := h.Labels(1024, "KB")

@@ -64,17 +64,19 @@ func (r Request) Pages() int { return int((r.Size + PageSize - 1) / PageSize) }
 // EndLBA returns the first sector past the request.
 func (r Request) EndLBA() uint64 { return r.LBA + uint64(r.Size)/SectorSize }
 
-// ResponseTime is Finish − Arrival; zero before replay.
+// ResponseTime is Finish − Arrival; zero until the request has finished
+// (before replay, or issued but not yet completed).
 func (r Request) ResponseTime() int64 {
-	if r.Finish == 0 && r.ServiceStart == 0 {
+	if r.Finish == 0 {
 		return 0
 	}
 	return r.Finish - r.Arrival
 }
 
-// ServiceTime is Finish − ServiceStart; zero before replay.
+// ServiceTime is Finish − ServiceStart; zero until the request has
+// finished.
 func (r Request) ServiceTime() int64 {
-	if r.Finish == 0 && r.ServiceStart == 0 {
+	if r.Finish == 0 {
 		return 0
 	}
 	return r.Finish - r.ServiceStart
