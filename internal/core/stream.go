@@ -24,12 +24,14 @@ type ReplayOpts struct {
 	// other policy runs an OS-level dispatcher that picks among the
 	// requests that have arrived by the time the device frees.
 	Policy SchedPolicy
-	// Registry and Tracer, when non-nil, are attached to the device stack.
-	// The replay feeds the core_requests_total counter and the
+	// Registry and Tracer, when non-nil, observe the device stack. The
+	// replay feeds the core_requests_total counter and the
 	// core_{response,service,wait}_ns histograms, split by operation, and
 	// records one "request" span (arrival → finish) and one "service" span
 	// (service start → finish) per request on the requests/read or
-	// requests/write track.
+	// requests/write track. It observes through a private shard and span
+	// batch, published every publishEvery requests and before Replay
+	// returns; the device is then left attached to Registry and Tracer.
 	Registry *telemetry.Registry
 	Tracer   *telemetry.Tracer
 	// Sink, when non-nil, receives every request with its replayed
@@ -67,29 +69,46 @@ func Resume(dev storage.Device, st trace.Stream) trace.Stream {
 	return trace.ShiftStream(st, dev.LastActivity()+1_000_000_000)
 }
 
+// publishEvery is how many requests a replay observes into its private
+// registry shard and span batch between publications to the caller's
+// registry and tracer, so a live view of a running replay lags by at most
+// this many requests (or one span batch).
+const publishEvery = 1024
+
 // observer is the per-request step both replay loops share: the core_*
 // series, the request/service spans, and the sink. The series and span
 // keys are indexed by operation: 0 for reads, 1 for writes.
+//
+// With telemetry on, the replay observes into a single-writer shard of
+// o.Registry and a batch of o.Tracer (the device too: they are what it is
+// attached to), which it publishes every publishEvery requests and when it
+// returns.
 type observer struct {
 	reqs             [2]*telemetry.Counter
 	resp, serv, wait [2]*telemetry.Histogram
+	reg              *telemetry.Registry
 	tc               *telemetry.Tracer
 	request, service [2]telemetry.SpanKey
 	sink             func(trace.Request) error
+	// toPublish counts down the requests until the next publication; it
+	// stays 0 with telemetry off.
+	toPublish int
 }
 
-// newObserver attaches o's telemetry to dev (nil values leave it off) and
-// resolves the metric handles and span keys once.
+// newObserver attaches a shard and a batch of o's telemetry to dev (nil
+// values leave it off) and resolves the metric handles and span keys once.
 func newObserver(dev storage.Device, o ReplayOpts) observer {
-	if o.Registry != nil || o.Tracer != nil {
-		dev.SetTelemetry(o.Registry, o.Tracer)
+	ob := observer{sink: o.Sink}
+	if o.Registry == nil && o.Tracer == nil {
+		return ob
 	}
-	ob := observer{tc: o.Tracer, sink: o.Sink}
+	ob.reg, ob.tc, ob.toPublish = o.Registry.Shard(), o.Tracer.Batch(), publishEvery
+	dev.SetTelemetry(ob.reg, ob.tc)
 	for op, track := range [2]string{"requests/read", "requests/write"} {
-		ob.request[op] = o.Tracer.Key("core", track, "request")
-		ob.service[op] = o.Tracer.Key("core", track, "service")
+		ob.request[op] = ob.tc.Key("core", track, "request")
+		ob.service[op] = ob.tc.Key("core", track, "service")
 	}
-	if reg := o.Registry; reg != nil {
+	if reg := ob.reg; reg != nil {
 		for op, name := range [2]string{"read", "write"} {
 			l := telemetry.L("op", name)
 			ob.reqs[op] = reg.Counter("core_requests_total", l)
@@ -99,6 +118,26 @@ func newObserver(dev storage.Device, o ReplayOpts) observer {
 		}
 	}
 	return ob
+}
+
+// close publishes what the replay observed since the last publication and
+// re-attaches o's own telemetry to dev, so that whatever the device
+// observes after Replay returns reaches o's registry and tracer directly.
+// Both replay loops defer it, so it runs on success, error and cancellation.
+func (ob *observer) close(dev storage.Device, o ReplayOpts) {
+	if ob.toPublish == 0 {
+		return
+	}
+	ob.publish()
+	dev.SetTelemetry(o.Registry, o.Tracer)
+}
+
+// publish flushes the replay's shard and batch into the caller's registry
+// and tracer.
+func (ob *observer) publish() {
+	ob.reg.Flush()
+	ob.tc.Flush()
+	ob.toPublish = publishEvery
 }
 
 // served observes one completed request and hands it, timestamped, to the
@@ -118,6 +157,11 @@ func (ob *observer) served(req trace.Request, res storage.Result) error {
 		ob.tc.Span(ob.request[op], req.Arrival, res.Finish)
 		ob.tc.Span(ob.service[op], res.ServiceStart, res.Finish)
 	}
+	if ob.toPublish != 0 {
+		if ob.toPublish--; ob.toPublish == 0 {
+			ob.publish()
+		}
+	}
 	if ob.sink == nil {
 		return nil
 	}
@@ -131,6 +175,7 @@ func (ob *observer) served(req trace.Request, res storage.Result) error {
 // keeping the uncancellable hot path identical.
 func replayLoop(ctx context.Context, dev storage.Device, s Scheme, st trace.Stream, o ReplayOpts) (Metrics, error) {
 	ob := newObserver(dev, o)
+	defer ob.close(dev, o)
 	name := st.Name()
 	done := ctx.Done()
 	for i := 0; ; i++ {
@@ -196,6 +241,7 @@ func deviceMetrics(dev storage.Device, name string, s Scheme) Metrics {
 // (TestScheduledFIFOMatchesReplay holds it to that).
 func scheduledLoop(ctx context.Context, dev storage.Device, s Scheme, st trace.Stream, o ReplayOpts) (Metrics, error) {
 	ob := newObserver(dev, o)
+	defer ob.close(dev, o)
 	type item struct {
 		idx int
 		req trace.Request

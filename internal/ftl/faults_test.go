@@ -2,6 +2,7 @@ package ftl
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"emmcio/internal/faults"
@@ -334,5 +335,45 @@ func TestFailedReentrantRelocationStaysConsistent(t *testing.T) {
 				t.Fatalf("seed %d: LPN %d still mapped to the emptied victim", seed, lpn)
 			}
 		}
+	}
+}
+
+// TestFaultPathErrorText holds the lazily formatted fault-path errors to
+// the fmt.Errorf text they replace, byte for byte, and to the sentinels
+// callers match: ErrNoSpace underneath, and the flash fault that led to
+// the error.
+func TestFaultPathErrorText(t *testing.T) {
+	noSpace := &noSpaceError{plane: 3, pool: 1}
+	stranded := &strandedError{sectors: 12, err: noSpace}
+	retire := &retireError{plane: 3, pool: 1, block: 77, err: stranded}
+	afterProgram := &afterFaultError{retire, flash.ErrProgramFail}
+	afterErase := &afterFaultError{retire, flash.ErrEraseFail}
+
+	oldStranded := fmt.Errorf("ftl: GC relocation stranded %d sectors: %w", 12, noSpace)
+	oldRetire := fmt.Errorf("ftl: retiring plane %d pool %d block %d: %w", int32(3), int32(1), int32(77), oldStranded)
+	for _, c := range []struct {
+		name string
+		got  error
+		want error
+		is   []error
+	}{
+		{"stranded", stranded, oldStranded, []error{ErrNoSpace}},
+		{"retire", retire, oldRetire, []error{ErrNoSpace}},
+		{"after program fault", afterProgram, fmt.Errorf("%w (after %w)", oldRetire, flash.ErrProgramFail),
+			[]error{ErrNoSpace, flash.ErrProgramFail}},
+		{"after erase fault", afterErase, fmt.Errorf("%w (after %w)", oldRetire, flash.ErrEraseFail),
+			[]error{ErrNoSpace, flash.ErrEraseFail}},
+	} {
+		if got, want := c.got.Error(), c.want.Error(); got != want {
+			t.Errorf("%s: text %q, want %q", c.name, got, want)
+		}
+		for _, target := range c.is {
+			if !errors.Is(c.got, target) {
+				t.Errorf("%s: errors.Is(%v) = false", c.name, target)
+			}
+		}
+	}
+	if errors.Is(afterProgram, flash.ErrEraseFail) || errors.Is(afterErase, flash.ErrProgramFail) {
+		t.Error("a fault-path error matches the other flash fault")
 	}
 }

@@ -366,3 +366,71 @@ func TestJobTraceWhileRunning(t *testing.T) {
 	resp.Body.Close()
 	waitState(t, ts, id, JobCanceled, 5*time.Second)
 }
+
+// TestJobMetricsWhileRunning reads a running job's metrics over and over
+// while its replay publishes into the job registry from a private shard.
+// Across reads core_requests_total never decreases, reads see it rise
+// part-way through the replay, and once the job is done it equals the
+// requests the job served; `make server-race` runs this as the shard publication's
+// concurrent write/read check.
+func TestJobMetricsWhileRunning(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	id := submitReplay(t, ts, fmt.Sprintf(`{"app":%q,"scheme":"4PS","sessions":1000}`, paper.CallIn))
+	waitState(t, ts, id, JobRunning, 10*time.Second)
+	series := [2]string{`core_requests_total{op="read"} `, `core_requests_total{op="write"} `}
+	var last [2]int64
+	partial := map[int64]bool{} // the totals reads saw while the job ran
+	deadline := time.Now().Add(5 * time.Minute)
+	for {
+		if time.Now().After(deadline) {
+			t.Fatal("job not done after 5 minutes")
+		}
+		var st JobStatus
+		if code := getJSON(t, ts, "/v1/jobs/"+id, &st); code != http.StatusOK {
+			t.Fatalf("GET job = %d", code)
+		}
+		code, _, b := getBody(t, ts, "/v1/jobs/"+id+"/metrics")
+		if code != http.StatusOK {
+			t.Fatalf("GET job metrics = %d: %s", code, b)
+		}
+		var now [2]int64
+		for _, line := range strings.Split(string(b), "\n") {
+			for i, prefix := range series {
+				if v, ok := strings.CutPrefix(line, prefix); ok {
+					n, err := strconv.ParseInt(v, 10, 64)
+					if err != nil {
+						t.Fatalf("bad %s line %q", prefix, line)
+					}
+					now[i] = n
+				}
+			}
+		}
+		for i := range now {
+			if now[i] < last[i] {
+				t.Fatalf("%s went from %d to %d", series[i], last[i], now[i])
+			}
+		}
+		last = now
+		if st.State == JobRunning {
+			if total := now[0] + now[1]; total > 0 {
+				partial[total] = true
+			}
+			time.Sleep(2 * time.Millisecond)
+			continue
+		}
+		if st.State != JobDone {
+			t.Fatalf("job state %q (err %q), want running then done", st.State, st.Error)
+		}
+		var results []cliutil.SchemeResult
+		if err := json.Unmarshal(st.Result, &results); err != nil || len(results) != 1 {
+			t.Fatalf("done job result %s: %v", st.Result, err)
+		}
+		if total, served := now[0]+now[1], int64(results[0].Metrics.Served); total != served {
+			t.Fatalf("done job's core_requests_total = %d, want the %d requests it served", total, served)
+		}
+		break
+	}
+	if len(partial) < 2 {
+		t.Fatalf("reads of the running job saw %d distinct request totals, want it to rise while it ran", len(partial))
+	}
+}

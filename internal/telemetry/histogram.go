@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"math/bits"
 	"sync/atomic"
 )
 
@@ -13,13 +14,25 @@ import (
 // sum of the buckets, not a separate atomic, which keeps Observe to two
 // atomic adds.
 //
+// A histogram from a Registry.Shard observes into plain fields instead
+// (local*, which only it allocates) until the shard's Flush folds them into
+// parent, the shared histogram.
+//
 // A nil Histogram is a no-op, matching the rest of the package.
 type Histogram struct {
 	bounds []int64 // strictly increasing upper bounds, in the observed unit (ns)
+	// pow2 marks the DefaultLatencyBuckets grid, whose bucket bucketOf
+	// computes instead of searching for.
+	pow2   bool
 	counts []atomic.Int64
 	sum    atomic.Int64
 	max    atomic.Int64
 	min    atomic.Int64 // stored negated so the zero value means "unset"
+
+	parent             *Histogram
+	localCounts        []int64
+	localSum, localMax int64
+	localMin           int64 // negated, as min
 }
 
 // DefaultLatencyBuckets returns exponential nanosecond bounds from 1 µs to
@@ -31,6 +44,20 @@ func DefaultLatencyBuckets() []int64 {
 		bounds = append(bounds, b)
 	}
 	return bounds
+}
+
+// isDefaultGrid reports whether bounds are DefaultLatencyBuckets: 1 µs·2^k
+// for k = 0..22.
+func isDefaultGrid(bounds []int64) bool {
+	if len(bounds) != 23 {
+		return false
+	}
+	for k, b := range bounds {
+		if b != 1_000<<k {
+			return false
+		}
+	}
+	return true
 }
 
 // NewHistogram builds a histogram over the given strictly increasing upper
@@ -45,14 +72,32 @@ func NewHistogram(bounds []int64) *Histogram {
 			panic("telemetry: histogram bounds must be strictly increasing")
 		}
 	}
-	h := &Histogram{bounds: append([]int64(nil), bounds...)}
+	h := &Histogram{bounds: append([]int64(nil), bounds...), pow2: isDefaultGrid(bounds)}
 	h.counts = make([]atomic.Int64, len(bounds)+1)
 	return h
 }
 
-// bucketOf returns the index of the first bound >= v (binary search), or
-// len(bounds) for the overflow bucket.
+// newShardHistogram builds a shard's histogram over parent's grid.
+func newShardHistogram(parent *Histogram) *Histogram {
+	return &Histogram{bounds: parent.bounds, pow2: parent.pow2, parent: parent,
+		localCounts: make([]int64, len(parent.bounds)+1)}
+}
+
+// bucketOf returns the index of the first bound >= v, or len(bounds) for
+// the overflow bucket. On the default grid, v in (1 µs·2^(k-1), 1 µs·2^k]
+// is bucket k = bits.Len64((v-1)/1000); other grids binary-search.
 func (h *Histogram) bucketOf(v int64) int {
+	if h.pow2 {
+		if v <= 1_000 {
+			return 0
+		}
+		return min(bits.Len64(uint64((v-1)/1_000)), len(h.bounds))
+	}
+	return h.searchBucket(v)
+}
+
+// searchBucket is bucketOf by binary search over any grid.
+func (h *Histogram) searchBucket(v int64) int {
 	lo, hi := 0, len(h.bounds)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -73,20 +118,62 @@ func (h *Histogram) Observe(v int64) {
 	if v < 0 {
 		v = 0
 	}
+	if h.parent != nil {
+		h.localCounts[h.bucketOf(v)]++
+		h.localSum += v
+		h.localMax = max(h.localMax, v)
+		if h.localMin == 0 || -v-1 > h.localMin {
+			h.localMin = -v - 1
+		}
+		return
+	}
 	h.counts[h.bucketOf(v)].Add(1)
 	h.sum.Add(v)
+	foldMax(&h.max, v)
+	foldMin(&h.min, -v-1)
+}
+
+// foldMax raises a to v if v is larger.
+func foldMax(a *atomic.Int64, v int64) {
 	for {
-		cur := h.max.Load()
-		if v <= cur || h.max.CompareAndSwap(cur, v) {
-			break
+		cur := a.Load()
+		if v <= cur || a.CompareAndSwap(cur, v) {
+			return
 		}
 	}
+}
+
+// foldMin lowers a negated minimum a to the negated value neg (0 = unset).
+func foldMin(a *atomic.Int64, neg int64) {
+	if neg == 0 {
+		return
+	}
 	for {
-		cur := h.min.Load()
-		if cur != 0 && -v-1 <= cur || h.min.CompareAndSwap(cur, -v-1) {
-			break
+		cur := a.Load()
+		if cur != 0 && neg <= cur || a.CompareAndSwap(cur, neg) {
+			return
 		}
 	}
+}
+
+// flush folds a shard histogram's observations since the last flush into
+// its parent: the two share a grid, so buckets add one for one.
+func (h *Histogram) flush() {
+	observed := false
+	for i, c := range h.localCounts {
+		if c != 0 {
+			h.parent.counts[i].Add(c)
+			h.localCounts[i] = 0
+			observed = true
+		}
+	}
+	if !observed {
+		return
+	}
+	h.parent.sum.Add(h.localSum)
+	foldMax(&h.parent.max, h.localMax)
+	foldMin(&h.parent.min, h.localMin)
+	h.localSum, h.localMax, h.localMin = 0, 0, 0
 }
 
 // merge folds src's current state into h: bucket counts, sum, and count
@@ -123,21 +210,8 @@ func (h *Histogram) merge(src *Histogram) {
 		}
 	}
 	h.sum.Add(src.sum.Load())
-	for {
-		cur, v := h.max.Load(), src.max.Load()
-		if v <= cur || h.max.CompareAndSwap(cur, v) {
-			break
-		}
-	}
-	if neg := src.min.Load(); neg != 0 {
-		v := -neg - 1
-		for {
-			cur := h.min.Load()
-			if cur != 0 && -v-1 <= cur || h.min.CompareAndSwap(cur, -v-1) {
-				break
-			}
-		}
-	}
+	foldMax(&h.max, src.max.Load())
+	foldMin(&h.min, src.min.Load())
 }
 
 // Count returns the number of observations.
@@ -258,7 +332,7 @@ func (h *Histogram) BucketCounts() []int64 {
 	if h == nil {
 		return nil
 	}
-	out := make([]int64, len(h.counts))
+	out := make([]int64, len(h.bounds)+1)
 	for i := range h.counts {
 		out[i] = h.counts[i].Load()
 	}

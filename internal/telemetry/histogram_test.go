@@ -1,6 +1,9 @@
 package telemetry
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestHistogramBucketBoundaries(t *testing.T) {
 	h := NewHistogram([]int64{10, 100, 1000})
@@ -125,6 +128,34 @@ func TestHistogramRepeatedEqualValues(t *testing.T) {
 		a.Observe(v + 1)
 		if a.Min() != v || a.Max() != v+1 {
 			t.Fatalf("v=%d then v+1: min=%d max=%d", v, a.Min(), a.Max())
+		}
+	}
+}
+
+// TestDefaultGridBucketOfMatchesSearch holds the default grid's computed
+// bucket index to the binary search every other grid uses: zero,
+// negatives, one below, at and above every bound, and MaxInt64.
+func TestDefaultGridBucketOfMatchesSearch(t *testing.T) {
+	h := NewHistogram(DefaultLatencyBuckets())
+	if !h.pow2 {
+		t.Fatal("DefaultLatencyBuckets not detected as the default grid")
+	}
+	vals := []int64{0, -1, -1_000, math.MinInt64, 1, 999, math.MaxInt64, math.MaxInt64 - 1}
+	for _, b := range h.bounds {
+		vals = append(vals, b-1, b, b+1)
+	}
+	for _, v := range vals {
+		if got, want := h.bucketOf(v), h.searchBucket(v); got != want {
+			t.Errorf("bucketOf(%d) = %d, binary search says %d", v, got, want)
+		}
+	}
+	for _, bounds := range [][]int64{
+		DefaultLatencyBuckets()[:22], // a prefix of the grid
+		{1_000, 2_000, 4_000},
+		{10, 100, 1_000},
+	} {
+		if NewHistogram(bounds).pow2 {
+			t.Errorf("grid %v taken for the default", bounds)
 		}
 	}
 }

@@ -15,6 +15,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
+	r = r.published()
 	bw := bufio.NewWriter(w)
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -24,8 +24,11 @@ func (k metricKey) String() string {
 // renderLabels joins labels in key-sorted order so the same set always maps
 // to the same metric regardless of call-site ordering.
 func renderLabels(labels []Label) string {
-	if len(labels) == 0 {
+	switch len(labels) {
+	case 0:
 		return ""
+	case 1:
+		return labels[0].Key + `="` + escapeLabelValue(labels[0].Value) + `"`
 	}
 	sorted := append([]Label(nil), labels...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
@@ -63,6 +66,9 @@ type Registry struct {
 	// parent, when non-nil, is the registry this one was scoped under via
 	// Child; MergeIntoParent folds through it. See scope.go.
 	parent *Registry
+	// shardOf, when non-nil, is the registry this shard's Flush publishes
+	// into. See Shard.
+	shardOf *Registry
 }
 
 // NewRegistry builds an empty registry.
@@ -79,12 +85,20 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	if r == nil {
 		return nil
 	}
-	k := metricKey{name, renderLabels(labels)}
+	return r.counterAt(metricKey{name, renderLabels(labels)})
+}
+
+// counterAt returns the counter for k, creating it (in a shard, with its
+// parent) on first use.
+func (r *Registry) counterAt(k metricKey) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	c, ok := r.counters[k]
 	if !ok {
 		c = &Counter{}
+		if r.shardOf != nil {
+			c.parent = r.shardOf.counterAt(k)
+		}
 		r.counters[k] = c
 	}
 	return c
@@ -95,12 +109,19 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	if r == nil {
 		return nil
 	}
-	k := metricKey{name, renderLabels(labels)}
+	return r.gaugeAt(metricKey{name, renderLabels(labels)})
+}
+
+// gaugeAt is counterAt for gauges.
+func (r *Registry) gaugeAt(k metricKey) *Gauge {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	g, ok := r.gauges[k]
 	if !ok {
 		g = &Gauge{}
+		if r.shardOf != nil {
+			g.parent = r.shardOf.gaugeAt(k)
+		}
 		r.gauges[k] = g
 	}
 	return g
@@ -113,18 +134,76 @@ func (r *Registry) Histogram(name string, bounds []int64, labels ...Label) *Hist
 	if r == nil {
 		return nil
 	}
-	k := metricKey{name, renderLabels(labels)}
+	return r.histogramAt(metricKey{name, renderLabels(labels)}, bounds)
+}
+
+// histogramAt is counterAt for histograms. A shard's histogram takes its
+// parent's grid.
+func (r *Registry) histogramAt(k metricKey, bounds []int64) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h, ok := r.hists[k]
 	if !ok {
-		if bounds == nil {
-			bounds = DefaultLatencyBuckets()
+		switch {
+		case r.shardOf != nil:
+			h = newShardHistogram(r.shardOf.histogramAt(k, bounds))
+		case bounds == nil:
+			h = NewHistogram(DefaultLatencyBuckets())
+		default:
+			h = NewHistogram(bounds)
 		}
-		h = NewHistogram(bounds)
 		r.hists[k] = h
 	}
 	return h
+}
+
+// Shard returns a single-writer view of r for one goroutine, such as one
+// replay: its handles are r's series, but they accumulate in plain fields,
+// with no atomic operation, until Flush publishes them into r's handles
+// with the merge semantics of Merge (gauges publish their last Set, or the
+// sum of their Adds). Creating a shard's handle creates r's, so r lists
+// every series the shard observes from the start. Reads of a shard report
+// r's published state. A shard of a shard is a new shard of the same
+// registry; a nil registry's shard is nil.
+func (r *Registry) Shard() *Registry {
+	if r == nil {
+		return nil
+	}
+	if r.shardOf != nil {
+		r = r.shardOf
+	}
+	s := NewRegistry()
+	s.shardOf = r
+	return s
+}
+
+// Flush publishes what the shard observed since its last Flush into the
+// registry it was cut from. It is a no-op on a nil registry or one that is
+// not a shard. Only the shard's writer may call it.
+func (r *Registry) Flush() {
+	if r == nil || r.shardOf == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, c := range r.counters {
+		c.flush()
+	}
+	for _, g := range r.gauges {
+		g.flush()
+	}
+	for _, h := range r.hists {
+		h.flush()
+	}
+}
+
+// published is the registry that holds r's values: r itself, or the
+// registry r is a shard of.
+func (r *Registry) published() *Registry {
+	if r.shardOf != nil {
+		return r.shardOf
+	}
+	return r
 }
 
 func sortedKeys[M ~map[metricKey]V, V any](m M) []metricKey {
@@ -147,6 +226,7 @@ func (r *Registry) EachCounter(fn func(name string, value int64)) {
 	if r == nil {
 		return
 	}
+	r = r.published()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, k := range sortedKeys(r.counters) {
@@ -159,6 +239,7 @@ func (r *Registry) EachGauge(fn func(name string, value int64)) {
 	if r == nil {
 		return
 	}
+	r = r.published()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, k := range sortedKeys(r.gauges) {
@@ -171,6 +252,7 @@ func (r *Registry) EachHistogram(fn func(name string, h *Histogram)) {
 	if r == nil {
 		return
 	}
+	r = r.published()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, k := range sortedKeys(r.hists) {

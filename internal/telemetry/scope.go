@@ -63,6 +63,7 @@ func (r *Registry) Snapshot() *Registry {
 	if r == nil {
 		return nil
 	}
+	r = r.published()
 	snap := NewRegistry()
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -88,9 +89,14 @@ func (r *Registry) Snapshot() *Registry {
 // gauges add (see the package comment on scoped registries for why).
 // Metrics missing from r are created with src's shape. Merging a registry
 // into itself is a bug (it would double every series) and is ignored.
-// Both registries remain usable afterwards; src is not reset.
+// Both registries remain usable afterwards; src is not reset. A shard on
+// either side stands for the registry it publishes into.
 func (r *Registry) Merge(src *Registry) {
-	if r == nil || src == nil || r == src {
+	if r == nil || src == nil {
+		return
+	}
+	r, src = r.published(), src.published()
+	if r == src {
 		return
 	}
 	// Snapshot src's maps under its lock, then fold into r under r's lock.

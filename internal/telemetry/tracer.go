@@ -1,9 +1,6 @@
 package telemetry
 
-import (
-	"strings"
-	"sync"
-)
+import "sync"
 
 // EventKind distinguishes span records from instantaneous markers.
 type EventKind uint8
@@ -43,12 +40,6 @@ type spanMeta struct {
 	labels             []Label
 }
 
-// keyID indexes interned keys; labels is the tuple's labels joined into
-// one comparable string.
-type keyID struct {
-	layer, track, name, labels string
-}
-
 // entry is one ring record: 24 bytes and no pointers, so a ring costs the
 // garbage collector nothing to scan. The kind rides in the key's padding.
 type entry struct {
@@ -67,15 +58,23 @@ const DefaultTracerCapacity = 4096
 // When full, the oldest events are overwritten first, exactly like
 // BIOtracer's circular log. A nil Tracer is a no-op. All methods are safe
 // for concurrent use, so a live ring can be read while a replay records.
+//
+// A Tracer from Batch instead collects records in buf, unsynchronized,
+// and publishes them into parent's ring a batch at a time.
 type Tracer struct {
 	mu      sync.Mutex
 	buf     []entry
 	start   int // index of the oldest event
 	n       int // live events
 	dropped int64
-	keys    []spanMeta // indexed by SpanKey
-	ids     map[keyID]SpanKey
+	keys    []spanMeta         // indexed by SpanKey
+	ids     map[string]SpanKey // the tuple, NUL-joined, to its key
+	parent  *Tracer
 }
+
+// batchEntries is how many records a Batch collects before it publishes
+// them into its parent's ring under one lock.
+const batchEntries = 256
 
 // NewTracer builds a tracer holding up to capacity events
 // (DefaultTracerCapacity when capacity <= 0).
@@ -83,7 +82,7 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTracerCapacity
 	}
-	return &Tracer{buf: make([]entry, capacity), ids: map[keyID]SpanKey{}}
+	return &Tracer{buf: make([]entry, capacity), ids: map[string]SpanKey{}}
 }
 
 // Key interns the (layer, track, name, labels) tuple and returns its key;
@@ -94,20 +93,18 @@ func (t *Tracer) Key(layer, track, name string, labels ...Label) SpanKey {
 	if t == nil {
 		return 0
 	}
-	id := keyID{layer: layer, track: track, name: name}
-	if len(labels) > 0 {
-		var b strings.Builder
-		for _, l := range labels {
-			b.WriteString(l.Key)
-			b.WriteByte(0)
-			b.WriteString(l.Value)
-			b.WriteByte(0)
-		}
-		id.labels = b.String()
+	t = t.published()
+	// The tuple is joined in a stack buffer, so finding a key already
+	// interned (every re-attach of a device) allocates nothing.
+	var buf [128]byte
+	id := append(append(append(buf[:0], layer...), 0), track...)
+	id = append(append(id, 0), name...)
+	for _, l := range labels {
+		id = append(append(append(append(id, 0), l.Key...), 0), l.Value...)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if k, ok := t.ids[id]; ok {
+	if k, ok := t.ids[string(id)]; ok {
 		return k
 	}
 	k := SpanKey(len(t.keys))
@@ -116,29 +113,80 @@ func (t *Tracer) Key(layer, track, name string, labels ...Label) SpanKey {
 		meta.labels = append([]Label(nil), labels...)
 	}
 	t.keys = append(t.keys, meta)
-	t.ids[id] = k
+	t.ids[string(id)] = k
 	return k
 }
 
-func (t *Tracer) record(e entry) {
-	t.mu.Lock()
-	if t.n < len(t.buf) {
-		i := t.start + t.n
-		if i >= len(t.buf) {
-			i -= len(t.buf)
-		}
-		t.buf[i] = e
-		t.n++
-	} else {
-		// Full: overwrite the oldest slot.
-		t.buf[t.start] = e
-		t.start++
-		if t.start == len(t.buf) {
-			t.start = 0
-		}
-		t.dropped++
+// Batch returns a single-writer view of t for one goroutine, such as one
+// replay: Key interns on t, and Span and Instant collect batchEntries
+// records before taking t's lock once to append them all to the ring, in
+// order. Until then t's readers do not see them; Flush publishes a partial
+// batch. Reads of a batch report t. A batch of a batch is a new batch of
+// the same tracer; a nil tracer's batch is nil.
+func (t *Tracer) Batch() *Tracer {
+	if t == nil {
+		return nil
 	}
+	t = t.published()
+	return &Tracer{buf: make([]entry, batchEntries), parent: t}
+}
+
+// Flush publishes a batch's collected records into its tracer's ring. It
+// is a no-op on a nil tracer or one that is not a batch. Only the batch's
+// writer may call it.
+func (t *Tracer) Flush() {
+	if t == nil || t.parent == nil || t.n == 0 {
+		return
+	}
+	p := t.parent
+	p.mu.Lock()
+	p.put(t.buf[:t.n])
+	p.mu.Unlock()
+	t.n = 0
+}
+
+// published is the tracer whose ring holds t's records: t itself, or the
+// tracer t batches for.
+func (t *Tracer) published() *Tracer {
+	if t.parent != nil {
+		return t.parent
+	}
+	return t
+}
+
+func (t *Tracer) record(e entry) {
+	if t.parent != nil {
+		t.buf[t.n] = e
+		t.n++
+		if t.n == len(t.buf) {
+			t.Flush()
+		}
+		return
+	}
+	t.mu.Lock()
+	t.put([]entry{e})
 	t.mu.Unlock()
+}
+
+// put appends es to the ring in order, overwriting the oldest records
+// when it is full; the caller holds mu.
+func (t *Tracer) put(es []entry) {
+	for len(es) > 0 {
+		w := t.start + t.n
+		if w >= len(t.buf) {
+			w -= len(t.buf)
+		}
+		c := copy(t.buf[w:], es)
+		es = es[c:]
+		if over := t.n + c - len(t.buf); over > 0 {
+			// The copy ran over the oldest records, which start at t.start.
+			t.n = len(t.buf)
+			t.start = (t.start + over) % len(t.buf)
+			t.dropped += int64(over)
+		} else {
+			t.n += c
+		}
+	}
 }
 
 // Span records a [begin, end] interval under key k.
@@ -175,6 +223,7 @@ func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
+	t = t.published()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make([]Event, t.n)
@@ -192,6 +241,7 @@ func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
+	t = t.published()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.n
@@ -202,6 +252,7 @@ func (t *Tracer) Cap() int {
 	if t == nil {
 		return 0
 	}
+	t = t.published()
 	return len(t.buf)
 }
 
@@ -212,6 +263,7 @@ func (t *Tracer) Dropped() int64 {
 	if t == nil {
 		return 0
 	}
+	t = t.published()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.dropped
@@ -223,6 +275,7 @@ func (t *Tracer) CountSpans(layer, name string) int64 {
 	if t == nil {
 		return 0
 	}
+	t = t.published()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var n int64

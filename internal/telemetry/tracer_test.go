@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 	"unsafe"
 )
@@ -129,5 +131,81 @@ func TestTracerRecordIsAllocationFree(t *testing.T) {
 		at++
 	}); n != 0 {
 		t.Fatalf("recording allocates %.1f objects per span+instant, want 0", n)
+	}
+}
+
+// TestBatchMatchesDirect holds a batch to the tracer it batches for: the
+// same records, published at arbitrary points, leave the ring holding
+// exactly what recording directly leaves, including the wraparound and
+// the dropped count, at capacities below, at and above one batch.
+func TestBatchMatchesDirect(t *testing.T) {
+	for _, capacity := range []int{1, 3, 7, batchEntries - 1, batchEntries, batchEntries + 9, 1_000} {
+		for _, n := range []int{0, 1, batchEntries - 1, batchEntries, batchEntries + 1, 1_234} {
+			rnd := rand.New(rand.NewSource(int64(capacity*10_000 + n)))
+			direct, ring := NewTracer(capacity), NewTracer(capacity)
+			batch := ring.Batch()
+			for i := 0; i < n; i++ {
+				name := fmt.Sprintf("ev%d", i%5)
+				if i%3 == 0 {
+					direct.Instant(direct.Key("l", "t", name), int64(i))
+					batch.Instant(batch.Key("l", "t", name), int64(i))
+				} else {
+					direct.Span(direct.Key("l", "t", name), int64(i), int64(i+2))
+					batch.Span(batch.Key("l", "t", name), int64(i), int64(i+2))
+				}
+				if rnd.Intn(50) == 0 {
+					batch.Flush()
+				}
+			}
+			batch.Flush()
+			if got, want := ring.Events(), direct.Events(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("cap %d, %d records: batched ring holds %v, want %v", capacity, n, got, want)
+			}
+			if got, want := ring.Dropped(), direct.Dropped(); got != want {
+				t.Fatalf("cap %d, %d records: batched ring dropped %d, want %d", capacity, n, got, want)
+			}
+		}
+	}
+}
+
+// TestBatchPublishesWholeBatches pins when a batch's records become
+// visible: not before batchEntries of them (or a Flush), then all at once.
+// A batch interns its keys on its tracer and reads as its tracer.
+func TestBatchPublishesWholeBatches(t *testing.T) {
+	tr := NewTracer(0)
+	b := tr.Batch()
+	k := b.Key("core", "requests/read", "request")
+	if k != tr.Key("core", "requests/read", "request") {
+		t.Fatal("a batch's key differs from its tracer's")
+	}
+	for i := 0; i < batchEntries-1; i++ {
+		b.Span(k, int64(i), int64(i+1))
+	}
+	if n := tr.Len(); n != 0 {
+		t.Fatalf("the ring holds %d records before a batch filled, want 0", n)
+	}
+	b.Span(k, 0, 1)
+	if n := tr.Len(); n != batchEntries {
+		t.Fatalf("the ring holds %d records after one full batch, want %d", n, batchEntries)
+	}
+	b.Instant(k, 5)
+	b.Flush()
+	if b.Len() != tr.Len() || b.Cap() != tr.Cap() || b.Dropped() != tr.Dropped() ||
+		b.CountSpans("core", "") != tr.CountSpans("core", "") || len(b.Events()) != batchEntries+1 {
+		t.Fatal("a batch does not read as its tracer")
+	}
+	if bb := b.Batch(); bb.parent != tr {
+		t.Fatal("a batch of a batch does not publish into the tracer")
+	}
+	var nilTr *Tracer
+	if nilTr.Batch() != nil {
+		t.Fatal("a nil tracer's batch is not nil")
+	}
+	nilTr.Flush()
+	if n := testing.AllocsPerRun(1000, func() {
+		b.Span(k, 1, 2)
+		b.Instant(k, 3)
+	}); n != 0 {
+		t.Fatalf("recording into a batch allocates %.1f objects per span+instant, want 0", n)
 	}
 }
