@@ -13,6 +13,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"emmcio/internal/devstore"
+	"emmcio/internal/paper"
 )
 
 // buildCLIs compiles every binary into a temp dir, once per test run.
@@ -165,6 +168,60 @@ func TestCLIPipeline(t *testing.T) {
 	}
 }
 
+// TestLoadForksLikeFromDevice: -load forks a snapshot file the way
+// -from-device forks the same snapshot out of a device store — the fault
+// flags replace the archived regime, the replay resumes after the device's
+// history, and -device is rejected because the backend is sealed inside —
+// so both print the same -json bytes.
+func TestLoadForksLikeFromDevice(t *testing.T) {
+	emmcsim := filepath.Join(buildCLIs(t), "emmcsim")
+	work := t.TempDir()
+	snap := filepath.Join(work, "aged.seal")
+	run(t, emmcsim, "-app", paper.CallOut, "-scheme", "HPS", "-shrink", "8",
+		"-faults", "1", "-fault-seed", "3", "-save", snap)
+	sealed, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := devstore.Open(filepath.Join(work, "store"), devstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := store.Put(sealed, devstore.Meta{Origin: "imported"})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	replay := func(args ...string) []byte {
+		t.Helper()
+		args = append([]string{"-app", paper.CallIn, "-scheme", "HPS", "-json"}, args...)
+		out, err := exec.Command(emmcsim, args...).Output()
+		if err != nil {
+			t.Fatalf("emmcsim %v: %v", args, err)
+		}
+		return out
+	}
+	loaded := replay("-load", snap, "-faults", "20", "-fault-seed", "9")
+	forked := replay("-device-store", store.Dir(), "-from-device", meta.ID, "-faults", "20", "-fault-seed", "9")
+	if !bytes.Equal(loaded, forked) {
+		t.Errorf("-load diverges from -from-device on the same snapshot:\n-load:\n%s\n-from-device:\n%s", loaded, forked)
+	}
+	if plain := replay("-load", snap); bytes.Equal(plain, loaded) {
+		t.Error("-load -faults 20 printed what plain -load prints; the fault flags were ignored")
+	}
+
+	cmd := exec.Command(emmcsim, "-app", paper.CallIn, "-scheme", "HPS", "-load", snap, "-device", "ufs")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err == nil {
+		t.Fatal("-load with -device ufs succeeded; want a rejection")
+	}
+	msg := strings.TrimRight(stderr.String(), "\n")
+	if !strings.HasPrefix(msg, "emmcsim: ") || strings.Contains(msg, "\n") {
+		t.Errorf("-load -device ufs: stderr should be one emmcsim diagnostic line, got %q", stderr.String())
+	}
+}
+
 // TestExperimentsOutputPins pins the bytes the experiments binary prints
 // and the SVG files it writes, so a change to how studies are dispatched
 // cannot silently change a table, a note line or a figure.
@@ -225,24 +282,25 @@ func TestExperimentsOutputPins(t *testing.T) {
 
 // TestExperimentsRunCaseStudyOnce checks that naming a §V figure twice
 // over prints what naming it once does: -exp fig8,fig9 runs the matrix
-// once and keeps the stdout it had when each figure ran it (sha256 pinned
-// before the change), and -exp all,fig8 prints exactly -exp all.
+// once and keeps the stdout it had when each figure ran it, and -exp
+// all,fig8 prints exactly the -exp all bytes TestExperimentsOutputPins
+// pins (both sha256s pinned before the change).
 func TestExperimentsRunCaseStudyOnce(t *testing.T) {
 	exp := filepath.Join(buildCLIs(t), "experiments")
-	stdout := func(args ...string) []byte {
-		t.Helper()
-		out, err := exec.Command(exp, args...).Output()
+	pins := []struct {
+		exp, sha string
+	}{
+		{"fig8,fig9", "e9b99396f5a1ec039b451b855a1ae2d80bbfcc9f85e7956ed33783de4131adfc"},
+		{"all,fig8", "cbc91b3632d4daa829ddeb1c2308a49eb078386dccf992050f1408c8967973b0"},
+	}
+	for _, p := range pins {
+		out, err := exec.Command(exp, "-exp", p.exp).Output()
 		if err != nil {
-			t.Fatalf("experiments %v: %v", args, err)
+			t.Fatalf("experiments -exp %s: %v", p.exp, err)
 		}
-		return out
-	}
-	const figs = "e9b99396f5a1ec039b451b855a1ae2d80bbfcc9f85e7956ed33783de4131adfc"
-	if got := shaHex(stdout("-exp", "fig8,fig9")); got != figs {
-		t.Errorf("experiments -exp fig8,fig9: stdout sha256 %s, want %s", got, figs)
-	}
-	if all, allFig8 := stdout("-exp", "all"), stdout("-exp", "all,fig8"); !bytes.Equal(all, allFig8) {
-		t.Errorf("-exp all,fig8 printed %d bytes, -exp all %d; want the same bytes", len(allFig8), len(all))
+		if got := shaHex(out); got != p.sha {
+			t.Errorf("experiments -exp %s: stdout sha256 %s, want %s", p.exp, got, p.sha)
+		}
 	}
 }
 

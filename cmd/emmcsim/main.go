@@ -15,6 +15,13 @@
 // same struct the emmcd server decodes from JSON — so a flag and its JSON
 // field cannot drift, and -json output is byte-comparable to a server
 // replay job's results.
+//
+// Every scheme job runs ReplaySpec.Replay, the code emmcd's replay and age
+// jobs run. -load path forks a sealed snapshot file the way -from-device id
+// forks a -device-store entry: one concrete -scheme, no -device (the
+// backend is sealed inside), -faults > 0 replaces the archived fault
+// regime, and the replay resumes after the device's history. -save seals
+// the replayed device.
 package main
 
 import (
@@ -42,7 +49,7 @@ func main() {
 	obs.Bind(flag.CommandLine)
 	tracePath := flag.String("in", "", "trace file to replay (text or binary)")
 	profilePath := flag.String("profile", "", "JSON workload profile to generate and replay")
-	loadDev := flag.String("load", "", "restore the device from a sealed snapshot file (single scheme only)")
+	loadDev := flag.String("load", "", "fork the device from a sealed snapshot file, as -from-device forks a store entry (single scheme only)")
 	saveDev := flag.String("save", "", "write the device's sealed snapshot after the replay (single scheme only; importable into a device store)")
 	deviceStore := flag.String("device-store", "", "snapshot store directory backing -from-device")
 	outTrace := flag.String("o", "", "write the replayed (timestamped) trace to this file (single scheme only; feed pairs to tracediff)")
@@ -52,6 +59,25 @@ func main() {
 	if *showVersion {
 		fmt.Println(cliutil.VersionLine("emmcsim"))
 		return
+	}
+
+	// -load forks a snapshot file exactly as -from-device forks a store
+	// entry, so it is set before validation: the from_device rules (one
+	// concrete scheme, no -device) and the fault regime apply to both.
+	switch {
+	case *loadDev != "" && spec.FromDevice != "":
+		fatal(fmt.Errorf("-load and -from-device are mutually exclusive"))
+	case *loadDev != "":
+		spec.FromDevice = *loadDev
+		spec.SetDeviceSource(snapshotFile{})
+	case *deviceStore != "":
+		store, err := devstore.Open(*deviceStore, devstore.Options{})
+		if err != nil {
+			fatal(err)
+		}
+		spec.SetDeviceSource(store)
+	case spec.FromDevice != "":
+		fatal(fmt.Errorf("-from-device %s requires -device-store (the archive holding the snapshot)", spec.FromDevice))
 	}
 
 	// Validate like the server does before any work starts. Only -app is
@@ -64,10 +90,6 @@ func main() {
 	if err := validate(); err != nil {
 		fatal(err)
 	}
-	opt, err := spec.DeviceOptions()
-	if err != nil {
-		fatal(err)
-	}
 	schemes, err := spec.Schemes()
 	if err != nil {
 		fatal(err)
@@ -76,22 +98,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-
-	if (*loadDev != "" || *saveDev != "" || *outTrace != "" || spec.FromDevice != "" || obs.MetricsPath != "" || obs.TracePath != "") && len(schemes) != 1 {
-		fatal(fmt.Errorf("-load/-save/-o/-from-device/-metrics/-trace require a single -scheme"))
-	}
-	if *loadDev != "" && spec.FromDevice != "" {
-		fatal(fmt.Errorf("-load and -from-device are mutually exclusive"))
-	}
-	var store *devstore.Store
-	if *deviceStore != "" {
-		store, err = devstore.Open(*deviceStore, devstore.Options{})
-		if err != nil {
-			fatal(err)
-		}
-		spec.SetDeviceSource(store)
-	} else if spec.FromDevice != "" {
-		fatal(fmt.Errorf("-from-device %s requires -device-store (the archive holding the snapshot)", spec.FromDevice))
+	if (*saveDev != "" || *outTrace != "" || obs.MetricsPath != "" || obs.TracePath != "") && len(schemes) != 1 {
+		fatal(fmt.Errorf("-save/-o/-metrics/-trace require a single -scheme"))
 	}
 
 	// Observability is off unless an export was requested.
@@ -100,7 +108,7 @@ func main() {
 
 	// Each scheme replays as one job on the shared worker pool, pulling its
 	// own private stream (streams are single-goroutine). The side-effectful
-	// flags (-load/-save/-o/-metrics/-trace) are restricted to a single scheme
+	// flags (-save/-o/-metrics/-trace) are restricted to a single scheme
 	// above, so file writes inside the job cannot race.
 	metrics, err := runner.MapContext(context.Background(), runner.New(obs.Workers).Observe(reg), "emmcsim", schemes,
 		func(ctx context.Context, _ int, s core.Scheme) (core.Metrics, error) {
@@ -109,49 +117,6 @@ func main() {
 				return core.Metrics{}, err
 			}
 			defer done()
-			st = spec.PrepareStream(st)
-			var dev storage.Device
-			switch {
-			case spec.FromDevice != "":
-				// Fork the archived snapshot: same restore + fault-regime +
-				// resume-shift sequence the server's from_device jobs run.
-				var err error
-				dev, _, err = cliutil.ForkDevice(store, spec.FromDevice)
-				if err != nil {
-					return core.Metrics{}, err
-				}
-				fc, err := spec.FaultConfig()
-				if err != nil {
-					return core.Metrics{}, err
-				}
-				if fc != nil {
-					if err := dev.SetFaultConfig(fc); err != nil {
-						return core.Metrics{}, err
-					}
-				}
-				st = core.Resume(dev, st)
-			case *loadDev != "":
-				f, err := os.Open(*loadDev)
-				if err != nil {
-					return core.Metrics{}, err
-				}
-				// The sealed envelope names its own backend and carries the
-				// payload digest, so a truncated or cross-backend snapshot is
-				// a one-line diagnostic instead of a decoder panic.
-				dev, _, err = core.RestoreSealed(*loadDev, f)
-				f.Close()
-				if err != nil {
-					return core.Metrics{}, err
-				}
-				// Resume after the archived device's last activity.
-				st = core.Resume(dev, st)
-			default:
-				var err error
-				dev, err = core.NewDevice(s, opt)
-				if err != nil {
-					return core.Metrics{}, err
-				}
-			}
 			// -o streams the timestamped trace out as requests complete
 			// instead of materializing the replay.
 			var sink func(trace.Request) error
@@ -175,7 +140,7 @@ func main() {
 					return f.Close()
 				}
 			}
-			m, err := core.Replay(ctx, dev, s, st, core.ReplayOpts{Registry: reg, Tracer: tracer, Sink: sink})
+			dev, m, err := spec.Replay(ctx, s, st, core.ReplayOpts{Registry: reg, Tracer: tracer, Sink: sink})
 			if err != nil {
 				return core.Metrics{}, err
 			}
@@ -318,5 +283,11 @@ func probeName(path string) (string, error) {
 	}
 	return path, nil
 }
+
+// snapshotFile is the device source behind -load: the device id is the
+// path of a sealed snapshot file.
+type snapshotFile struct{}
+
+func (snapshotFile) OpenDevice(path string) ([]byte, error) { return os.ReadFile(path) }
 
 func fatal(err error) { cliutil.Fatal("emmcsim", err) }

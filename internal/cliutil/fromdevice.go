@@ -1,13 +1,5 @@
 package cliutil
 
-import (
-	"bytes"
-	"fmt"
-
-	"emmcio/internal/core"
-	"emmcio/internal/storage"
-)
-
 // DeviceSource resolves a device id to its sealed snapshot bytes. The
 // devstore.Store satisfies it directly; the emmcd server and the emmcc
 // coordinator hand their stores to specs via SetDeviceSource, so a
@@ -16,21 +8,4 @@ import (
 // snapshot store, the content-derived "d"+digest-prefix form.
 type DeviceSource interface {
 	OpenDevice(id string) ([]byte, error)
-}
-
-// ForkDevice restores a fresh device instance from src's archived snapshot.
-// Every call returns an independent fork: the archived bytes are decoded
-// anew, so concurrent forks share nothing. A nil source is the "this
-// process has no device store" error, reported at run time rather than
-// validation time because specs travel (CLI → server → coordinator) and
-// only the process that finally runs the job knows its store.
-func ForkDevice(src DeviceSource, id string) (storage.Device, storage.SealInfo, error) {
-	if src == nil {
-		return nil, storage.SealInfo{}, fmt.Errorf("forking device %q: no device store configured", id)
-	}
-	sealed, err := src.OpenDevice(id)
-	if err != nil {
-		return nil, storage.SealInfo{}, err
-	}
-	return core.RestoreSealed(id, bytes.NewReader(sealed))
 }

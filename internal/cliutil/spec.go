@@ -1,6 +1,7 @@
 package cliutil
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -262,48 +263,57 @@ func (s *ReplaySpec) PrepareStream(st trace.Stream) trace.Stream {
 	return trace.ClearStream(st)
 }
 
-// Replay runs the spec's workload on one scheme: fresh stream, fresh (or
-// forked, with FromDevice) device, streaming replay bounded by ctx. The
-// spec must be normalized. sink, when non-nil, observes every completed
-// request.
-func (s *ReplaySpec) Replay(ctx context.Context, scheme core.Scheme, reg *telemetry.Registry, tracer *telemetry.Tracer, sink func(trace.Request) error) (core.Metrics, error) {
-	p, err := s.Profile(nil)
+// Replay runs st, the job's request stream before PrepareStream, on one
+// scheme and returns the device it replayed with the metrics. The device is
+// fresh, or with FromDevice a fork of the archived snapshot whose fault
+// regime the spec's Faults > 0 replaces and whose history the stream
+// resumes after. It is the one path from a spec to a device and a replay:
+// emmcsim's jobs, emmcd's replay and age jobs and Run all end here. The
+// spec must be validated.
+func (s *ReplaySpec) Replay(ctx context.Context, scheme core.Scheme, st trace.Stream, o core.ReplayOpts) (storage.Device, core.Metrics, error) {
+	dev, err := s.device(scheme)
 	if err != nil {
-		return core.Metrics{}, err
+		return nil, core.Metrics{}, err
 	}
-	var dev storage.Device
+	st = s.PrepareStream(st)
 	if s.FromDevice != "" {
-		dev, _, err = ForkDevice(s.source, s.FromDevice)
-		if err != nil {
-			return core.Metrics{}, err
-		}
-		fc, err := s.FaultConfig()
-		if err != nil {
-			return core.Metrics{}, err
-		}
-		if fc != nil {
-			if err := dev.SetFaultConfig(fc); err != nil {
-				return core.Metrics{}, err
-			}
-		}
-	} else {
-		opt, err := s.DeviceOptions()
-		if err != nil {
-			return core.Metrics{}, err
-		}
-		dev, err = core.NewDevice(scheme, opt)
-		if err != nil {
-			return core.Metrics{}, err
-		}
-	}
-	st := s.PrepareStream(p.Stream(s.Seed))
-	if s.FromDevice != "" {
-		// Resume after the archived history: the fork's clock is already at
-		// its last activity, so the new session starts an idle gap later —
-		// the same shift emmcsim's -load path applies.
+		// The fork's clock is at its last activity, so the new session
+		// starts an idle gap later.
 		st = core.Resume(dev, st)
 	}
-	return core.Replay(ctx, dev, scheme, st, core.ReplayOpts{Registry: reg, Tracer: tracer, Sink: sink})
+	m, err := core.Replay(ctx, dev, scheme, st, o)
+	return dev, m, err
+}
+
+// device opens the replay's device: a fresh one built from DeviceOptions,
+// or a fork of FromDevice with the spec's fault regime. Every fork decodes
+// the archived bytes anew, so concurrent forks share nothing. A nil source
+// is reported here, at run time, because specs travel (CLI → server →
+// coordinator) and only the process that runs the job knows its store.
+func (s *ReplaySpec) device(scheme core.Scheme) (storage.Device, error) {
+	if s.FromDevice == "" {
+		opt, err := s.DeviceOptions()
+		if err != nil {
+			return nil, err
+		}
+		return core.NewDevice(scheme, opt)
+	}
+	if s.source == nil {
+		return nil, fmt.Errorf("forking device %q: no device store configured", s.FromDevice)
+	}
+	sealed, err := s.source.OpenDevice(s.FromDevice)
+	if err != nil {
+		return nil, err
+	}
+	dev, _, err := core.RestoreSealed(s.FromDevice, bytes.NewReader(sealed))
+	if err != nil {
+		return nil, err
+	}
+	fc, err := s.FaultConfig()
+	if err == nil && fc != nil {
+		err = dev.SetFaultConfig(fc)
+	}
+	return dev, err
 }
 
 // SchemeResult pairs one scheme with its replay metrics; it is the unit of
@@ -319,8 +329,11 @@ type SchemeResult struct {
 // width, and bit-identical between the CLI and the server, since both end
 // at the same stream, options, and replay loop.
 func (s *ReplaySpec) Run(ctx context.Context, workers int, reg *telemetry.Registry, tracer *telemetry.Tracer) ([]SchemeResult, error) {
-	s.Normalize()
-	if err := s.Validate(nil); err != nil {
+	p, err := s.Profile(nil)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.ValidateReplay(); err != nil {
 		return nil, err
 	}
 	schemes, err := s.Schemes()
@@ -329,7 +342,8 @@ func (s *ReplaySpec) Run(ctx context.Context, workers int, reg *telemetry.Regist
 	}
 	metrics, err := runner.MapContext(ctx, runner.New(workers).Observe(reg), "replay", schemes,
 		func(ctx context.Context, _ int, sc core.Scheme) (core.Metrics, error) {
-			return s.Replay(ctx, sc, reg, tracer, nil)
+			_, m, err := s.Replay(ctx, sc, p.Stream(s.Seed), core.ReplayOpts{Registry: reg, Tracer: tracer})
+			return m, err
 		})
 	if err != nil {
 		return nil, err

@@ -101,41 +101,49 @@ func TestForkDeterminism(t *testing.T) {
 	}
 }
 
-// TestAgedStudyFastPathBitIdentical: the aged study renders the same bytes
-// whether every point re-ages its own device (slow path) or forks the one
-// archived snapshot (fast path) — the acceptance contract of the store.
+// TestAgedStudyFastPathBitIdentical: a sweep replays the same metrics and
+// ends at the same injector position whether every job re-ages its own
+// device (slow path, ReplayJob.Device) or forks the one archived snapshot
+// (fast path, Env.Fork) — the acceptance contract of the store, held on
+// Env.Replays, the path sweep jobs run.
 func TestAgedStudyFastPathBitIdentical(t *testing.T) {
 	p := testAgePrep(storage.BackendEMMC)
 	traces := []string{paper.Movie, paper.Email}
+	plan := func(device func() (storage.Device, error)) []ReplayJob {
+		jobs := make([]ReplayJob, len(traces))
+		for i, name := range traces {
+			jobs[i] = ReplayJob{Trace: name, Scheme: p.Scheme, Device: device}
+		}
+		return jobs
+	}
 
 	slow := DefaultEnv()
-	slowPts, err := AgedStudy(slow, p, traces)
+	slowRes, err := slow.Replays("aged", plan(func() (storage.Device, error) { return AgeDevice(slow, p) }))
 	if err != nil {
 		t.Fatalf("slow path: %v", err)
 	}
 
 	fast := DefaultEnv()
-	fork, _ := forkFromSealed(t, fast, p)
-	fast.Fork = fork
-	fastPts, err := AgedStudy(fast, p, traces)
+	fast.Fork, _ = forkFromSealed(t, fast, p)
+	fastRes, err := fast.Replays("aged", plan(nil))
 	if err != nil {
 		t.Fatalf("fast path: %v", err)
 	}
 
-	var slowBuf, fastBuf bytes.Buffer
-	if err := RenderAgedStudy(p, slowPts).WriteText(&slowBuf); err != nil {
-		t.Fatal(err)
-	}
-	if err := RenderAgedStudy(p, fastPts).WriteText(&fastBuf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(slowBuf.Bytes(), fastBuf.Bytes()) {
-		t.Errorf("fast path diverges from re-aging:\n--- re-aged ---\n%s--- forked ---\n%s",
-			slowBuf.String(), fastBuf.String())
-	}
-	for i := range slowPts {
-		if slowPts[i] != fastPts[i] {
-			t.Errorf("point %d diverges:\n slow %+v\n fast %+v", i, slowPts[i], fastPts[i])
+	for i, name := range traces {
+		s, f := slowRes[i], fastRes[i]
+		if s.Metrics.Served == 0 {
+			t.Fatalf("%s: degenerate replay", name)
+		}
+		if s.Metrics != f.Metrics {
+			t.Errorf("%s: fast path diverges from re-aging:\n re-aged %+v\n forked  %+v", name, s.Metrics, f.Metrics)
+		}
+		sd, fd := s.Device.FaultDraws(), f.Device.FaultDraws()
+		if sd == 0 {
+			t.Errorf("%s: no fault draws; the test is not exercising injector resume", name)
+		}
+		if sd != fd {
+			t.Errorf("%s: post-replay draw positions diverge: re-aged %d, forked %d", name, sd, fd)
 		}
 	}
 }

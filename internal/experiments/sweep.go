@@ -12,9 +12,12 @@ import (
 )
 
 // ReplayJob is one entry of a declarative sweep plan: a named trace
-// replayed once on its own fresh device. Every experiment in this package
-// builds a []ReplayJob and hands it to Env.Replays; nothing replays through
-// bespoke loops anymore.
+// replayed once on its own fresh device. The experiments in this package
+// build a []ReplayJob and hand it to Env.Replays, with three exceptions
+// that replay directly: FaultSweep, which keeps a device that dies
+// mid-replay as a data point; validate's observability replay; and
+// AgeDevice, which wears the flash a job's Device or Env.Fork then hands
+// out.
 //
 // Jobs pull their requests from a trace.Stream (Env.Stream), so a replay
 // holds no private trace copy: memory is the device plus whatever the job

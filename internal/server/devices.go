@@ -188,7 +188,7 @@ func (s *Server) ageDevice(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, ErrKindValidation, err)
 		return
 	}
-	if err := spec.Validate(s.cfg.Registry); err != nil {
+	if err := spec.Validate(s.apps); err != nil {
 		writeError(w, http.StatusBadRequest, ErrKindValidation, err)
 		return
 	}
@@ -218,25 +218,17 @@ func (s *Server) ageDevice(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, submitted{ID: j.id, State: JobQueued, URL: "/v1/jobs/" + j.id})
 }
 
-// ageJob is the work function behind an age submission: fresh device, full
-// prep replay, seal, archive. Its result is the archived DeviceStatus, so
-// polling the job yields the device id to fork.
+// ageJob is the work function behind an age submission: the spec's replay
+// on a fresh device, then seal and archive. Its result is the archived
+// DeviceStatus, so polling the job yields the device id to fork.
 func (s *Server) ageJob(spec AgeSpec, scheme core.Scheme) jobFunc {
 	return func(ctx context.Context, reg *telemetry.Registry, tc *telemetry.Tracer) (any, error) {
-		p, err := spec.Profile(s.cfg.Registry)
+		p, err := spec.Profile(s.apps)
 		if err != nil {
 			return nil, err
 		}
-		opt, err := spec.DeviceOptions()
+		dev, _, err := spec.Replay(ctx, scheme, p.Stream(spec.Seed), core.ReplayOpts{Registry: reg, Tracer: tc})
 		if err != nil {
-			return nil, err
-		}
-		dev, err := core.NewDevice(scheme, opt)
-		if err != nil {
-			return nil, err
-		}
-		st := spec.PrepareStream(p.Stream(spec.Seed))
-		if _, err := core.Replay(ctx, dev, scheme, st, core.ReplayOpts{Registry: reg, Tracer: tc}); err != nil {
 			return nil, fmt.Errorf("aging %s: %w", spec.App, err)
 		}
 		sealed, _, err := storage.Seal(dev)

@@ -49,8 +49,6 @@ type Config struct {
 	ResultCap int
 	// JobTimeout is the per-job deadline (default 10m; negative = none).
 	JobTimeout time.Duration
-	// Registry resolves workload names (default: the 25 built-in profiles).
-	Registry *workload.Registry
 	// Telemetry is the server-wide metrics registry re-exported at
 	// /metrics (default: a fresh registry). Jobs observe into their own
 	// child registries, which merge into this one on completion, so the
@@ -76,6 +74,10 @@ type Server struct {
 	tel *telemetry.Registry
 	log *slog.Logger
 	mux *http.ServeMux
+
+	// apps resolves application names at admission: the default registry,
+	// built once by New rather than per request.
+	apps *workload.Registry
 
 	queue    chan *job
 	shutdown chan struct{}
@@ -125,15 +127,13 @@ func New(cfg Config) *Server {
 	if cfg.JobTimeout == 0 {
 		cfg.JobTimeout = 10 * time.Minute
 	}
-	if cfg.Registry == nil {
-		cfg.Registry = workload.DefaultRegistry()
-	}
 	if cfg.Telemetry == nil {
 		cfg.Telemetry = telemetry.NewRegistry()
 	}
 	s := &Server{
 		cfg:      cfg,
 		tel:      cfg.Telemetry,
+		apps:     workload.DefaultRegistry(),
 		log:      cfg.logger(),
 		queue:    make(chan *job, cfg.QueueDepth),
 		shutdown: make(chan struct{}),
@@ -538,7 +538,7 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, ErrKindValidation, err)
 		return
 	}
-	if err := spec.Validate(s.cfg.Registry); err != nil {
+	if err := spec.Validate(s.apps); err != nil {
 		writeError(w, http.StatusBadRequest, ErrKindValidation, err)
 		return
 	}
@@ -622,7 +622,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, ErrKindValidation, errors.New("no application named; set app"))
 		return
 	}
-	p := s.cfg.Registry.Lookup(req.App)
+	p := s.apps.Lookup(req.App)
 	if p == nil {
 		writeError(w, http.StatusBadRequest, ErrKindValidation, fmt.Errorf("unknown application %q", req.App))
 		return
