@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -27,18 +28,20 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", experiments.DefaultStudy,
+	// The study, seed, worker, fault and device flags fill the same
+	// SweepSpec an emmcd sweep job decodes, so both build their env alike.
+	spec := cliutil.SweepSpec{Sweeps: []string{experiments.DefaultStudy}}
+	flag.Var(cliutil.CSVList{Dst: &spec.Sweeps}, "exp",
 		"comma-separated studies to run: "+strings.Join(experiments.StudyNames(), ", "))
-	seed := flag.Uint64("seed", workload.DefaultSeed, "workload generation seed")
+	flag.Uint64Var(&spec.Seed, "seed", workload.DefaultSeed, "workload generation seed")
+	flag.Float64Var(&spec.Faults, "faults", 0, "fault-injection rate multiplier (0 = perfect hardware)")
+	flag.Uint64Var(&spec.FaultSeed, "fault-seed", 0, "fault-injection decision seed (requires -faults > 0; 0 = unset)")
+	spec.DeviceSpec.BindFlags(flag.CommandLine)
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned text")
 	md := flag.Bool("md", false, "emit Markdown tables instead of aligned text")
 	svgDir := flag.String("svg", "", "also write the figures as SVG files into this directory")
 	var obs cliutil.Observability
 	obs.Bind(flag.CommandLine)
-	var faultFlags cliutil.FaultFlags
-	faultFlags.Bind(flag.CommandLine)
-	var devFlags cliutil.DeviceSpec
-	devFlags.BindFlags(flag.CommandLine)
 	showVersion := cliutil.VersionFlag(flag.CommandLine)
 	flag.Parse()
 	if *showVersion {
@@ -46,26 +49,16 @@ func main() {
 		return
 	}
 
-	selected, err := experiments.Select(strings.Split(*exp, ","))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(2)
-	}
-	faultCfg, err := faultFlags.Config()
+	spec.Workers = obs.Workers
+	env, err := spec.Env(context.Background())
 	if err != nil {
 		fatal(err)
 	}
+	selected, _ := experiments.Select(spec.Sweeps) // Env validated the names
 	if *svgDir != "" {
 		if err := os.MkdirAll(*svgDir, 0o755); err != nil {
 			fatal(err)
 		}
-	}
-
-	env := experiments.NewEnv(*seed)
-	env.Workers = obs.Workers
-	env.Faults = faultCfg
-	if err := devFlags.ApplyEnv(env); err != nil {
-		fatal(err)
 	}
 	env.Telemetry = obs.Registry()
 	env.Tracer = obs.Tracer()

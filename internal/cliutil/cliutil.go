@@ -124,38 +124,6 @@ func NewLogger(level string, asJSON bool) (*slog.Logger, error) {
 	return slog.New(slog.NewTextHandler(os.Stderr, opts)), nil
 }
 
-// FaultFlags is the shared fault-injection flag pair (-faults,
-// -fault-seed).
-type FaultFlags struct {
-	Rate float64
-	Seed uint64
-
-	fs *flag.FlagSet
-}
-
-// Bind registers the fault flags on fs.
-func (f *FaultFlags) Bind(fs *flag.FlagSet) {
-	f.fs = fs
-	fs.Float64Var(&f.Rate, "faults", 0, "fault-injection rate multiplier (0 = perfect hardware)")
-	fs.Uint64Var(&f.Seed, "fault-seed", 1, "fault-injection decision seed (requires -faults > 0)")
-}
-
-// Config validates the fault flags up front, before any trace is loaded or
-// device built, so a bad value is a one-line usage error instead of a
-// mid-replay failure. A -fault-seed without fault injection enabled is
-// almost certainly a typo'd invocation, so it is rejected too.
-func (f *FaultFlags) Config() (*faults.Config, error) {
-	seedSet := false
-	if f.fs != nil {
-		f.fs.Visit(func(fl *flag.Flag) {
-			if fl.Name == "fault-seed" {
-				seedSet = true
-			}
-		})
-	}
-	return FaultConfig(f.Rate, f.Seed, seedSet)
-}
-
 // FaultConfig builds and validates a fault-injection config from a rate,
 // a seed, and whether the seed was set explicitly. It is the one
 // validation path behind both the CLI flags and the server's JSON specs.

@@ -5,10 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"strings"
 	"testing"
 
+	"emmcio/internal/core"
+	"emmcio/internal/faults"
 	"emmcio/internal/paper"
+	"emmcio/internal/storage"
 	"emmcio/internal/workload"
 )
 
@@ -207,10 +211,50 @@ func TestSweepSpecValidate(t *testing.T) {
 	}
 }
 
+// snapshots is a DeviceSource over in-memory sealed snapshots.
+type snapshots map[string][]byte
+
+func (m snapshots) OpenDevice(id string) ([]byte, error) {
+	if b, ok := m[id]; ok {
+		return b, nil
+	}
+	return nil, fmt.Errorf("unknown device %q", id)
+}
+
+// agedSnapshot seals a small 4PS device that replayed one CallIn session
+// with fault injection on, so its archived injector is past draw 0.
+func agedSnapshot(t *testing.T) []byte {
+	t.Helper()
+	opt := core.CaseStudyOptions()
+	opt.ScaleBlocks, opt.ScalePages = 8, 8
+	opt.Faults = &faults.Config{Seed: 11, Rate: 1}
+	dev, err := core.NewDevice(core.Scheme4PS, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := workload.DefaultRegistry().Lookup(paper.CallIn).Stream(workload.DefaultSeed)
+	if _, err := core.Replay(context.Background(), dev, core.Scheme4PS, st, core.ReplayOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	if dev.FaultDraws() == 0 {
+		t.Fatal("aging drew no fault decisions")
+	}
+	sealed, _, err := storage.Seal(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sealed
+}
+
+// TestSweepSpecEnv: the env carries the spec's seed and context, and a
+// from_device spec with Faults > 0 hands out forks already armed with the
+// spec's regime: each fork's injector starts at draw 0, not at the archived
+// position, and advances when the fork replays.
 func TestSweepSpecEnv(t *testing.T) {
 	type key struct{}
 	ctx := context.WithValue(context.Background(), key{}, "v")
-	s := SweepSpec{Sweeps: []string{"tables"}, Workers: 2, Faults: 1e-7}
+	s := SweepSpec{Sweeps: []string{"tables"}, Workers: 2, Faults: 1, FromDevice: "d1"}
+	s.SetDeviceSource(snapshots{"d1": agedSnapshot(t)})
 	env, err := s.Env(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -221,8 +265,20 @@ func TestSweepSpecEnv(t *testing.T) {
 	if env.Seed != workload.DefaultSeed {
 		t.Errorf("Seed = %d, want default %d", env.Seed, workload.DefaultSeed)
 	}
-	if env.Faults == nil {
-		t.Error("fault config not attached")
+	for i := 0; i < 2; i++ {
+		dev, err := env.Fork()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := dev.FaultDraws(); d != 0 {
+			t.Fatalf("fork %d starts at draw %d, want a fresh injector at 0", i, d)
+		}
+		if _, err := core.Replay(ctx, dev, core.Scheme4PS, core.Resume(dev, env.Stream(paper.Email)), core.ReplayOpts{}); err != nil {
+			t.Fatal(err)
+		}
+		if dev.FaultDraws() == 0 {
+			t.Fatalf("fork %d drew no fault decisions in its replay", i)
+		}
 	}
 	if _, err := (&SweepSpec{Sweeps: []string{"nope"}}).Env(ctx); err == nil {
 		t.Error("Env accepted an invalid spec")

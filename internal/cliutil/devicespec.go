@@ -4,7 +4,6 @@ import (
 	"flag"
 
 	"emmcio/internal/core"
-	"emmcio/internal/experiments"
 	"emmcio/internal/storage"
 )
 
@@ -52,24 +51,6 @@ func (d *DeviceSpec) Apply(opt *core.Options) error {
 	opt.UFSQueues = d.UFSQueues
 	opt.UFSQueueDepth = d.UFSQueueDepth
 	opt.UFSBoosterBytes = d.boosterBytes()
-	return nil
-}
-
-// ApplyEnv writes the spec's backend selection into an experiment env, so
-// every replay job the env launches runs on the chosen device. A spec with
-// no device named leaves the env untouched (zero-value env = eMMC).
-func (d *DeviceSpec) ApplyEnv(env *experiments.Env) error {
-	if d.Device == "" {
-		return nil
-	}
-	b, err := d.Backend()
-	if err != nil {
-		return err
-	}
-	env.Backend = b
-	env.UFSQueues = d.UFSQueues
-	env.UFSQueueDepth = d.UFSQueueDepth
-	env.UFSBoosterBytes = d.boosterBytes()
 	return nil
 }
 

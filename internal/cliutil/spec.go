@@ -1,7 +1,6 @@
 package cliutil
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -239,12 +238,11 @@ func (s *ReplaySpec) ValidateReplay() error {
 	}
 	if s.FromDevice != "" {
 		if schemes, _ := s.Schemes(); len(schemes) != 1 {
-			return fmt.Errorf("from_device %q requires one concrete scheme (the one the device was aged under), got %q",
+			return fmt.Errorf("forking snapshot %q requires one concrete scheme (the one the device was aged under), got %q",
 				s.FromDevice, s.Scheme)
 		}
 		if s.Device != "" {
-			return fmt.Errorf("from_device and device are mutually exclusive: the backend is sealed inside snapshot %q",
-				s.FromDevice)
+			return errSealedBackend(s.FromDevice)
 		}
 	}
 	return nil
@@ -305,15 +303,11 @@ func (s *ReplaySpec) device(scheme core.Scheme) (storage.Device, error) {
 	if err != nil {
 		return nil, err
 	}
-	dev, _, err := core.RestoreSealed(s.FromDevice, bytes.NewReader(sealed))
+	fc, err := s.FaultConfig()
 	if err != nil {
 		return nil, err
 	}
-	fc, err := s.FaultConfig()
-	if err == nil && fc != nil {
-		err = dev.SetFaultConfig(fc)
-	}
-	return dev, err
+	return fork(s.FromDevice, sealed, fc)
 }
 
 // SchemeResult pairs one scheme with its replay metrics; it is the unit of

@@ -1,13 +1,11 @@
 package cliutil
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
 	"strings"
 
-	"emmcio/internal/core"
 	"emmcio/internal/experiments"
 	"emmcio/internal/report"
 	"emmcio/internal/storage"
@@ -136,43 +134,39 @@ func (s *SweepSpec) Validate() error {
 		return err
 	}
 	if s.FromDevice != "" && s.Device != "" {
-		return fmt.Errorf("from_device and device are mutually exclusive: the backend is sealed inside snapshot %q",
-			s.FromDevice)
+		return errSealedBackend(s.FromDevice)
 	}
 	return nil
 }
 
 // Env builds the experiment environment the spec describes, bounded by
-// ctx: seed, worker width, fault regime. Every sweep launched through the
-// returned env aborts when ctx does.
+// ctx: seed, worker width, and the device selection (backend, fault
+// regime), which with FromDevice arms every fork of the archived snapshot.
+// Every sweep launched through the returned env aborts when ctx does.
 func (s *SweepSpec) Env(ctx context.Context) (*experiments.Env, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
+	env := experiments.NewEnv(s.Seed)
+	env.Workers = s.Workers
+	env.Ctx = ctx
 	fc, err := FaultConfig(s.Faults, s.FaultSeed, s.FaultSeed != 0)
+	if err == nil {
+		err = s.DeviceSpec.Apply(&env.Device)
+	}
 	if err != nil {
 		return nil, err
 	}
-	env := experiments.NewEnv(s.Seed)
-	env.Workers = s.Workers
-	env.Faults = fc
-	if err := s.DeviceSpec.ApplyEnv(env); err != nil {
-		return nil, err
-	}
+	env.Device.Faults = fc
 	if s.FromDevice != "" {
-		// Fetch the sealed bytes once; every fork decodes its own copy, so
-		// concurrent sweep replays share nothing.
+		// Fetch the sealed bytes once; every fork decodes its own copy.
 		sealed, err := s.DeviceSnapshot()
 		if err != nil {
 			return nil, err
 		}
 		id := s.FromDevice
-		env.Fork = func() (storage.Device, error) {
-			dev, _, err := core.RestoreSealed(id, bytes.NewReader(sealed))
-			return dev, err
-		}
+		env.Fork = func() (storage.Device, error) { return fork(id, sealed, fc) }
 	}
-	env.Ctx = ctx
 	return env, nil
 }
 

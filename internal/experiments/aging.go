@@ -38,17 +38,11 @@ func Aging(env *Env, name string, lifeFractions []float64) ([]AgingPoint, error)
 			Trace:  name,
 			Scheme: core.Scheme4PS,
 			Device: func() (storage.Device, error) {
-				var dev storage.Device
-				var err error
-				if env.Fork != nil {
-					// Fork the archived aged snapshot as the base instead of
-					// rebuilding fresh flash per wear level.
-					dev, err = env.Fork()
-				} else {
-					opt := core.CaseStudyOptions()
-					opt.Reliability = model
-					dev, err = core.NewDevice(core.Scheme4PS, opt)
-				}
+				opt := core.CaseStudyOptions()
+				opt.Reliability = model
+				// A fork of the archived aged snapshot, when the env has
+				// one, is the base instead of fresh flash per wear level.
+				dev, err := env.device(core.Scheme4PS, opt)
 				if err != nil {
 					return nil, err
 				}

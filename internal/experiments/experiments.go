@@ -13,7 +13,6 @@ import (
 
 	"emmcio/internal/core"
 	"emmcio/internal/emmc"
-	"emmcio/internal/faults"
 	"emmcio/internal/flash"
 	"emmcio/internal/lru"
 	"emmcio/internal/storage"
@@ -41,28 +40,22 @@ type Env struct {
 	Telemetry *telemetry.Registry
 	Tracer    *telemetry.Tracer
 
-	// Faults, when non-nil, is applied to every replay job that does not set
-	// its own fault config (the CLIs' -faults/-fault-seed flags). Jobs with a
-	// custom Device builder construct their own config and are not touched.
-	Faults *faults.Config
-
-	// Backend, when non-empty, selects the storage backend for every replay
-	// job that does not pick its own (the CLIs' -device flag). Jobs with a
-	// custom Device builder are not touched. The UFS* fields carry the UFS
-	// sizing knobs along with it (zero = backend defaults).
-	Backend         storage.Backend
-	UFSQueues       int
-	UFSQueueDepth   int
-	UFSBoosterBytes int64
+	// Device is the caller's device selection (the CLIs' -device and
+	// -faults flags): every replay job that builds its device from its
+	// Options takes the backend, with its UFS sizing knobs, and the fault
+	// config from here unless it sets its own (see options). Jobs with a
+	// custom Device builder and forks are not touched, and the selection's
+	// other fields are ignored.
+	Device core.Options
 
 	// Fork, when non-nil, builds each replay job's device by forking an
 	// archived aged snapshot instead of constructing fresh flash — the
 	// /v1/devices fast path. It must return an independent device on every
-	// call. It applies to plain FIFO replays without a custom Device
-	// builder; scheduled and collection jobs keep fresh devices. The job's
-	// request stream is shifted past the fork's archived history, exactly
-	// like emmcsim's -load resume, and a fault config (job's or env's) is
-	// re-armed on the fork via SetFaultConfig.
+	// call, already armed with the fault regime the forks should run under.
+	// It applies to every job without a custom Device builder except
+	// collection jobs, which keep fresh devices, and it is the base Aging
+	// and FaultSweep age further. A replay on a fork resumes its request
+	// stream past the fork's archived history, exactly like emmcsim's -load.
 	Fork func() (storage.Device, error)
 
 	// Ctx, when non-nil, bounds every sweep launched through this env:
@@ -113,13 +106,47 @@ func NewEnv(seed uint64) *Env {
 }
 
 // withSeed returns a copy of e that keeps every setting (workers,
-// observability, faults, backend, fork, context) but generates its traces
+// observability, device selection, fork, context) but generates its traces
 // from seed into its own empty cache.
 func (e *Env) withSeed(seed uint64) *Env {
 	out := *e
 	out.Seed = seed
 	out.traceCache = newTraceCache()
 	return &out
+}
+
+// options fills the backend and fault fields opt leaves unset from the
+// env's device selection.
+func (e *Env) options(opt core.Options) core.Options {
+	if opt.Faults == nil {
+		opt.Faults = e.Device.Faults
+	}
+	if opt.Backend == "" && e.Device.Backend != "" {
+		opt.Backend = e.Device.Backend
+		opt.UFSQueues = e.Device.UFSQueues
+		opt.UFSQueueDepth = e.Device.UFSQueueDepth
+		opt.UFSBoosterBytes = e.Device.UFSBoosterBytes
+	}
+	return opt
+}
+
+// device opens a replay's device: a fork of the env's archived snapshot
+// (Fork), else a fresh device of scheme built from opt.
+func (e *Env) device(scheme core.Scheme, opt core.Options) (storage.Device, error) {
+	if e.Fork != nil {
+		return e.Fork()
+	}
+	return core.NewDevice(scheme, opt)
+}
+
+// resume shifts st past dev's replayed history (a fork, or a custom builder
+// handing out one), the same idle-gap shift emmcsim's -load applies; a
+// fresh device's stream is returned as is.
+func resume(dev storage.Device, st trace.Stream) trace.Stream {
+	if dev.LastActivity() > 0 {
+		return core.Resume(dev, st)
+	}
+	return st
 }
 
 // DefaultEnv uses the repository's canonical seed.

@@ -12,7 +12,6 @@ import (
 	"emmcio/internal/report"
 	"emmcio/internal/rng"
 	"emmcio/internal/runner"
-	"emmcio/internal/storage"
 	"emmcio/internal/trace"
 )
 
@@ -83,38 +82,34 @@ func FaultSweep(env *Env, name string, seed uint64, rates []float64) ([]FaultPoi
 	// 4 is the measurement, not a reason to lose the rest of the sweep.
 	return runner.MapContext(env.context(), env.Runner(), "faultsweep", plan, func(ctx context.Context, _ int, c cell) (FaultPoint, error) {
 		pt := FaultPoint{Rate: c.rate, Scheme: c.scheme}
-		var dev storage.Device
-		var err error
-		if env.Fork != nil {
-			// Fork the archived aged snapshot once per cell instead of
-			// rebuilding and re-aging fresh flash 15 times.
-			dev, err = env.Fork()
-		} else {
-			opt := core.CaseStudyOptions()
-			opt.Reliability = model
-			// Shrink the device so GC pressure (and thus erase/program
-			// traffic) is realistic within one trace replay, matching the
-			// gcpressure sweep's regime.
-			opt.ScaleBlocks = gcPressureScaleBlocks
-			opt.ScalePages = gcPressureScalePages
-			dev, err = core.NewDevice(c.scheme, opt)
-		}
+		opt := core.CaseStudyOptions()
+		opt.Reliability = model
+		// Shrink the device so GC pressure (and thus erase/program traffic)
+		// is realistic within one trace replay, matching the gcpressure
+		// sweep's regime. A fork of the archived aged snapshot, when the env
+		// has one, replaces the fresh flash once per cell.
+		opt.ScaleBlocks = gcPressureScaleBlocks
+		opt.ScalePages = gcPressureScalePages
+		dev, err := env.device(c.scheme, opt)
 		if err != nil {
 			return pt, err // config bug: fail the sweep loudly
 		}
-		// Arm the cell's fault regime after construction. SetFaultConfig
+		// Arm the cell's fault regime after construction, nil at rate 0, so
+		// a fork's archived regime never leaks into a cell. SetFaultConfig
 		// hands the device a fresh injector at draw 0 — exactly what a
 		// construction-time config would have produced — which is what lets
 		// one faultless aged device serve every (rate, seed) cell.
+		var fc *faults.Config
 		if c.rate > 0 {
-			if err := dev.SetFaultConfig(&faults.Config{
+			fc = &faults.Config{
 				Seed:          c.seed,
 				Rate:          c.rate,
 				EraseFailBase: 10 * faults.DefaultEraseFailBase,
 				Model:         model,
-			}); err != nil {
-				return pt, err
 			}
+		}
+		if err := dev.SetFaultConfig(fc); err != nil {
+			return pt, err
 		}
 		// Pre-age every pool to rated endurance: the steep region of the
 		// wear curves, where real devices grow bad blocks. Forks get the
@@ -124,10 +119,7 @@ func FaultSweep(env *Env, name string, seed uint64, rates []float64) ([]FaultPoi
 			blocks := int64(spec.BlocksPerPlane * planes)
 			dev.AddArtificialWear(pool, int64(model.Endurance*float64(blocks)))
 		}
-		st := trace.Repeat(env.Stream(name), faultSweepSessions, 1_000_000_000)
-		if env.Fork != nil {
-			st = core.Resume(dev, st)
-		}
+		st := resume(dev, trace.Repeat(env.Stream(name), faultSweepSessions, 1_000_000_000))
 		m, err := core.Replay(ctx, dev, c.scheme, st, core.ReplayOpts{Registry: env.Telemetry, Tracer: env.Tracer})
 		if err != nil {
 			if ctx.Err() != nil {

@@ -8,6 +8,7 @@ import (
 	"emmcio/internal/faults"
 	"emmcio/internal/paper"
 	"emmcio/internal/reliability"
+	"emmcio/internal/storage"
 	"emmcio/internal/telemetry"
 )
 
@@ -90,6 +91,23 @@ func TestFaultSweepRampShape(t *testing.T) {
 		}
 		if faulty.MRTMs <= base.MRTMs {
 			t.Errorf("%s: MRT did not rise under faults: %.3f -> %.3f", s, base.MRTMs, faulty.MRTMs)
+		}
+	}
+}
+
+// On a fork every cell sets its own fault regime: the rate-0 cells run
+// with injection off, not under the regime archived in the snapshot (the
+// prep aged with Rate 1 and drew thousands of fault decisions).
+func TestFaultSweepForkRateZeroIsFaultFree(t *testing.T) {
+	env := DefaultEnv()
+	env.Fork, _ = forkFromSealed(t, env, testAgePrep(storage.BackendEMMC))
+	pts, err := FaultSweep(env, paper.Email, 7, []float64{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pts {
+		if p.ProgramFaults != 0 || p.EraseFaults != 0 || p.ReadFaults != 0 || p.RetiredBlocks != 0 {
+			t.Errorf("%s: rate-0 cell on a fork injected faults: %+v", p.Scheme, p)
 		}
 	}
 }

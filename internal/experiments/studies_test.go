@@ -137,15 +137,15 @@ func TestCanceledEnvReturnsError(t *testing.T) {
 func TestWithSeedKeepsSettings(t *testing.T) {
 	env := DefaultEnv()
 	env.Workers = 3
-	env.Faults = &faults.Config{}
-	env.Backend = "ufs"
-	env.UFSQueueDepth = 4
+	env.Device.Faults = &faults.Config{}
+	env.Device.Backend = "ufs"
+	env.Device.UFSQueueDepth = 4
 	env.Fork = func() (storage.Device, error) { return nil, nil }
 	env.Ctx = context.Background()
 	env.Trace("Idle")
 	inner := env.withSeed(7)
-	if inner.Seed != 7 || inner.Workers != 3 || inner.Faults != env.Faults ||
-		inner.Backend != "ufs" || inner.UFSQueueDepth != 4 || inner.Fork == nil || inner.Ctx != env.Ctx {
+	if inner.Seed != 7 || inner.Workers != 3 || inner.Device.Faults != env.Device.Faults ||
+		inner.Device.Backend != "ufs" || inner.Device.UFSQueueDepth != 4 || inner.Fork == nil || inner.Ctx != env.Ctx {
 		t.Errorf("withSeed dropped a setting: %+v", inner)
 	}
 	if inner.traceCache == env.traceCache || inner.generated.Load() != 0 {

@@ -89,15 +89,6 @@ func (e *Env) ReplaysContext(ctx context.Context, sweep string, jobs []ReplayJob
 }
 
 func (e *Env) replay(ctx context.Context, j ReplayJob) (ReplayResult, error) {
-	if e.Faults != nil && j.Options.Faults == nil && j.Device == nil {
-		j.Options.Faults = e.Faults
-	}
-	if e.Backend != "" && j.Options.Backend == "" && j.Device == nil {
-		j.Options.Backend = e.Backend
-		j.Options.UFSQueues = e.UFSQueues
-		j.Options.UFSQueueDepth = e.UFSQueueDepth
-		j.Options.UFSBoosterBytes = e.UFSBoosterBytes
-	}
 	st := e.Stream(j.Trace)
 	if j.PrepareStream != nil {
 		st = j.PrepareStream(st)
@@ -118,26 +109,15 @@ func (e *Env) replay(ctx context.Context, j ReplayJob) (ReplayResult, error) {
 	switch {
 	case j.Device != nil:
 		dev, err = j.Device()
-	case e.Fork != nil && !j.Collect:
-		// Fork the archived aged device instead of building fresh flash.
-		dev, err = e.Fork()
-		if err == nil {
-			if fc := j.Options.Faults; fc != nil {
-				err = dev.SetFaultConfig(fc)
-			}
-		}
+	case j.Collect:
+		dev, err = core.NewDevice(j.Scheme, e.options(j.Options))
 	default:
-		dev, err = core.NewDevice(j.Scheme, j.Options)
+		dev, err = e.device(j.Scheme, e.options(j.Options))
 	}
 	if err != nil {
 		return ReplayResult{}, err
 	}
-	if dev.LastActivity() > 0 {
-		// The device carries replayed history (an env.Fork or a custom
-		// builder handing out a fork): resume after it, the same idle-gap
-		// shift emmcsim's -load applies. Fresh devices are untouched.
-		st = core.Resume(dev, st)
-	}
+	st = resume(dev, st)
 	res.Device = dev
 	if j.Collect {
 		if e.Telemetry != nil || e.Tracer != nil {

@@ -63,15 +63,6 @@ func (h *Histogram) Fractions() []float64 {
 	return out
 }
 
-// Bound returns the upper bound of bucket i; the overflow bucket returns
-// math.MaxInt64.
-func (h *Histogram) Bound(i int) int64 {
-	if i >= len(h.bounds) {
-		return math.MaxInt64
-	}
-	return h.bounds[i]
-}
-
 // FractionAtOrBelow returns the fraction of samples <= bound. The bound must
 // be one of the histogram's bucket bounds.
 func (h *Histogram) FractionAtOrBelow(bound int64) float64 {

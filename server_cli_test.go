@@ -166,17 +166,27 @@ func TestToolDiagnostics(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The snapshot does not exist: both -load rows must fail validation
+	// before the file is read, naming the path the user typed.
+	seal := filepath.Join(work, "aged.seal")
 	cases := []struct {
 		name string
 		tool string
 		args []string
+		// mention, when set, must appear in the diagnostic.
+		mention string
 	}{
-		{"tracestat missing file", "tracestat", []string{missing}},
-		{"tracestat truncated trace", "tracestat", []string{truncated}},
-		{"tracediff missing file", "tracediff", []string{good, missing}},
-		{"tracediff truncated trace", "tracediff", []string{truncated, good}},
-		{"emmcsim overflowing stretch", "emmcsim", []string{"-app", paper.Twitter, "-scale", "1e300", "-sessions", "2"}},
-		{"emmcsim negative scale", "emmcsim", []string{"-app", paper.Twitter, "-scale", "-1"}},
+		{"tracestat missing file", "tracestat", []string{missing}, ""},
+		{"tracestat truncated trace", "tracestat", []string{truncated}, ""},
+		{"tracediff missing file", "tracediff", []string{good, missing}, ""},
+		{"tracediff truncated trace", "tracediff", []string{truncated, good}, ""},
+		{"emmcsim overflowing stretch", "emmcsim", []string{"-app", paper.Twitter, "-scale", "1e300", "-sessions", "2"}, ""},
+		{"emmcsim negative scale", "emmcsim", []string{"-app", paper.Twitter, "-scale", "-1"}, ""},
+		{"emmcsim load without scheme", "emmcsim", []string{"-app", paper.CallIn, "-load", seal}, seal},
+		{"emmcsim load with device", "emmcsim", []string{"-app", paper.CallIn, "-scheme", "4PS", "-load", seal, "-device", "ufs"}, seal},
+		{"experiments unknown device", "experiments", []string{"-device", "bogus"}, "bogus"},
+		{"experiments fault seed without faults", "experiments", []string{"-fault-seed", "3"}, ""},
+		{"experiments unknown study", "experiments", []string{"-exp", "nope"}, "nope"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -194,6 +204,10 @@ func TestToolDiagnostics(t *testing.T) {
 			}
 			if !strings.HasPrefix(msg, tc.tool+": ") {
 				t.Errorf("diagnostic %q lacks the %q prefix", msg, tc.tool+": ")
+			}
+			// Flags are what the user typed: no diagnostic names a JSON field.
+			if !strings.Contains(msg, tc.mention) || strings.Contains(msg, "from_device") {
+				t.Errorf("diagnostic %q should name %q and no JSON field", msg, tc.mention)
 			}
 		})
 	}
