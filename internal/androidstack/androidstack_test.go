@@ -307,6 +307,39 @@ func TestDeleteInvalidatesCache(t *testing.T) {
 	}
 }
 
+// TestPageCacheFileIndexExact: under seeded churn on a small cache, the
+// per-file index holds exactly the blocks the LRU holds (evictions leave
+// it), and a deleted file's blocks all miss afterwards.
+func TestPageCacheFileIndexExact(t *testing.T) {
+	c := newPageCache(8 * blockBytes)
+	g := rng.New(3)
+	files := []string{"a.db", "a.db-journal", "b.db"}
+	for step := 0; step < 5000; step++ {
+		file := files[g.IntN(len(files))]
+		switch g.IntN(10) {
+		case 0:
+			gone := c.files[file]
+			c.invalidateFile(file)
+			for block := range gone {
+				if _, ok := c.blocks.Get(cacheKey{file, block}); ok {
+					t.Fatalf("step %d: %s block %d cached after the delete", step, file, block)
+				}
+			}
+		case 1, 2, 3:
+			c.fill(file, g.Int63N(6))
+		default:
+			c.probe(file, g.Int63N(6))
+		}
+		held := 0
+		for _, blocks := range c.files {
+			held += len(blocks)
+		}
+		if held != c.blocks.Len() {
+			t.Fatalf("step %d: index holds %d blocks, cache %d", step, held, c.blocks.Len())
+		}
+	}
+}
+
 func TestQueryErrors(t *testing.T) {
 	fs, _ := newStack(t)
 	db, _ := OpenDB(fs, "app.db", WAL)

@@ -11,6 +11,10 @@ import (
 // (Characteristic 1) — most reads never reach the eMMC.
 type pageCache struct {
 	blocks *lru.Cache[cacheKey, struct{}]
+	// files indexes the cached blocks by file, so a delete touches only
+	// the deleted file's blocks. add keeps it exact through the LRU's
+	// evicted key.
+	files map[string]map[int64]struct{}
 
 	hits   int64
 	misses int64
@@ -26,7 +30,21 @@ func newPageCache(capBytes int64) *pageCache {
 	if blocks < 1 {
 		return nil
 	}
-	return &pageCache{blocks: lru.New[cacheKey, struct{}](blocks)}
+	return &pageCache{blocks: lru.New[cacheKey, struct{}](blocks), files: map[string]map[int64]struct{}{}}
+}
+
+// add caches a block as the most recently used one, moving an evicted
+// block out of its file's index.
+func (c *pageCache) add(file string, block int64) {
+	if old, _, evicted := c.blocks.Add(cacheKey{file, block}, struct{}{}); evicted {
+		delete(c.files[old.file], old.block)
+	}
+	held := c.files[file]
+	if held == nil {
+		held = map[int64]struct{}{}
+		c.files[file] = held
+	}
+	held[block] = struct{}{}
 }
 
 // probe returns whether the block is cached, allocating on miss.
@@ -37,19 +55,22 @@ func (c *pageCache) probe(file string, block int64) bool {
 		return true
 	}
 	c.misses++
-	c.blocks.Add(k, struct{}{})
+	c.add(file, block)
 	return false
 }
 
 // fill caches a block without counting a lookup (write path population).
 func (c *pageCache) fill(file string, block int64) {
-	c.blocks.Add(cacheKey{file, block}, struct{}{})
+	c.add(file, block)
 }
 
 // invalidateFile drops a deleted file's blocks, so a file recreated under
 // the same name starts cold.
 func (c *pageCache) invalidateFile(file string) {
-	c.blocks.RemoveFunc(func(k cacheKey) bool { return k.file == file })
+	for block := range c.files[file] {
+		c.blocks.Remove(cacheKey{file, block})
+	}
+	delete(c.files, file)
 }
 
 // CachedRead reads [off, off+n) through the page cache: only missing

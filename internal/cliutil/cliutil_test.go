@@ -199,15 +199,22 @@ func TestSweepSpecValidate(t *testing.T) {
 		{Sweeps: []string{"fig99"}},
 		{Sweeps: []string{"tables"}, Traces: []string{"NoSuchApp"}},
 		{Sweeps: []string{"tables"}, FaultSeed: 3},
+		{Sweeps: []string{"aging"}, DeviceSpec: DeviceSpec{Device: "ufs"}},
+		{Sweeps: []string{"all"}, DeviceSpec: DeviceSpec{Device: "sd"}},
 	}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {
 			t.Errorf("Validate(%+v) accepted a bad sweep spec", s)
 		}
 	}
-	good := SweepSpec{Sweeps: []string{"Tables", "faultsweep"}, Traces: []string{paper.Movie}}
-	if err := good.Validate(); err != nil {
-		t.Errorf("Validate good sweep spec: %v", err)
+	for _, good := range []SweepSpec{
+		{Sweeps: []string{"Tables", "faultsweep"}, Traces: []string{paper.Movie}},
+		{Sweeps: []string{"aging"}, DeviceSpec: DeviceSpec{Device: "emmc"}},
+		{Sweeps: []string{"casestudy"}, DeviceSpec: DeviceSpec{Device: "ufs"}},
+	} {
+		if err := good.Validate(); err != nil {
+			t.Errorf("Validate good sweep spec %+v: %v", good, err)
+		}
 	}
 }
 

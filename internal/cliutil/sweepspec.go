@@ -112,13 +112,16 @@ func (s *SweepSpec) Normalize() {
 }
 
 // Validate normalizes the spec and rejects unknown study names, unknown
-// traces, and bad fault values, so the server can 400 before queueing.
+// traces, bad fault values, and an eMMC-only study (aging, alone or inside
+// a composite such as all) on another device, so the server can 400
+// before queueing.
 func (s *SweepSpec) Validate() error {
 	s.Normalize()
 	if len(s.Sweeps) == 0 {
 		return fmt.Errorf("no studies named; known studies: %s", strings.Join(experiments.StudyNames(), ", "))
 	}
-	if _, err := experiments.Select(s.Sweeps); err != nil {
+	selected, err := experiments.Select(s.Sweeps)
+	if err != nil {
 		return err
 	}
 	reg := workload.DefaultRegistry()
@@ -130,8 +133,14 @@ func (s *SweepSpec) Validate() error {
 	if _, err := FaultConfig(s.Faults, s.FaultSeed, s.FaultSeed != 0); err != nil {
 		return err
 	}
-	if _, err := s.Backend(); err != nil {
+	backend, err := s.Backend()
+	if err != nil {
 		return err
+	}
+	for _, st := range selected {
+		if st.EMMCOnly && backend != storage.BackendEMMC {
+			return fmt.Errorf("study %s models the emmc device only; it cannot run on device %q", st.Name, backend)
+		}
 	}
 	if s.FromDevice != "" && s.Device != "" {
 		return errSealedBackend(s.FromDevice)

@@ -38,6 +38,9 @@ type Study struct {
 	// Parts, for a composite study, names the studies it runs, in list
 	// order.
 	Parts []string
+	// EMMCOnly marks a study whose model holds for the eMMC backend alone;
+	// a sweep on another device rejects it (cliutil.SweepSpec.Validate).
+	EMMCOnly bool
 
 	run func(env *Env, traces []string) ([]Output, error)
 }
@@ -188,7 +191,9 @@ var studies = []Study{
 	{Name: "cq", run: tableOfAll(CommandQueueStudy, RenderCQ)},
 	{Name: "geometry", run: onTrace(paper.Twitter, GeometrySweep, RenderGeometry)},
 	{Name: "ratesweep", run: onTrace(paper.Twitter, RateSweep, RenderRateSweep)},
-	{Name: "aging", run: onTrace(paper.Movie, Aging, RenderAging)},
+	// aging's read retries come from Options.Reliability, which
+	// core.UFSConfig drops, so the study models eMMC only.
+	{Name: "aging", EMMCOnly: true, run: onTrace(paper.Movie, Aging, RenderAging)},
 	{Name: "faultsweep", run: func(env *Env, traces []string) ([]Output, error) {
 		name := paper.Twitter
 		if len(traces) > 0 {

@@ -20,7 +20,7 @@ type Cache[K comparable, V any] struct {
 	nodes    []node[K, V]
 	head     int32 // most recently used slot
 	tail     int32 // least recently used slot
-	free     int32 // slots RemoveFunc released, linked through next
+	free     int32 // slots Remove released, linked through next
 }
 
 type node[K comparable, V any] struct {
@@ -89,19 +89,17 @@ func (c *Cache[K, V]) Add(k K, v V) (evictedKey K, evictedVal V, evicted bool) {
 	return evictedKey, evictedVal, evicted
 }
 
-// RemoveFunc drops every entry whose key satisfies drop; the others keep
-// their order. Freed slots are reused before the arena grows.
-func (c *Cache[K, V]) RemoveFunc(drop func(K) bool) {
-	for i := c.head; i != none; {
-		next := c.nodes[i].next
-		if drop(c.nodes[i].key) {
-			c.unlink(i)
-			delete(c.index, c.nodes[i].key)
-			c.nodes[i] = node[K, V]{next: c.free} // drop references the entry held
-			c.free = i
-		}
-		i = next
+// Remove drops k's entry, if held; the others keep their order. The freed
+// slot is reused before the arena grows.
+func (c *Cache[K, V]) Remove(k K) {
+	i, ok := c.index[k]
+	if !ok {
+		return
 	}
+	c.unlink(i)
+	delete(c.index, k)
+	c.nodes[i] = node[K, V]{next: c.free} // drop references the entry held
+	c.free = i
 }
 
 func (c *Cache[K, V]) unlink(i int32) {

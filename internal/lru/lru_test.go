@@ -85,8 +85,8 @@ func sameOrder(t testing.TB, step int, c *Cache[int, int], r *ref) {
 }
 
 // op applies one operation to both caches and fails on any disagreement.
-// kind selects Get, Add, or RemoveFunc dropping one key or a third of the
-// key space.
+// kind selects Get, Add, or Remove of one key or of a third of the keys
+// held.
 func op(t testing.TB, step int, c *Cache[int, int], r *ref, kind, k, v int) {
 	t.Helper()
 	switch kind % 8 {
@@ -103,14 +103,13 @@ func op(t testing.TB, step int, c *Cache[int, int], r *ref, kind, k, v int) {
 			t.Fatalf("step %d: Add(%d) evicted %d,%d,%v, reference %d,%d,%v", step, k, gk, gv, gok, wk, wv, wok)
 		}
 	case 6:
-		c.RemoveFunc(func(x int) bool { return x == k })
+		c.Remove(k)
 		r.remove(k)
 	case 7:
-		// Drop every key in k's residue class mod 3.
-		drop := func(x int) bool { return x%3 == k%3 }
-		c.RemoveFunc(drop)
+		// Drop every key held in k's residue class mod 3.
 		for x := range r.at {
-			if drop(x) {
+			if x%3 == k%3 {
+				c.Remove(x)
 				r.remove(x)
 			}
 		}
@@ -137,14 +136,14 @@ func TestCacheMatchesReference(t *testing.T) {
 	}
 }
 
-// TestCacheReusesRemovedSlots: slots RemoveFunc frees are taken before the
+// TestCacheReusesRemovedSlots: slots Remove frees are taken before the
 // arena grows, so the arena never outgrows the capacity.
 func TestCacheReusesRemovedSlots(t *testing.T) {
 	c := New[int, int](4)
 	for k := 0; k < 1000; k++ {
 		c.Add(k, k)
 		if k%3 == 0 {
-			c.RemoveFunc(func(x int) bool { return x == k-1 })
+			c.Remove(k - 1)
 		}
 	}
 	if len(c.nodes) > 4 {

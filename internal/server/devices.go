@@ -215,7 +215,7 @@ func (s *Server) ageDevice(w http.ResponseWriter, r *http.Request) {
 		s.submitError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, submitted{ID: j.id, State: JobQueued, URL: "/v1/jobs/" + j.id})
+	writeJSON(w, http.StatusAccepted, submitted{ID: j.st.ID, State: JobQueued, URL: "/v1/jobs/" + j.st.ID})
 }
 
 // ageJob is the work function behind an age submission: the spec's replay
@@ -312,7 +312,7 @@ func (s *Server) handleDeviceForks(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	snap := make([]*job, 0)
 	for _, j := range s.jobs {
-		if j.fromDevice == id {
+		if j.st.FromDevice == id {
 			snap = append(snap, j)
 		}
 	}

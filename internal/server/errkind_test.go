@@ -74,7 +74,7 @@ func TestErrorKindClassification(t *testing.T) {
 	t.Run("runtime", func(t *testing.T) {
 		s, ts := newTestServer(t, Config{})
 		j := enqueueFunc(t, s, func(context.Context) error { return errors.New("boom") })
-		st := waitState(t, ts, j.id, JobFailed, 5*time.Second)
+		st := waitState(t, ts, j.st.ID, JobFailed, 5*time.Second)
 		if st.ErrorKind != ErrKindRuntime {
 			t.Errorf("error_kind = %q, want %q", st.ErrorKind, ErrKindRuntime)
 		}
@@ -89,7 +89,7 @@ func TestErrorKindClassification(t *testing.T) {
 			<-ctx.Done()
 			return ctx.Err()
 		})
-		st := waitState(t, ts, j.id, JobFailed, 5*time.Second)
+		st := waitState(t, ts, j.st.ID, JobFailed, 5*time.Second)
 		if st.ErrorKind != ErrKindDeadline {
 			t.Errorf("error_kind = %q, want %q", st.ErrorKind, ErrKindDeadline)
 		}
@@ -104,13 +104,13 @@ func TestErrorKindClassification(t *testing.T) {
 			return ctx.Err()
 		})
 		<-started
-		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+j.id, nil)
+		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+j.st.ID, nil)
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatalf("DELETE: %v", err)
 		}
 		resp.Body.Close()
-		st := waitState(t, ts, j.id, JobCanceled, 5*time.Second)
+		st := waitState(t, ts, j.st.ID, JobCanceled, 5*time.Second)
 		if st.ErrorKind != ErrKindCanceled {
 			t.Errorf("error_kind = %q, want %q", st.ErrorKind, ErrKindCanceled)
 		}
@@ -119,7 +119,7 @@ func TestErrorKindClassification(t *testing.T) {
 	t.Run("done_has_no_kind", func(t *testing.T) {
 		s, ts := newTestServer(t, Config{})
 		j := enqueueFunc(t, s, func(context.Context) error { return nil })
-		st := waitState(t, ts, j.id, JobDone, 5*time.Second)
+		st := waitState(t, ts, j.st.ID, JobDone, 5*time.Second)
 		if st.ErrorKind != "" {
 			t.Errorf("done job error_kind = %q, want empty", st.ErrorKind)
 		}

@@ -64,22 +64,18 @@ type jobFunc func(ctx context.Context, reg *telemetry.Registry, tc *telemetry.Tr
 // job is one asynchronous unit of work: a replay or a sweep submitted over
 // HTTP, executed on the server's worker pool under a cancelable context.
 type job struct {
-	id string
-	// seq is the numeric part of id; listings sort on it so "j10" follows
-	// "j9" instead of "j1".
-	seq  int64
-	kind string
-	// device is the storage backend the job replays against ("emmc", "sd",
-	// or "ufs"), resolved from the spec at admission so listings and logs
-	// carry it even while the job is still queued.
-	device string
+	// st is the job's wire form, kept current at each state transition so
+	// a status poll copies it instead of formatting anything. Its ID, Kind,
+	// Device, FromDevice, links and Created are fixed at admission and may
+	// be read without mu; the other fields are guarded by mu.
+	st JobStatus
+	// seq is the numeric part of the id; listings sort on it so "j10"
+	// follows "j9" instead of "j1".
+	seq int64
 	// reqID is the HTTP request id that admitted the job, joining the
 	// job's lifecycle log lines back to the submission.
 	reqID string
-	// fromDevice is the archived snapshot id the job forks ("" for jobs on
-	// fresh devices); GET /v1/devices/{id}/forks filters on it.
-	fromDevice string
-	run        jobFunc
+	run   jobFunc
 
 	// tel is the job's child telemetry registry (scoped under the server
 	// registry; merged into it at completion) and tracer its span ring.
@@ -92,16 +88,10 @@ type job struct {
 	// and tests wait on it.
 	done chan struct{}
 
-	mu    sync.Mutex
-	state string
-	err   string
-	// errKind is the machine-readable abnormal-termination classification
-	// (one of the ErrKind constants; empty for queued/running/done jobs).
-	errKind  string
-	result   json.RawMessage
-	created  time.Time
-	started  time.Time
-	finished time.Time
+	mu sync.Mutex
+	// created and started time the queue wait and the run for the log.
+	created time.Time
+	started time.Time
 	// cancel aborts the running job's context (nil unless running).
 	cancel context.CancelFunc
 	// canceled records that DELETE arrived, so a context error is reported
@@ -141,23 +131,16 @@ type JobStatus struct {
 func (j *job) status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	st := JobStatus{
-		ID:            j.id,
-		Kind:          j.kind,
-		Device:        j.device,
-		State:         j.state,
-		Created:       j.created.UTC().Format(time.RFC3339Nano),
-		Error:         j.err,
-		ErrorKind:     j.errKind,
-		FromDevice:    j.fromDevice,
-		resourceLinks: jobLinks(j.id, j.tracer != nil),
-		Result:        j.result,
-	}
-	if !j.started.IsZero() {
-		st.Started = j.started.UTC().Format(time.RFC3339Nano)
-	}
-	if !j.finished.IsZero() {
-		st.Finished = j.finished.UTC().Format(time.RFC3339Nano)
-	}
-	return st
+	return j.st
 }
+
+// finish moves the job to a terminal state and stamps its finish time;
+// j.mu is held.
+func (j *job) finish(state, errKind string, at time.Time) {
+	j.st.State = state
+	j.st.ErrorKind = errKind
+	j.st.Finished = stamp(at)
+}
+
+// stamp formats a state transition's time for JobStatus.
+func stamp(t time.Time) string { return t.UTC().Format(time.RFC3339Nano) }

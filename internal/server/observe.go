@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"time"
 )
 
@@ -25,6 +26,10 @@ import (
 type ctxKey int
 
 const reqIDKey ctxKey = iota
+
+// requestIDHeader is X-Request-ID in the canonical form net/http writes,
+// so the middleware sets it without canonicalizing per request.
+const requestIDHeader = "X-Request-Id"
 
 // requestID returns the middleware-assigned request id ("" outside a
 // request).
@@ -46,20 +51,27 @@ func (r *statusRecorder) WriteHeader(code int) {
 
 // withObservedRequests assigns request ids and logs one line per request
 // at debug level (status polls are frequent; job lifecycle events carry
-// the info-level narrative).
+// the info-level narrative). With debug off, the line costs one Enabled
+// check: no status recorder, clock read or attributes.
 func (s *Server) withObservedRequests(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := fmt.Sprintf("r%d", s.reqSeq.Add(1))
-		w.Header().Set("X-Request-ID", id)
+		var buf [24]byte
+		id := string(strconv.AppendInt(append(buf[:0], 'r'), s.reqSeq.Add(1), 10))
+		w.Header()[requestIDHeader] = []string{id}
+		r = r.WithContext(context.WithValue(r.Context(), reqIDKey, id))
+		if !s.log.Enabled(r.Context(), slog.LevelDebug) {
+			next.ServeHTTP(w, r)
+			return
+		}
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		start := time.Now()
-		next.ServeHTTP(rec, r.WithContext(context.WithValue(r.Context(), reqIDKey, id)))
-		s.log.Debug("http request",
-			"req", id,
-			"method", r.Method,
-			"path", r.URL.Path,
-			"status", rec.code,
-			"duration", time.Since(start))
+		next.ServeHTTP(rec, r)
+		s.log.LogAttrs(r.Context(), slog.LevelDebug, "http request",
+			slog.String("req", id),
+			slog.String("method", r.Method),
+			slog.String("path", r.URL.Path),
+			slog.Int("status", rec.code),
+			slog.Duration("duration", time.Since(start)))
 	})
 }
 
@@ -73,7 +85,7 @@ func (s *Server) handleJobMetrics(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, ErrKindNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	w.Header()["Content-Type"] = metricsContentType
 	j.tel.WritePrometheus(w) //nolint:errcheck // streaming body
 }
 
@@ -86,10 +98,10 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if j.tracer == nil {
-		writeError(w, http.StatusNotFound, ErrKindNotFound, fmt.Errorf("job %q has no trace (per-job tracing disabled)", j.id))
+		writeError(w, http.StatusNotFound, ErrKindNotFound, fmt.Errorf("job %q has no trace (per-job tracing disabled)", j.st.ID))
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	j.tracer.WriteChromeTrace(w) //nolint:errcheck // streaming body
 }
 

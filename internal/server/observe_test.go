@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -227,6 +228,117 @@ func TestRequestIDHeader(t *testing.T) {
 	id2 := resp.Header.Get("X-Request-ID")
 	if id1 == "" || id2 == "" || id1 == id2 {
 		t.Errorf("request IDs not unique per request: %q, %q", id1, id2)
+	}
+}
+
+// syncBuffer is a bytes.Buffer safe for a logger's writes and the test's
+// read.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestDebugRequestLog: with a debug-level logger, every request logs one
+// `http request` line whose req is the X-Request-ID the client saw, and a
+// replay job's lifecycle lines carry the id of the POST that admitted it.
+func TestDebugRequestLog(t *testing.T) {
+	var logs syncBuffer
+	logger := slog.New(slog.NewJSONHandler(&logs, &slog.HandlerOptions{Level: slog.LevelDebug}))
+	s, ts := newTestServer(t, Config{Logger: logger})
+
+	// headerIDs lists each response's X-Request-ID with the path asked.
+	var headerIDs, paths []string
+	do := func(method, path, body string) []byte {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", method, path, err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		headerIDs = append(headerIDs, resp.Header.Get("X-Request-ID"))
+		paths = append(paths, path)
+		return b
+	}
+	do(http.MethodGet, "/healthz", "")
+	var sub submitted
+	if err := json.Unmarshal(do(http.MethodPost, "/v1/replays",
+		fmt.Sprintf(`{"app":%q,"scheme":"4PS"}`, paper.CallIn)), &sub); err != nil {
+		t.Fatal(err)
+	}
+	postID := headerIDs[1]
+	for deadline := time.Now().Add(30 * time.Second); ; {
+		var st JobStatus
+		if err := json.Unmarshal(do(http.MethodGet, "/v1/jobs/"+sub.ID, ""), &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.State == JobDone {
+			break
+		}
+		if st.State == JobFailed || st.State == JobCanceled || time.Now().After(deadline) {
+			t.Fatalf("job %s state %q", sub.ID, st.State)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	do(http.MethodGet, "/metrics", "")
+	do(http.MethodGet, "/v1/jobs/nope", "")
+	// Shutdown waits for the worker, so the job's last line is written.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	requestLines := map[string][]string{} // req -> paths logged
+	lifecycle := map[string]string{}      // job lifecycle msg -> req
+	for _, line := range strings.Split(strings.TrimSpace(logs.String()), "\n") {
+		var rec struct {
+			Msg  string `json:"msg"`
+			Req  string `json:"req"`
+			Job  string `json:"job"`
+			Path string `json:"path"`
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		switch {
+		case rec.Msg == "http request":
+			requestLines[rec.Req] = append(requestLines[rec.Req], rec.Path)
+		case rec.Job == sub.ID:
+			lifecycle[rec.Msg] = rec.Req
+		}
+	}
+	if len(requestLines) != len(headerIDs) {
+		t.Errorf("%d request ids logged, want %d", len(requestLines), len(headerIDs))
+	}
+	for i, id := range headerIDs {
+		if got := requestLines[id]; len(got) != 1 || got[0] != paths[i] {
+			t.Errorf("request %d (%s, X-Request-ID %q) logged as %v, want one line", i, paths[i], id, got)
+		}
+	}
+	for _, msg := range []string{"job admitted", "job started", "job finished"} {
+		if got, ok := lifecycle[msg]; !ok || got != postID {
+			t.Errorf("%q line req = %q (logged %v), want the POST's %q", msg, got, ok, postID)
+		}
 	}
 }
 

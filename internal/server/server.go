@@ -13,6 +13,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -199,24 +200,29 @@ func (s *Server) enqueue(ctx context.Context, kind, device, fromDevice string, r
 		return nil, errDraining
 	}
 	seq := s.nextID.Add(1)
+	now := time.Now()
 	j := &job{
-		id:         fmt.Sprintf("j%d", seq),
-		seq:        seq,
-		kind:       kind,
-		device:     device,
-		fromDevice: fromDevice,
-		reqID:      requestID(ctx),
-		run:        run,
-		tel:        s.tel.Child(),
-		done:       make(chan struct{}),
-		state:      JobQueued,
-		created:    time.Now(),
+		st: JobStatus{
+			ID:         "j" + strconv.FormatInt(seq, 10),
+			Kind:       kind,
+			Device:     device,
+			State:      JobQueued,
+			Created:    stamp(now),
+			FromDevice: fromDevice,
+		},
+		seq:     seq,
+		reqID:   requestID(ctx),
+		run:     run,
+		tel:     s.tel.Child(),
+		done:    make(chan struct{}),
+		created: now,
 	}
 	if s.cfg.JobTraceCap >= 0 {
 		j.tracer = telemetry.NewTracer(s.cfg.JobTraceCap)
 	}
+	j.st.resourceLinks = jobLinks(j.st.ID, j.tracer != nil)
 	s.mu.Lock()
-	s.jobs[j.id] = j
+	s.jobs[j.st.ID] = j
 	s.mu.Unlock()
 	s.admitMu.Lock()
 	if s.draining.Load() {
@@ -225,7 +231,7 @@ func (s *Server) enqueue(ctx context.Context, kind, device, fromDevice string, r
 		// would strand the job. Reject instead.
 		s.admitMu.Unlock()
 		s.mu.Lock()
-		delete(s.jobs, j.id)
+		delete(s.jobs, j.st.ID)
 		s.mu.Unlock()
 		return nil, errDraining
 	}
@@ -234,13 +240,13 @@ func (s *Server) enqueue(ctx context.Context, kind, device, fromDevice string, r
 		s.admitMu.Unlock()
 		s.submitted.Inc()
 		s.queueDepth.Set(int64(len(s.queue)))
-		s.log.Info("job admitted", "job", j.id, "kind", kind, "device", j.device,
+		s.log.Info("job admitted", "job", j.st.ID, "kind", kind, "device", device,
 			"req", j.reqID, "queued", len(s.queue))
 		return j, nil
 	default:
 		s.admitMu.Unlock()
 		s.mu.Lock()
-		delete(s.jobs, j.id)
+		delete(s.jobs, j.st.ID)
 		s.mu.Unlock()
 		s.rejected.Inc()
 		return nil, errQueueFull
@@ -284,12 +290,13 @@ func (s *Server) execute(j *job) {
 		ctx, cancel = context.WithCancel(ctx)
 	}
 	j.cancel = cancel
-	j.state = JobRunning
+	j.st.State = JobRunning
 	j.started = time.Now()
+	j.st.Started = stamp(j.started)
 	queueWait := j.started.Sub(j.created)
 	j.mu.Unlock()
 
-	s.log.Info("job started", "job", j.id, "kind", j.kind, "device", j.device, "req", j.reqID,
+	s.log.Info("job started", "job", j.st.ID, "kind", j.st.Kind, "device", j.st.Device, "req", j.reqID,
 		"queue_wait", queueWait)
 	s.running.Add(1)
 	if s.beforeRun != nil {
@@ -310,41 +317,38 @@ func (s *Server) execute(j *job) {
 	}
 	j.mu.Lock()
 	j.cancel = nil
-	j.finished = time.Now()
-	runDur := j.finished.Sub(j.started)
+	end := time.Now()
+	runDur := end.Sub(j.started)
 	switch {
 	case err == nil:
-		j.state = JobDone
-		j.result = payload
+		j.finish(JobDone, "", end)
+		j.st.Result = payload
 		s.completed.Inc()
 	case j.canceled:
-		j.state = JobCanceled
-		j.err = err.Error()
-		j.errKind = ErrKindCanceled
+		j.finish(JobCanceled, ErrKindCanceled, end)
+		j.st.Error = err.Error()
 		s.canceledC.Inc()
 	case errors.Is(err, context.DeadlineExceeded):
 		// The per-job deadline expired (the replay loops return a wrapped
 		// context error); distinguish it from the job's own failures so
 		// clients know a retry on idler capacity could succeed.
-		j.state = JobFailed
-		j.err = err.Error()
-		j.errKind = ErrKindDeadline
+		j.finish(JobFailed, ErrKindDeadline, end)
+		j.st.Error = err.Error()
 		s.failed.Inc()
 	default:
-		j.state = JobFailed
-		j.err = err.Error()
-		j.errKind = ErrKindRuntime
+		j.finish(JobFailed, ErrKindRuntime, end)
+		j.st.Error = err.Error()
 		s.failed.Inc()
 	}
-	state, errMsg := j.state, j.err
+	state, errMsg := j.st.State, j.st.Error
 	j.mu.Unlock()
 	close(j.done)
 	s.retire(j)
 	if errMsg == "" {
-		s.log.Info("job finished", "job", j.id, "kind", j.kind, "req", j.reqID,
+		s.log.Info("job finished", "job", j.st.ID, "kind", j.st.Kind, "req", j.reqID,
 			"state", state, "queue_wait", queueWait, "run", runDur)
 	} else {
-		s.log.Warn("job finished", "job", j.id, "kind", j.kind, "req", j.reqID,
+		s.log.Warn("job finished", "job", j.st.ID, "kind", j.st.Kind, "req", j.reqID,
 			"state", state, "queue_wait", queueWait, "run", runDur, "error", errMsg)
 	}
 }
@@ -366,7 +370,7 @@ func runSafe(ctx context.Context, j *job) (res any, err error) {
 func (s *Server) retire(j *job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.doneOrder = append(s.doneOrder, j.id)
+	s.doneOrder = append(s.doneOrder, j.st.ID)
 	for len(s.doneOrder) > s.cfg.ResultCap {
 		oldest := s.doneOrder[0]
 		s.doneOrder = s.doneOrder[1:]
@@ -400,14 +404,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 				continue
 			}
 			j.canceled = true
-			j.state = JobCanceled
-			j.errKind = ErrKindCanceled
-			j.finished = time.Now()
+			j.finish(JobCanceled, ErrKindCanceled, time.Now())
 			j.mu.Unlock()
 			close(j.done)
 			s.canceledC.Inc()
 			s.retire(j)
-			s.log.Info("job canceled", "job", j.id, "kind", j.kind, "req", j.reqID,
+			s.log.Info("job canceled", "job", j.st.ID, "kind", j.st.Kind, "req", j.reqID,
 				"reason", "drain")
 		default:
 			s.queueDepth.Set(0)
@@ -437,7 +439,7 @@ func (s *Server) cancelRunning() {
 	defer s.mu.Unlock()
 	for _, j := range s.jobs {
 		j.mu.Lock()
-		if j.state == JobRunning {
+		if j.st.State == JobRunning {
 			j.canceled = true
 			if j.cancel != nil {
 				j.cancel()
@@ -449,12 +451,42 @@ func (s *Server) cancelRunning() {
 
 // --- HTTP handlers ---
 
+// jsonBuf is one response's encoding scratch: a buffer and an encoder
+// bound to it with the API's two-space indent. It is pooled, so a status
+// poll allocates per response, not per field.
+type jsonBuf struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var jsonBufs = sync.Pool{New: func() any {
+	jb := new(jsonBuf)
+	jb.enc = json.NewEncoder(&jb.buf)
+	jb.enc.SetIndent("", "  ")
+	return jb
+}}
+
+// maxPooledJSON bounds the buffers kept for reuse, so one large listing
+// of results does not stay resident.
+const maxPooledJSON = 1 << 20
+
+// Content-Type values shared by every response (net/http only reads a
+// header's values), so setting one allocates nothing.
+var (
+	jsonContentType    = []string{"application/json"}
+	metricsContentType = []string{"text/plain; version=0.0.4; charset=utf-8"}
+)
+
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	jb := jsonBufs.Get().(*jsonBuf)
+	jb.buf.Reset()
+	jb.enc.Encode(v) //nolint:errcheck // every response type encodes
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // headers are out; nothing left to report
+	w.Write(jb.buf.Bytes()) //nolint:errcheck // headers are out; nothing left to report
+	if jb.buf.Cap() <= maxPooledJSON {
+		jsonBufs.Put(jb)
+	}
 }
 
 // ErrorBody is the uniform non-2xx envelope: every error response carries
@@ -572,7 +604,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind string, dev
 		s.submitError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, submitted{ID: j.id, State: JobQueued, URL: "/v1/jobs/" + j.id})
+	writeJSON(w, http.StatusAccepted, submitted{ID: j.st.ID, State: JobQueued, URL: "/v1/jobs/" + j.st.ID})
 }
 
 // SweepOutput is one named sweep's rendered tables inside a sweep job's
@@ -691,17 +723,15 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j.mu.Lock()
-	switch j.state {
+	switch j.st.State {
 	case JobQueued:
 		j.canceled = true
-		j.state = JobCanceled
-		j.errKind = ErrKindCanceled
-		j.finished = time.Now()
+		j.finish(JobCanceled, ErrKindCanceled, time.Now())
 		j.mu.Unlock()
 		close(j.done)
 		s.canceledC.Inc()
 		s.retire(j)
-		s.log.Info("job canceled", "job", j.id, "kind", j.kind, "req", j.reqID,
+		s.log.Info("job canceled", "job", j.st.ID, "kind", j.st.Kind, "req", j.reqID,
 			"reason", "delete")
 	case JobRunning:
 		j.canceled = true
@@ -748,7 +778,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	known := len(s.jobs)
 	for _, j := range s.jobs {
 		j.mu.Lock()
-		states[j.state]++
+		states[j.st.State]++
 		j.mu.Unlock()
 	}
 	s.mu.Unlock()
@@ -765,6 +795,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	w.Header()["Content-Type"] = metricsContentType
 	s.tel.WritePrometheus(w) //nolint:errcheck // streaming body
 }

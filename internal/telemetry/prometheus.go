@@ -1,86 +1,109 @@
 package telemetry
 
 import (
-	"bufio"
-	"fmt"
 	"io"
+	"strconv"
+	"sync"
 )
+
+// exposition is one WritePrometheus call's scratch: the rendered bytes and
+// the sorted keys of the section being rendered. It is pooled, so a scrape
+// of a warm server allocates per response, not per series.
+type exposition struct {
+	b    []byte
+	keys []metricKey
+}
+
+var expositions = sync.Pool{New: func() any { return new(exposition) }}
 
 // WritePrometheus writes the registry's current state in the Prometheus
 // text exposition format (version 0.0.4): one `# TYPE` header per metric
 // family, histograms expanded into cumulative `_bucket{le=...}` series plus
 // `_sum` and `_count`. Output order is deterministic (family, then label
-// set), so the format is golden-file testable.
+// set), so the format is golden-file testable. The exposition is rendered
+// under the registry's lock into one buffer and written with one Write
+// after the lock is released.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
 	r = r.published()
-	bw := bufio.NewWriter(w)
+	e := expositions.Get().(*exposition)
+	defer expositions.Put(e)
 	r.mu.Lock()
-	defer r.mu.Unlock()
-
-	writeFamily := func(keys []metricKey, typ string, emit func(k metricKey) error) error {
-		lastFamily := ""
-		for _, k := range keys {
-			if k.family != lastFamily {
-				if _, err := fmt.Fprintf(bw, "# TYPE %s %s\n", k.family, typ); err != nil {
-					return err
-				}
-				lastFamily = k.family
-			}
-			if err := emit(k); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	if err := writeFamily(sortedKeys(r.counters), "counter", func(k metricKey) error {
-		_, err := fmt.Fprintf(bw, "%s %d\n", k.String(), r.counters[k].Value())
-		return err
-	}); err != nil {
-		return err
-	}
-	if err := writeFamily(sortedKeys(r.gauges), "gauge", func(k metricKey) error {
-		_, err := fmt.Fprintf(bw, "%s %d\n", k.String(), r.gauges[k].Value())
-		return err
-	}); err != nil {
-		return err
-	}
-	if err := writeFamily(sortedKeys(r.hists), "histogram", func(k metricKey) error {
-		h := r.hists[k]
-		counts := h.BucketCounts()
-		var cum int64
-		for i, bound := range h.Bounds() {
-			cum += counts[i]
-			if _, err := fmt.Fprintf(bw, "%s_bucket{%s} %d\n",
-				k.family, spliceLE(k.labels, fmt.Sprintf("%d", bound)), cum); err != nil {
-				return err
-			}
-		}
-		cum += counts[len(counts)-1]
-		if _, err := fmt.Fprintf(bw, "%s_bucket{%s} %d\n",
-			k.family, spliceLE(k.labels, "+Inf"), cum); err != nil {
-			return err
-		}
-		sumKey := metricKey{k.family + "_sum", k.labels}
-		countKey := metricKey{k.family + "_count", k.labels}
-		if _, err := fmt.Fprintf(bw, "%s %d\n", sumKey.String(), h.Sum()); err != nil {
-			return err
-		}
-		_, err := fmt.Fprintf(bw, "%s %d\n", countKey.String(), h.Count())
-		return err
-	}); err != nil {
-		return err
-	}
-	return bw.Flush()
+	e.render(r)
+	r.mu.Unlock()
+	_, err := w.Write(e.b)
+	return err
 }
 
-// spliceLE appends the `le` label to an already-rendered label set.
-func spliceLE(labels, le string) string {
-	if labels == "" {
-		return `le="` + le + `"`
+// render replaces e.b with r's exposition; r.mu is held.
+func (e *exposition) render(r *Registry) {
+	b := e.b[:0]
+	keys := appendSortedKeys(e.keys[:0], r.counters)
+	for i, k := range keys {
+		b = appendType(b, keys, i, "counter")
+		b = appendSample(b, k.family, "", k.labels, r.counters[k].Value())
 	}
-	return labels + `,le="` + le + `"`
+	keys = appendSortedKeys(keys[:0], r.gauges)
+	for i, k := range keys {
+		b = appendType(b, keys, i, "gauge")
+		b = appendSample(b, k.family, "", k.labels, r.gauges[k].Value())
+	}
+	keys = appendSortedKeys(keys[:0], r.hists)
+	for i, k := range keys {
+		b = appendType(b, keys, i, "histogram")
+		h := r.hists[k]
+		// The counts are read in place; the +Inf bucket's cumulative count
+		// is also _count, so the two agree while a live job observes.
+		var cum int64
+		for j := range h.counts {
+			cum += h.counts[j].Load()
+			b = append(b, k.family...)
+			b = append(b, "_bucket{"...)
+			if k.labels != "" {
+				b = append(b, k.labels...)
+				b = append(b, ',')
+			}
+			b = append(b, `le="`...)
+			if j < len(h.bounds) {
+				b = strconv.AppendInt(b, h.bounds[j], 10)
+			} else {
+				b = append(b, "+Inf"...)
+			}
+			b = append(b, `"} `...)
+			b = strconv.AppendInt(b, cum, 10)
+			b = append(b, '\n')
+		}
+		b = appendSample(b, k.family, "_sum", k.labels, h.Sum())
+		b = appendSample(b, k.family, "_count", k.labels, cum)
+	}
+	e.b, e.keys = b, keys
+}
+
+// appendType appends the `# TYPE` header when keys[i] starts a family.
+func appendType(b []byte, keys []metricKey, i int, typ string) []byte {
+	if i > 0 && keys[i-1].family == keys[i].family {
+		return b
+	}
+	b = append(b, "# TYPE "...)
+	b = append(b, keys[i].family...)
+	b = append(b, ' ')
+	b = append(b, typ...)
+	return append(b, '\n')
+}
+
+// appendSample appends one `family+suffix{labels} v` line; an empty label
+// set renders without braces.
+func appendSample(b []byte, family, suffix, labels string, v int64) []byte {
+	b = append(b, family...)
+	b = append(b, suffix...)
+	if labels != "" {
+		b = append(b, '{')
+		b = append(b, labels...)
+		b = append(b, '}')
+	}
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, v, 10)
+	return append(b, '\n')
 }

@@ -1,0 +1,7 @@
+//go:build race
+
+package telemetry
+
+// raceEnabled reports a -race build, where sync.Pool drops entries at
+// random and allocation budgets do not hold.
+const raceEnabled = true

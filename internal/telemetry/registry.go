@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -206,16 +207,16 @@ func (r *Registry) published() *Registry {
 	return r
 }
 
-func sortedKeys[M ~map[metricKey]V, V any](m M) []metricKey {
-	keys := make([]metricKey, 0, len(m))
+// appendSortedKeys appends m's keys to keys in (family, labels) order.
+func appendSortedKeys[V any](keys []metricKey, m map[metricKey]V) []metricKey {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].family != keys[j].family {
-			return keys[i].family < keys[j].family
+	slices.SortFunc(keys, func(a, b metricKey) int {
+		if c := strings.Compare(a.family, b.family); c != 0 {
+			return c
 		}
-		return keys[i].labels < keys[j].labels
+		return strings.Compare(a.labels, b.labels)
 	})
 	return keys
 }
@@ -229,7 +230,7 @@ func (r *Registry) EachCounter(fn func(name string, value int64)) {
 	r = r.published()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, k := range sortedKeys(r.counters) {
+	for _, k := range appendSortedKeys(nil, r.counters) {
 		fn(k.String(), r.counters[k].Value())
 	}
 }
@@ -242,7 +243,7 @@ func (r *Registry) EachGauge(fn func(name string, value int64)) {
 	r = r.published()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, k := range sortedKeys(r.gauges) {
+	for _, k := range appendSortedKeys(nil, r.gauges) {
 		fn(k.String(), r.gauges[k].Value())
 	}
 }
@@ -255,7 +256,7 @@ func (r *Registry) EachHistogram(fn func(name string, h *Histogram)) {
 	r = r.published()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, k := range sortedKeys(r.hists) {
+	for _, k := range appendSortedKeys(nil, r.hists) {
 		fn(k.String(), r.hists[k])
 	}
 }

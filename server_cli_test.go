@@ -187,6 +187,8 @@ func TestToolDiagnostics(t *testing.T) {
 		{"experiments unknown device", "experiments", []string{"-device", "bogus"}, "bogus"},
 		{"experiments fault seed without faults", "experiments", []string{"-fault-seed", "3"}, ""},
 		{"experiments unknown study", "experiments", []string{"-exp", "nope"}, "nope"},
+		{"experiments aging on ufs", "experiments", []string{"-exp", "aging", "-device", "ufs"}, "aging"},
+		{"experiments all on ufs", "experiments", []string{"-device", "ufs"}, "aging"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
